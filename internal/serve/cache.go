@@ -112,30 +112,34 @@ func (c *ExtractCache) Get(spec device.ExtractSpec) (device.ASDM, fit.Stats, err
 	key := spec.Key()
 	sh := &c.shards[fnv1a(key)&c.mask]
 	sh.mu.Lock()
-	if el, ok := sh.byKey[key]; ok {
+	var e *cacheEntry
+	el, hit := sh.byKey[key]
+	if hit {
 		sh.ll.MoveToFront(el)
-		e := el.Value.(*cacheEntry)
-		sh.mu.Unlock()
-		if c.metrics != nil {
-			c.metrics.CacheHit()
+		e = el.Value.(*cacheEntry)
+	} else {
+		e = &cacheEntry{key: key}
+		sh.byKey[key] = sh.ll.PushFront(e)
+		for sh.ll.Len() > sh.capacity {
+			oldest := sh.ll.Back()
+			sh.ll.Remove(oldest)
+			delete(sh.byKey, oldest.Value.(*cacheEntry).key)
 		}
-		e.once.Do(func() {}) // wait out an in-flight extraction
-		return e.model, e.stats, e.err
-	}
-	e := &cacheEntry{key: key}
-	sh.byKey[key] = sh.ll.PushFront(e)
-	for sh.ll.Len() > sh.capacity {
-		oldest := sh.ll.Back()
-		sh.ll.Remove(oldest)
-		delete(sh.byKey, oldest.Value.(*cacheEntry).key)
 	}
 	sh.mu.Unlock()
 	if c.metrics != nil {
-		c.metrics.CacheMiss()
+		if hit {
+			c.metrics.CacheHit()
+		} else {
+			c.metrics.CacheMiss()
+		}
 	}
 	// Extract outside the lock: a slow fit must not serialize hits on
-	// other keys. Evicting this entry concurrently is harmless — holders
-	// of the pointer still see the result.
+	// other keys. A hit can reach the Once before the goroutine that
+	// inserted the entry, so every caller passes the real extraction;
+	// the key is pure, so whoever runs it computes the same answer.
+	// Evicting this entry concurrently is harmless — holders of the
+	// pointer still see the result.
 	e.once.Do(func() {
 		e.model, e.stats, e.err = spec.Extract()
 	})

@@ -137,43 +137,50 @@ func NewProfileCache(capacity int, m *Metrics) *ProfileCache {
 func (c *ProfileCache) Get(key string, compute func() (*pdn.Profile, error)) (*pdn.Profile, error) {
 	sh := &c.shards[fnv1a(key)&c.mask]
 	sh.mu.Lock()
-	if el, ok := sh.byKey[key]; ok {
+	var e *profileEntry
+	el, hit := sh.byKey[key]
+	if hit {
 		sh.ll.MoveToFront(el)
-		e := el.Value.(*profileEntry)
-		sh.mu.Unlock()
-		if c.metrics != nil {
-			c.metrics.ObserveImpedanceCache("hit")
+		e = el.Value.(*profileEntry)
+	} else {
+		e = &profileEntry{key: key}
+		sh.byKey[key] = sh.ll.PushFront(e)
+		for sh.ll.Len() > sh.capacity {
+			oldest := sh.ll.Back()
+			sh.ll.Remove(oldest)
+			delete(sh.byKey, oldest.Value.(*profileEntry).key)
 		}
-		e.once.Do(func() {}) // wait out an in-flight sweep
-		if e.err == nil {
-			return e.prof, nil
-		}
-		// The sweep this lookup deduplicated against failed — likely that
-		// request's own cancellation, which is no verdict on this one.
-		// Compute directly; the failed entry is already being removed.
-		return compute()
-	}
-	e := &profileEntry{key: key}
-	sh.byKey[key] = sh.ll.PushFront(e)
-	for sh.ll.Len() > sh.capacity {
-		oldest := sh.ll.Back()
-		sh.ll.Remove(oldest)
-		delete(sh.byKey, oldest.Value.(*profileEntry).key)
 	}
 	sh.mu.Unlock()
 	if c.metrics != nil {
-		c.metrics.ObserveImpedanceCache("miss")
+		if hit {
+			c.metrics.ObserveImpedanceCache("hit")
+		} else {
+			c.metrics.ObserveImpedanceCache("miss")
+		}
 	}
 	// Sweep outside the lock: a slow profile must not serialize hits on
-	// other keys. Concurrent eviction is harmless — holders of the entry
-	// pointer still see the result.
+	// other keys. A hit can reach the Once before the goroutine that
+	// inserted the entry, so every caller passes the real sweep; the key
+	// is pure, so whoever runs it computes the same answer. Concurrent
+	// eviction is harmless — holders of the entry pointer still see the
+	// result.
+	ran := false
 	e.once.Do(func() {
+		ran = true
 		e.prof, e.err = compute()
 	})
-	if e.err != nil {
-		c.remove(key, e)
+	if e.err == nil {
+		return e.prof, nil
 	}
-	return e.prof, e.err
+	if !ran {
+		// The sweep this lookup deduplicated against failed — likely that
+		// request's own cancellation, which is no verdict on this one.
+		// Compute directly; the failed entry is being removed by its runner.
+		return compute()
+	}
+	c.remove(key, e)
+	return nil, e.err
 }
 
 // remove drops the entry if it is still the one cached under key (a fresh

@@ -108,6 +108,44 @@ func TestProfileCacheDedupAndError(t *testing.T) {
 	}
 }
 
+// TestProfileCacheHammer: concurrent hits, misses and evictions over a
+// small capacity never hand back a nil profile with a nil error, and every
+// profile returned is the one its key computes. A hit that reaches an
+// entry's Once before the inserting goroutine must still run the sweep.
+func TestProfileCacheHammer(t *testing.T) {
+	const goroutines, keys, rounds = 8, 16, 200
+	c := NewProfileCache(4, nil)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				k := (g*5 + i) % keys
+				prof, err := c.Get(fmt.Sprintf("k%d", k), func() (*pdn.Profile, error) {
+					return &pdn.Profile{Points: []pdn.Point{{Freq: float64(k)}}}, nil
+				})
+				if err != nil {
+					t.Errorf("key %d: %v", k, err)
+					return
+				}
+				if prof == nil {
+					t.Errorf("key %d: nil profile with nil error", k)
+					return
+				}
+				if got := prof.Points[0].Freq; got != float64(k) {
+					t.Errorf("key %d: got the profile of key %v", k, got)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := c.Len(); n > 4 {
+		t.Errorf("cache exceeded capacity: %d > 4", n)
+	}
+}
+
 // TestProfileCacheEviction: the LRU bound holds and Shards clamps to the
 // capacity.
 func TestProfileCacheEviction(t *testing.T) {
