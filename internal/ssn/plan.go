@@ -72,8 +72,7 @@ func (k runKind) kindCase() Case {
 // term (damping, tableCase, vAt, vmaxOf), hoisting only sub-expressions
 // whose evaluation order Go fixes identically in both paths, so no
 // floating-point operation is reordered. plan_test.go proves the property
-// over seeded points spanning all four cases. VMaxBatch is the relaxed
-// fast variant (plan_fast.go): ≤ 4 ULP, property-tested.
+// over seeded points spanning all four cases.
 type Plan struct {
 	base Params
 	axis PlanAxis
@@ -109,12 +108,6 @@ type Plan struct {
 
 	// PlanAxisL hoists: σ = N·K·a/(2C) is L-free and hoists whole.
 	sigmaL float64
-
-	// nearBand is the fast path's conditioning guard (plan_fast.go): the
-	// reassociated over-damped kernel only runs where |Δ| > nearBand, so
-	// the root-cancellation amplification of its relaxed exp stays small
-	// enough for the documented ≤ 4 ULP bound.
-	nearBand float64
 
 	// scratch holds the canonical float64 axis values for the N-axis
 	// kernels: batchN rounds and clamps into it once (hoisting the
@@ -186,7 +179,6 @@ func (pl *Plan) Compile(p Params, axis PlanAxis) error {
 		pl.nlka = float64(p.N) * p.L * p.Dev.K * p.Dev.A
 		pl.nlka2 = pl.nlka * pl.nlka
 		pl.band = critTol * pl.nlka2
-		pl.nearBand = fastNearBandTol * pl.nlka2
 		pl.fourL = 4 * p.L
 		pl.twoL = 2 * p.L
 		pl.nka = float64(p.N) * p.Dev.K * p.Dev.A
@@ -237,8 +229,7 @@ func checkBatchLens(dstLen, casesLen, valuesLen int, casesNil bool) {
 // yield unspecified numbers, not errors, exactly as the scalar formulas
 // would. For PlanFixed every element is the hoisted maximum and case.
 //
-// Results are bit-for-bit identical to the scalar MaxSSN path; VMaxBatch
-// is the relaxed fast variant.
+// Results are bit-for-bit identical to the scalar MaxSSN path.
 func (pl *Plan) VMaxCaseBatch(dst []float64, cases []Case, values []float64) {
 	checkBatchLens(len(dst), len(cases), len(values), cases == nil)
 	switch pl.axis {

@@ -228,9 +228,92 @@ func TestPlanBatchAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkVMaxBatch measures the compiled C-axis kernel — the innermost
-// axis of the reference sweep — over a 1024-point batch per op.
-func BenchmarkVMaxBatch(b *testing.B) {
+// TestVMaxCaseBatchN checks the integer-axis kernel against both the float
+// kernel (bit for bit on the same rounded grid) and the scalar path.
+func TestVMaxCaseBatchN(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	const rounds, batch = 200, 32
+	ns := make([]int, batch)
+	fvals := make([]float64, batch)
+	dstI := make([]float64, batch)
+	dstF := make([]float64, batch)
+	casesI := make([]Case, batch)
+	casesF := make([]Case, batch)
+	for round := 0; round < rounds; round++ {
+		p := randPlanParams(rng, round)
+		for i := range ns {
+			ns[i] = 1 + rng.Intn(200)
+			fvals[i] = float64(ns[i])
+		}
+		pl, err := CompilePlan(p, PlanAxisN)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		pl.VMaxCaseBatchN(dstI, casesI, ns)
+		pl.VMaxCaseBatch(dstF, casesF, fvals)
+		for i := range ns {
+			if math.Float64bits(dstI[i]) != math.Float64bits(dstF[i]) || casesI[i] != casesF[i] {
+				t.Fatalf("round %d[%d]: int kernel (%v,%v) != float kernel (%v,%v) at N=%d",
+					round, i, dstI[i], casesI[i], dstF[i], casesF[i], ns[i])
+			}
+			q := p
+			q.N = ns[i]
+			want, wantCase, err := MaxSSN(q)
+			if err != nil {
+				t.Fatalf("round %d[%d]: %v", round, i, err)
+			}
+			if math.Float64bits(want) != math.Float64bits(dstI[i]) || wantCase != casesI[i] {
+				t.Fatalf("round %d[%d]: int kernel (%v,%v) != scalar (%v,%v) at N=%d",
+					round, i, dstI[i], casesI[i], want, wantCase, ns[i])
+			}
+		}
+	}
+}
+
+// TestVMaxCaseBatchNPanics pins the axis guard.
+func TestVMaxCaseBatchNPanics(t *testing.T) {
+	p := Params{N: 8, Vdd: 1.8, Slope: 2e9, L: 1e-9, C: 1e-12}
+	p.Dev.K = 4e-3
+	p.Dev.V0 = 0.6
+	p.Dev.A = 1.2
+	pl, err := CompilePlan(p, PlanAxisC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("VMaxCaseBatchN on a non-N plan must panic")
+		}
+	}()
+	pl.VMaxCaseBatchN(make([]float64, 1), nil, []int{4})
+}
+
+// TestFastBatchAllocs extends the allocation guard to the integer-axis
+// kernel (after the lazily grown scratch warm-up).
+func TestFastBatchAllocs(t *testing.T) {
+	p := Params{N: 16, Vdd: 1.8, Slope: 1.8e9, L: 1.25e-9, C: 2e-12}
+	p.Dev.K = 4e-3
+	p.Dev.V0 = 0.6
+	p.Dev.A = 1.2
+	const n = 256
+	ns := make([]int, n)
+	for i := range ns {
+		ns[i] = 1 + i
+	}
+	dst := make([]float64, n)
+	cases := make([]Case, n)
+	plN, err := CompilePlan(p, PlanAxisN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(100, func() { plN.VMaxCaseBatchN(dst, cases, ns) }); got != 0 {
+		t.Errorf("VMaxCaseBatchN allocates %v/run, want 0", got)
+	}
+}
+
+// BenchmarkVMaxCaseBatch measures the compiled C-axis kernel — the
+// innermost axis of the reference sweep — over a 1024-point batch per op.
+func BenchmarkVMaxCaseBatch(b *testing.B) {
 	p := Params{N: 16, Vdd: 1.8, Slope: 1.8e9, L: 1.25e-9, C: 2e-12}
 	p.Dev.K = 4e-3
 	p.Dev.V0 = 0.6
@@ -242,6 +325,7 @@ func BenchmarkVMaxBatch(b *testing.B) {
 		vals[i] = math.Exp(la + (lb-la)*float64(i)/float64(n-1))
 	}
 	dst := make([]float64, n)
+	cases := make([]Case, n)
 	pl, err := CompilePlan(p, PlanAxisC)
 	if err != nil {
 		b.Fatal(err)
@@ -249,7 +333,7 @@ func BenchmarkVMaxBatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pl.VMaxBatch(dst, vals)
+		pl.VMaxCaseBatch(dst, cases, vals)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/point")
 }
