@@ -224,11 +224,11 @@ func BenchmarkLUSolve(b *testing.B) {
 				a.Set(i, i, sum+1)
 				rhs[i] = rng.NormFloat64()
 			}
-			lu := linalg.NewLU(n)
+			lu := linalg.NewDenseLU[float64](n)
 			x := make([]float64, n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := lu.Factor(a); err != nil {
+				if err := lu.Factor(a.Data); err != nil {
 					b.Fatal(err)
 				}
 				if err := lu.Solve(rhs, x); err != nil {

@@ -9,10 +9,10 @@ import (
 // ErrNeedsPivoting reports a sparsity pattern the symbolic backend cannot
 // factor with static (diagonal) pivoting — some row has no structural
 // diagonal entry, as voltage-source branch rows do. Callers fall back to
-// the pivoted CSparseLU path.
+// the pivoted SparseLU[complex128] path.
 var ErrNeedsPivoting = errors.New("linalg: pattern has a structurally zero diagonal, needs pivoting")
 
-// CSymbolicLU is the symbolic/numeric split counterpart of CSparseLU for
+// CSymbolicLU is the symbolic/numeric split counterpart of SparseLU for
 // matrices whose sparsity pattern is fixed across many factorizations —
 // the AC sweep case, where G + jωC changes values but never structure.
 //
@@ -31,7 +31,7 @@ var ErrNeedsPivoting = errors.New("linalg: pattern has a structurally zero diago
 // diagonal a conductance or susceptance). Patterns with structurally zero
 // diagonals — voltage-source incidence rows — are rejected at analysis
 // time with ErrNeedsPivoting, and an exactly-cancelled or NaN pivot at
-// Refactor time returns ErrSingular; callers keep the pivoted CSparseLU
+// Refactor time returns ErrSingular; callers keep the pivoted SparseLU
 // as the fallback for both.
 //
 // A CSymbolicLU is not safe for concurrent use.

@@ -61,7 +61,7 @@ func absC(v complex128) float64 {
 }
 
 // TestCSymbolicVsDense: Refactor+Solve/SolveT must agree with the dense
-// CLU reference on random structurally symmetric systems across sizes.
+// DenseLU reference on random structurally symmetric systems across sizes.
 func TestCSymbolicVsDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 60; trial++ {
@@ -74,17 +74,17 @@ func TestCSymbolicVsDense(t *testing.T) {
 		if err := sym.Refactor(vals); err != nil {
 			t.Fatalf("trial %d (n=%d): Refactor: %v", trial, n, err)
 		}
-		dense := NewCLU(n)
-		if err := dense.Factor(a); err != nil {
+		dense := NewDenseLU[complex128](n)
+		if err := dense.Factor(a.Data); err != nil {
 			t.Fatalf("trial %d: dense Factor: %v", trial, err)
 		}
 		b := make([]complex128, n)
 		for i := range b {
 			b[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 		}
-		for name, solve := range map[string]func(CSolver, []complex128, []complex128) error{
-			"Solve":  func(s CSolver, b, x []complex128) error { return s.Solve(b, x) },
-			"SolveT": func(s CSolver, b, x []complex128) error { return s.SolveT(b, x) },
+		for name, solve := range map[string]func(Solver[complex128], []complex128, []complex128) error{
+			"Solve":  func(s Solver[complex128], b, x []complex128) error { return s.Solve(b, x) },
+			"SolveT": func(s Solver[complex128], b, x []complex128) error { return s.SolveT(b, x) },
 		} {
 			want := make([]complex128, n)
 			got := make([]complex128, n)

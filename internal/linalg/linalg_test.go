@@ -73,108 +73,6 @@ func TestMulIdentity(t *testing.T) {
 	}
 }
 
-func TestLUSolveKnown(t *testing.T) {
-	a := FromRows([][]float64{
-		{2, 1, -1},
-		{-3, -1, 2},
-		{-2, 1, 2},
-	})
-	b := []float64{8, -11, -3}
-	x, err := SolveDense(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{2, 3, -1}
-	for i := range want {
-		if !almostEq(x[i], want[i], 1e-12) {
-			t.Errorf("x[%d] = %g, want %g", i, x[i], want[i])
-		}
-	}
-}
-
-func TestLUSingular(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {2, 4}})
-	_, err := SolveDense(a, []float64{1, 2})
-	if !errors.Is(err, ErrSingular) {
-		t.Errorf("want ErrSingular, got %v", err)
-	}
-}
-
-func TestLUPivoting(t *testing.T) {
-	// Zero on the diagonal forces a row swap.
-	a := FromRows([][]float64{{0, 1}, {1, 0}})
-	x, err := SolveDense(a, []float64{3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(x[0], 4, 1e-14) || !almostEq(x[1], 3, 1e-14) {
-		t.Errorf("x = %v, want [4 3]", x)
-	}
-}
-
-func TestLUDet(t *testing.T) {
-	a := FromRows([][]float64{{4, 3}, {6, 3}})
-	f := NewLU(2)
-	if err := f.Factor(a); err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(f.Det(), -6, 1e-12) {
-		t.Errorf("det = %g, want -6", f.Det())
-	}
-}
-
-func TestLUReuse(t *testing.T) {
-	// The same workspace must be reusable for repeated factor/solve cycles,
-	// as the Newton loop does.
-	f := NewLU(2)
-	for k := 1; k <= 5; k++ {
-		a := FromRows([][]float64{{float64(k), 1}, {0, 2}})
-		if err := f.Factor(a); err != nil {
-			t.Fatal(err)
-		}
-		x := make([]float64, 2)
-		if err := f.Solve([]float64{float64(k), 4}, x); err != nil {
-			t.Fatal(err)
-		}
-		if !almostEq(x[1], 2, 1e-14) || !almostEq(x[0], (float64(k)-2)/float64(k), 1e-14) {
-			t.Errorf("k=%d: x = %v", k, x)
-		}
-	}
-}
-
-func TestLUSolveResidualProperty(t *testing.T) {
-	// Property: for random diagonally dominant systems, ||Ax - b|| is tiny.
-	rng := rand.New(rand.NewSource(7))
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed ^ rng.Int63()))
-		n := 2 + r.Intn(12)
-		a := NewMatrix(n, n)
-		b := make([]float64, n)
-		for i := 0; i < n; i++ {
-			sum := 0.0
-			for j := 0; j < n; j++ {
-				if i == j {
-					continue
-				}
-				v := r.NormFloat64()
-				a.Set(i, j, v)
-				sum += math.Abs(v)
-			}
-			a.Set(i, i, sum+1+r.Float64()) // diagonally dominant => well conditioned
-			b[i] = r.NormFloat64() * 10
-		}
-		x, err := SolveDense(a, b)
-		if err != nil {
-			return false
-		}
-		res := VecSub(a.MulVec(x), b)
-		return VecNormInf(res) <= 1e-9*(1+VecNormInf(b))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestLeastSquaresExact(t *testing.T) {
 	// Square consistent system: least squares == exact solve.
 	a := FromRows([][]float64{{1, 1}, {1, -1}})

@@ -4,41 +4,51 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/cmplx"
 )
 
 // ErrSingular is returned when factorization meets a pivot that is exactly
 // zero or numerically negligible.
 var ErrSingular = errors.New("linalg: matrix is singular to working precision")
 
-// Solver is the factor-then-solve contract the MNA engine programs against:
-// Factor captures A, Solve back-substitutes one right-hand side. Both the
-// dense LU and the SparseLU satisfy it, so the engine can pick a backend by
-// system size while the call sites stay identical.
-type Solver interface {
-	Factor(a *Matrix) error
-	Solve(b, x []float64) error
+// Scalar is the element type of the pivoted factorizations: float64 for the
+// transient MNA system, complex128 for the AC one (capacitor and inductor
+// admittances carry a jω factor). Everything but the pivot magnitude is
+// written once for both.
+type Scalar interface{ float64 | complex128 }
+
+// Solver is the factor-then-solve contract the MNA engines program
+// against. Factor captures the row-major n x n matrix a; Solve
+// back-substitutes one right-hand side; SolveT solves the transposed
+// system Aᵀx = b from the same factorization (the adjoint method needs
+// exactly one per frequency). DenseLU and SparseLU both satisfy it, so an
+// engine picks a backend by system size while the call sites stay the same.
+type Solver[T Scalar] interface {
+	Factor(a []T) error
+	Solve(b, x []T) error
+	SolveT(b, x []T) error
 }
 
-// LU holds an in-place LU factorization with partial pivoting: PA = LU.
-// The factorization buffer is reusable across Newton iterations — the MNA
-// solver refactorizes the same-size system thousands of times per transient.
-type LU struct {
+// DenseLU holds an in-place LU factorization with partial pivoting: PA = LU.
+// The factorization buffer is reusable across Newton iterations and
+// frequency points — the engines refactorize the same-size system
+// thousands of times per analysis.
+type DenseLU[T Scalar] struct {
 	n    int
-	buf  []float64 // owned factorization buffer (used by Factor)
-	lu   []float64 // packed L (unit diagonal, below) and U (on/above); buf or a caller matrix
+	buf  []T // owned factorization buffer (used by Factor)
+	lu   []T // packed L (unit diagonal, below) and U (on/above); buf or a caller matrix
 	piv  []int
-	sign int
-	y    []float64 // solve scratch, so steady-state solves do not allocate
-	dinv []float64 // reciprocal U diagonal, so back substitution multiplies
-	tiny bool      // a pivot fell below safeMin; Solve divides instead
+	y    []T  // solve scratch, so steady-state solves do not allocate
+	dinv []T  // reciprocal U diagonal, so back substitution multiplies
+	tiny bool // a pivot fell below safeMin; the U sweeps divide instead
 }
 
-// NewLU prepares a factorization workspace for n x n systems.
-func NewLU(n int) *LU {
-	buf := make([]float64, n*n)
-	return &LU{
+// NewDenseLU prepares a factorization workspace for n x n systems.
+func NewDenseLU[T Scalar](n int) *DenseLU[T] {
+	buf := make([]T, n*n)
+	return &DenseLU[T]{
 		n: n, buf: buf, lu: buf, piv: make([]int, n),
-		y: make([]float64, n), dinv: make([]float64, n),
+		y: make([]T, n), dinv: make([]T, n),
 	}
 }
 
@@ -48,64 +58,71 @@ func NewLU(n int) *LU {
 // divides directly.
 const safeMin = 0x1p-1021
 
-// Factor computes the LU factorization of a. a is not modified. It returns
-// ErrSingular when a pivot underflows the singularity threshold.
-func (f *LU) Factor(a *Matrix) error {
-	n := f.n
-	if a.Rows != n || a.Cols != n {
-		return fmt.Errorf("linalg: Factor size %dx%d, workspace is %d", a.Rows, a.Cols, n)
+func checkSquare(got, n int) error {
+	if got != n*n {
+		return fmt.Errorf("linalg: Factor got %d entries, workspace is %dx%d", got, n, n)
+	}
+	return nil
+}
+
+func checkVectors(b, x, n int) error {
+	if b != n || x != n {
+		return fmt.Errorf("linalg: Solve vector length %d/%d, want %d", b, x, n)
+	}
+	return nil
+}
+
+// Factor computes the LU factorization of the row-major n x n matrix a.
+// a is not modified. It returns ErrSingular when the best remaining pivot
+// is exactly zero or NaN.
+func (f *DenseLU[T]) Factor(a []T) error {
+	if err := checkSquare(len(a), f.n); err != nil {
+		return err
 	}
 	f.lu = f.buf
-	copy(f.lu, a.Data)
-	return f.factorize()
+	copy(f.lu, a)
+	return f.factorize(nil)
 }
 
-// FactorScratch factors a in place, destroying its contents, and keeps the
-// factorization aliased to a.Data until the next Factor/FactorScratch call.
-// For callers that restamp the matrix before every factorization anyway
-// (the Newton loop), this skips Factor's O(n^2) defensive copy.
-func (f *LU) FactorScratch(a *Matrix) error {
-	n := f.n
-	if a.Rows != n || a.Cols != n {
-		return fmt.Errorf("linalg: Factor size %dx%d, workspace is %d", a.Rows, a.Cols, n)
-	}
-	f.lu = a.Data
-	return f.factorize()
-}
-
-// FactorSolveScratch factors a in place (like FactorScratch) while reducing
-// right-hand side b alongside the elimination, then back-substitutes into x.
-// The fused pass is bit-identical to FactorScratch followed by Solve — the
-// rhs reduction performs exactly the forward-substitution operations in the
-// same order — but it touches each multiplier while it is already in
-// registers and skips the permutation gather. The factorization stays valid
-// for further Solve calls. x must not alias a.Data; b is only read (unless
+// FactorSolveScratch factors a in place, destroying its contents, while
+// reducing right-hand side b alongside the elimination, then
+// back-substitutes into x. For callers that restamp the matrix before
+// every factorization anyway (the Newton loop) this skips Factor's O(n²)
+// defensive copy, touches each multiplier while it is already in
+// registers and skips the permutation gather. The result is bit-identical
+// to Factor followed by Solve — the rhs reduction performs exactly the
+// forward-substitution operations in the same order. The factorization
+// stays aliased to a, and valid for further solves, until the next Factor
+// or FactorSolveScratch call. x must not alias a; b is only read (unless
 // it aliases x).
-func (f *LU) FactorSolveScratch(a *Matrix, b, x []float64) error {
+func (f *DenseLU[T]) FactorSolveScratch(a, b, x []T) error {
+	if err := checkSquare(len(a), f.n); err != nil {
+		return err
+	}
+	if err := checkVectors(len(b), len(x), f.n); err != nil {
+		return err
+	}
+	f.lu = a
+	copy(x, b)
+	if err := f.factorize(x); err != nil {
+		return err
+	}
+	f.backSub(x)
+	return nil
+}
+
+// factorize eliminates f.lu in place. When w is non-nil it is reduced
+// alongside (row swaps and multiplier updates), which is forward
+// substitution fused into the factorization.
+func (f *DenseLU[T]) factorize(w []T) error {
 	n := f.n
-	if a.Rows != n || a.Cols != n {
-		return fmt.Errorf("linalg: Factor size %dx%d, workspace is %d", a.Rows, a.Cols, n)
-	}
-	if len(b) != n || len(x) != n {
-		return fmt.Errorf("linalg: Solve vector length %d/%d, want %d", len(b), len(x), n)
-	}
-	f.lu = a.Data
-	f.sign = 1
-	f.tiny = false
 	lu := f.lu
-	w := x
-	copy(w, b)
+	f.tiny = false
 	for i := range f.piv {
 		f.piv[i] = i
 	}
 	for k := 0; k < n; k++ {
-		p := k
-		max := math.Abs(lu[k*n+k])
-		for i := k + 1; i < n; i++ {
-			if a := math.Abs(lu[i*n+k]); a > max {
-				max, p = a, i
-			}
-		}
+		p, max := f.pivotRow(k)
 		if max == 0 || math.IsNaN(max) {
 			return fmt.Errorf("%w: zero pivot at column %d", ErrSingular, k)
 		}
@@ -115,26 +132,28 @@ func (f *LU) FactorSolveScratch(a *Matrix, b, x []float64) error {
 			for j := range rk {
 				rk[j], rp[j] = rp[j], rk[j]
 			}
-			w[k], w[p] = w[p], w[k]
+			if w != nil {
+				w[k], w[p] = w[p], w[k]
+			}
 			f.piv[k], f.piv[p] = f.piv[p], f.piv[k]
-			f.sign = -f.sign
 		}
 		pivot := lu[k*n+k]
-		rk := lu[k*n : k*n+n]
-		wk := w[k]
+		rk := lu[k*n+k+1 : k*n+n]
 		if max >= safeMin {
 			pinv := 1 / pivot
 			f.dinv[k] = pinv
 			for i := k + 1; i < n; i++ {
 				m := lu[i*n+k] * pinv
 				lu[i*n+k] = m
-				w[i] -= m * wk
+				if w != nil {
+					w[i] -= m * w[k]
+				}
 				if m == 0 {
 					continue
 				}
-				ri := lu[i*n : i*n+n]
-				for j := k + 1; j < n; j++ {
-					ri[j] -= m * rk[j]
+				ri := lu[i*n+k+1 : i*n+n]
+				for j, v := range rk {
+					ri[j] -= m * v
 				}
 			}
 			continue
@@ -143,36 +162,53 @@ func (f *LU) FactorSolveScratch(a *Matrix, b, x []float64) error {
 		for i := k + 1; i < n; i++ {
 			m := lu[i*n+k] / pivot
 			lu[i*n+k] = m
-			w[i] -= m * wk
+			if w != nil {
+				w[i] -= m * w[k]
+			}
 			if m == 0 {
 				continue
 			}
-			ri := lu[i*n : i*n+n]
-			for j := k + 1; j < n; j++ {
-				ri[j] -= m * rk[j]
+			ri := lu[i*n+k+1 : i*n+n]
+			for j, v := range rk {
+				ri[j] -= m * v
 			}
 		}
 	}
-	f.backSub(w)
 	return nil
 }
 
-// backSub performs the U back-substitution pass in place on y.
-func (f *LU) backSub(y []float64) {
+// pivotRow returns the row at or below k holding the largest-magnitude
+// entry of column k, and that magnitude. It is the only element-type
+// specific step of the dense factorization; switching once per column
+// keeps the per-entry scan a plain loop over the concrete type.
+func (f *DenseLU[T]) pivotRow(k int) (p int, max float64) {
 	n := f.n
-	lu := f.lu
-	if f.tiny {
-		for i := n - 1; i >= 0; i-- {
-			s := y[i]
-			row := lu[i*n+i+1 : i*n+n]
-			ys := y[i+1:]
-			for j, v := range row {
-				s -= v * ys[j]
+	p = k
+	switch lu := any(f.lu).(type) {
+	case []float64:
+		max = math.Abs(lu[k*n+k])
+		for i := k + 1; i < n; i++ {
+			if a := math.Abs(lu[i*n+k]); a > max {
+				max, p = a, i
 			}
-			y[i] = s / lu[i*n+i]
 		}
-		return
+	case []complex128:
+		max = cmplx.Abs(lu[k*n+k])
+		for i := k + 1; i < n; i++ {
+			if a := cmplx.Abs(lu[i*n+k]); a > max {
+				max, p = a, i
+			}
+		}
 	}
+	return p, max
+}
+
+// backSub performs the U back-substitution pass in place on y. The
+// diagonal reciprocals were computed at factor time, so the dependency
+// chain is multiply-latency rather than divide-latency; if any pivot was
+// below safeMin the reciprocals are unusable and it divides.
+func (f *DenseLU[T]) backSub(y []T) {
+	n, lu, tiny := f.n, f.lu, f.tiny
 	for i := n - 1; i >= 0; i-- {
 		s := y[i]
 		row := lu[i*n+i+1 : i*n+n]
@@ -180,79 +216,20 @@ func (f *LU) backSub(y []float64) {
 		for j, v := range row {
 			s -= v * ys[j]
 		}
-		y[i] = s * f.dinv[i]
-	}
-}
-
-func (f *LU) factorize() error {
-	n := f.n
-	f.sign = 1
-	f.tiny = false
-	lu := f.lu
-	for i := range f.piv {
-		f.piv[i] = i
-	}
-	for k := 0; k < n; k++ {
-		// Partial pivot: largest |entry| in column k at/below the diagonal.
-		p := k
-		max := math.Abs(lu[k*n+k])
-		for i := k + 1; i < n; i++ {
-			if a := math.Abs(lu[i*n+k]); a > max {
-				max, p = a, i
-			}
-		}
-		if max == 0 || math.IsNaN(max) {
-			return fmt.Errorf("%w: zero pivot at column %d", ErrSingular, k)
-		}
-		if p != k {
-			rk := lu[k*n : k*n+n]
-			rp := lu[p*n : p*n+n]
-			for j := range rk {
-				rk[j], rp[j] = rp[j], rk[j]
-			}
-			f.piv[k], f.piv[p] = f.piv[p], f.piv[k]
-			f.sign = -f.sign
-		}
-		pivot := lu[k*n+k]
-		rk := lu[k*n : k*n+n]
-		if max >= safeMin {
-			pinv := 1 / pivot
-			f.dinv[k] = pinv
-			for i := k + 1; i < n; i++ {
-				m := lu[i*n+k] * pinv
-				lu[i*n+k] = m
-				if m == 0 {
-					continue
-				}
-				ri := lu[i*n : i*n+n]
-				for j := k + 1; j < n; j++ {
-					ri[j] -= m * rk[j]
-				}
-			}
-			continue
-		}
-		f.tiny = true
-		for i := k + 1; i < n; i++ {
-			m := lu[i*n+k] / pivot
-			lu[i*n+k] = m
-			if m == 0 {
-				continue
-			}
-			ri := lu[i*n : i*n+n]
-			for j := k + 1; j < n; j++ {
-				ri[j] -= m * rk[j]
-			}
+		if tiny {
+			y[i] = s / lu[i*n+i]
+		} else {
+			y[i] = s * f.dinv[i]
 		}
 	}
-	return nil
 }
 
 // Solve solves A x = b using the current factorization, writing the result
 // into x (which may alias b). b must have length n.
-func (f *LU) Solve(b, x []float64) error {
+func (f *DenseLU[T]) Solve(b, x []T) error {
 	n := f.n
-	if len(b) != n || len(x) != n {
-		return fmt.Errorf("linalg: Solve vector length %d/%d, want %d", len(b), len(x), n)
+	if err := checkVectors(len(b), len(x), n); err != nil {
+		return err
 	}
 	if n == 0 {
 		return nil
@@ -274,10 +251,6 @@ func (f *LU) Solve(b, x []float64) error {
 		}
 		y[i] = s
 	}
-	// Back substitution with U. The diagonal reciprocals were computed at
-	// Factor time, so the dependency chain is multiply-latency rather than
-	// divide-latency; if any pivot was below safeMin the reciprocals are
-	// unusable and backSub divides.
 	f.backSub(y)
 	if &y[0] != &x[0] {
 		copy(x, y)
@@ -285,19 +258,61 @@ func (f *LU) Solve(b, x []float64) error {
 	return nil
 }
 
-// Det returns the determinant implied by the current factorization.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.n; i++ {
-		d *= f.lu[i*f.n+i]
+// SolveT solves the transposed system Aᵀx = b from the current
+// factorization. With PA = LU we have Aᵀ = UᵀLᵀP, so the sweeps run in
+// the opposite order from Solve: lower-triangular Uᵀ first (ascending,
+// scatter form so memory access stays row-major), unit upper-triangular Lᵀ
+// second (descending), then the inverse permutation places the result.
+// b must have length n; x must not alias b.
+func (f *DenseLU[T]) SolveT(b, x []T) error {
+	n := f.n
+	if err := checkVectors(len(b), len(x), n); err != nil {
+		return err
 	}
-	return d
+	y, lu, tiny := f.y, f.lu, f.tiny
+	copy(y, b)
+	// Uᵀy' = b: y[j] is final once scaled by the diagonal; its row tail
+	// then scatters into the entries below.
+	for j := 0; j < n; j++ {
+		yj := y[j]
+		if tiny {
+			yj /= lu[j*n+j]
+		} else {
+			yj *= f.dinv[j]
+		}
+		y[j] = yj
+		if yj == 0 {
+			continue
+		}
+		row := lu[j*n+j+1 : j*n+n]
+		ys := y[j+1:]
+		for i, v := range row {
+			ys[i] -= v * yj
+		}
+	}
+	// Lᵀz = y': unit diagonal, so z[j] is final once every later row has
+	// scattered; row j's sub-diagonal entries then scatter upward.
+	for j := n - 1; j >= 0; j-- {
+		zj := y[j]
+		if zj == 0 {
+			continue
+		}
+		row := lu[j*n : j*n+j]
+		for i, v := range row {
+			y[i] -= v * zj
+		}
+	}
+	// Px = z: undo the pivoting.
+	for i := 0; i < n; i++ {
+		x[f.piv[i]] = y[i]
+	}
+	return nil
 }
 
-// SolveDense is a convenience one-shot solve of A x = b.
+// SolveDense is a convenience one-shot solve of the real system A x = b.
 func SolveDense(a *Matrix, b []float64) ([]float64, error) {
-	f := NewLU(a.Rows)
-	if err := f.Factor(a); err != nil {
+	f := NewDenseLU[float64](a.Rows)
+	if err := f.Factor(a.Data); err != nil {
 		return nil, err
 	}
 	x := make([]float64, len(b))

@@ -1,8 +1,10 @@
-// Package linalg implements the dense linear algebra ssnkit needs: matrices,
-// LU factorization with partial pivoting (the MNA solver core) and
+// Package linalg implements the linear algebra ssnkit needs: real and
+// complex matrices, one pivoted LU per storage layout (DenseLU and
+// SparseLU, generic over float64 and complex128 — the MNA solver core),
+// the complex symbolic/numeric split CSymbolicLU for AC sweeps, and
 // Householder QR for least-squares fitting. It is deliberately small and
-// dependency-free; MNA systems in this repository are dense and of modest
-// size (tens to a few hundred unknowns).
+// dependency-free; MNA systems in this repository are of modest size
+// (tens to a few thousand unknowns).
 package linalg
 
 import (
@@ -146,6 +148,40 @@ func (m *Matrix) String() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// CMatrix is a dense row-major matrix of complex128, the AC-analysis
+// counterpart of Matrix. AC MNA systems are complex because capacitor and
+// inductor admittances carry a jω factor; everything else about assembly and
+// factorization mirrors the real path.
+type CMatrix struct {
+	Rows, Cols int
+	Data       []complex128 // len == Rows*Cols, row-major
+}
+
+// NewCMatrix allocates a zero Rows x Cols complex matrix.
+func NewCMatrix(rows, cols int) *CMatrix {
+	if rows < 0 || cols < 0 {
+		panic("linalg: negative matrix dimension")
+	}
+	return &CMatrix{Rows: rows, Cols: cols, Data: make([]complex128, rows*cols)}
+}
+
+// At returns element (i, j).
+func (m *CMatrix) At(i, j int) complex128 { return m.Data[i*m.Cols+j] }
+
+// Set assigns element (i, j).
+func (m *CMatrix) Set(i, j int, v complex128) { m.Data[i*m.Cols+j] = v }
+
+// Add accumulates v into element (i, j); the fundamental MNA stamp
+// operation.
+func (m *CMatrix) Add(i, j int, v complex128) { m.Data[i*m.Cols+j] += v }
+
+// Zero clears the matrix in place so a stamp pass can rebuild it.
+func (m *CMatrix) Zero() {
+	for i := range m.Data {
+		m.Data[i] = 0
+	}
 }
 
 // VecNormInf returns max |x_i|, or 0 for empty x.

@@ -3,60 +3,64 @@ package linalg
 import (
 	"fmt"
 	"math"
+	"math/cmplx"
 )
 
 // SparseLU factors a system by sparse Gaussian elimination with partial
-// pivoting. MNA matrices have O(1) nonzeros per row, so elimination that
+// pivoting. MNA matrices have O(1) nonzeros per row — in the AC system too,
+// where the jω factors change values, not sparsity — so elimination that
 // touches only stored entries stays near-linear in n where the dense
 // factorization is O(n^3). The factors are packed into flat CSR-style
 // arrays — U rows by pivot step, L multipliers grouped per step — so Solve
 // is a pair of cache-friendly sweeps with no per-call allocation, and all
-// Factor workspace is retained across calls for reuse inside Newton loops.
-type SparseLU struct {
+// Factor workspace is retained across calls for reuse inside Newton loops
+// and frequency sweeps.
+type SparseLU[T Scalar] struct {
 	n      int
 	pivRow []int // original row chosen as pivot at each elimination step
 
-	uDiag []float64 // U diagonal, one entry per step
-	uPtr  []int     // U row k occupies uCols/uVals[uPtr[k]:uPtr[k+1]]
+	uDiag []T   // U diagonal, one entry per step
+	uPtr  []int // U row k occupies uCols/uVals[uPtr[k]:uPtr[k+1]]
 	uCols []int
-	uVals []float64
+	uVals []T
 
 	lPtr  []int // L group k occupies lRows/lVals[lPtr[k]:lPtr[k+1]]
 	lRows []int
-	lVals []float64
+	lVals []T
 
-	work []float64 // solve scratch
+	work []T // solve scratch
 
 	rowCols   [][]int // active row storage during Factor
-	rowVals   [][]float64
+	rowVals   [][]T
 	mergeCols []int // merge scratch, swapped with the eliminated row's buffers
-	mergeVals []float64
+	mergeVals []T
 	byLead    [][]int // active rows bucketed by leading column
 }
 
 // NewSparseLU prepares a sparse factorization workspace for n x n systems.
-func NewSparseLU(n int) *SparseLU {
-	return &SparseLU{
+func NewSparseLU[T Scalar](n int) *SparseLU[T] {
+	return &SparseLU[T]{
 		n:       n,
 		pivRow:  make([]int, n),
-		uDiag:   make([]float64, n),
+		uDiag:   make([]T, n),
 		uPtr:    make([]int, n+1),
 		lPtr:    make([]int, n+1),
-		work:    make([]float64, n),
+		work:    make([]T, n),
 		rowCols: make([][]int, n),
-		rowVals: make([][]float64, n),
+		rowVals: make([][]T, n),
 		byLead:  make([][]int, n),
 	}
 }
 
-// Factor computes PA = LU from the stored nonzeros of a. a is not modified.
-// Structural zeros are dropped on ingest; zeros produced by cancellation
-// during elimination are kept, so pivot selection sees the same candidates
-// as the dense code. Returns ErrSingular when no usable pivot remains.
-func (s *SparseLU) Factor(a *Matrix) error {
+// Factor computes PA = LU from the stored nonzeros of the row-major n x n
+// matrix a. a is not modified. Structural zeros are dropped on ingest;
+// zeros produced by cancellation during elimination are kept, so pivot
+// selection sees the same candidates as the dense code. Returns
+// ErrSingular when no usable pivot remains.
+func (s *SparseLU[T]) Factor(a []T) error {
 	n := s.n
-	if a.Rows != n || a.Cols != n {
-		return fmt.Errorf("linalg: Factor size %dx%d, workspace is %d", a.Rows, a.Cols, n)
+	if err := checkSquare(len(a), n); err != nil {
+		return err
 	}
 	s.uCols = s.uCols[:0]
 	s.uVals = s.uVals[:0]
@@ -68,7 +72,7 @@ func (s *SparseLU) Factor(a *Matrix) error {
 	for i := 0; i < n; i++ {
 		cols := s.rowCols[i][:0]
 		vals := s.rowVals[i][:0]
-		row := a.Data[i*n : i*n+n]
+		row := a[i*n : i*n+n]
 		for j, v := range row {
 			if v != 0 {
 				cols = append(cols, j)
@@ -85,13 +89,7 @@ func (s *SparseLU) Factor(a *Matrix) error {
 		// whose leading column is k: every active row has leading column
 		// >= k, and a row leading past k stores nothing at k.
 		cand := s.byLead[k]
-		p := -1
-		max := 0.0
-		for _, r := range cand {
-			if a := math.Abs(s.rowVals[r][0]); a > max {
-				max, p = a, r
-			}
-		}
+		p, max := s.pivotRow(cand)
 		if p < 0 || max == 0 || math.IsNaN(max) {
 			return fmt.Errorf("%w: zero pivot at column %d", ErrSingular, k)
 		}
@@ -151,12 +149,35 @@ func (s *SparseLU) Factor(a *Matrix) error {
 	return nil
 }
 
+// pivotRow returns the candidate row whose leading entry has the largest
+// magnitude (-1 when none is nonzero), and that magnitude. It is the only
+// element-type specific step of the sparse factorization; switching once
+// per step keeps the candidate scan a plain loop over the concrete type.
+func (s *SparseLU[T]) pivotRow(cand []int) (p int, max float64) {
+	p = -1
+	switch rows := any(s.rowVals).(type) {
+	case [][]float64:
+		for _, r := range cand {
+			if a := math.Abs(rows[r][0]); a > max {
+				max, p = a, r
+			}
+		}
+	case [][]complex128:
+		for _, r := range cand {
+			if a := cmplx.Abs(rows[r][0]); a > max {
+				max, p = a, r
+			}
+		}
+	}
+	return p, max
+}
+
 // Solve solves A x = b using the current factorization, writing the result
 // into x (which may alias b). b must have length n.
-func (s *SparseLU) Solve(b, x []float64) error {
+func (s *SparseLU[T]) Solve(b, x []T) error {
 	n := s.n
-	if len(b) != n || len(x) != n {
-		return fmt.Errorf("linalg: Solve vector length %d/%d, want %d", len(b), len(x), n)
+	if err := checkVectors(len(b), len(x), n); err != nil {
+		return err
 	}
 	c := s.work
 	copy(c, b)
@@ -178,6 +199,51 @@ func (s *SparseLU) Solve(b, x []float64) error {
 			sum -= s.uVals[i] * x[s.uCols[i]]
 		}
 		x[k] = sum / s.uDiag[k]
+	}
+	return nil
+}
+
+// SolveT solves the transposed system A^T x = b from the current
+// factorization. Writing the forward elimination as a linear operator M
+// (the composition of the per-step row updates) and P for the pivot-row
+// permutation, Factor establishes M·A = P^T·U, so A^T = U^T·P·M^-T. The
+// three sweeps below invert each factor in turn: U^T by ascending scatter
+// over the stored U rows, P by placing step values at their pivot rows, and
+// M^T by replaying the elimination groups in reverse with rows and columns
+// exchanged. One SolveT per frequency is all the adjoint method costs.
+// b must have length n; x must not alias b.
+func (s *SparseLU[T]) SolveT(b, x []T) error {
+	n := s.n
+	if err := checkVectors(len(b), len(x), n); err != nil {
+		return err
+	}
+	c := s.work
+	copy(c, b)
+	// U^T c' = b: U row k stores only columns > k, so c[k] is final once
+	// divided by the diagonal; its tail then scatters forward.
+	for k := 0; k < n; k++ {
+		ck := c[k] / s.uDiag[k]
+		c[k] = ck
+		if ck == 0 {
+			continue
+		}
+		for i := s.uPtr[k]; i < s.uPtr[k+1]; i++ {
+			c[s.uCols[i]] -= s.uVals[i] * ck
+		}
+	}
+	// Undo the permutation: step k's value belongs at pivot row k.
+	for k := 0; k < n; k++ {
+		x[s.pivRow[k]] = c[k]
+	}
+	// M^T x' = x: each step's transposed update reads the rows it
+	// eliminated (pivots of later steps, already final when walking
+	// descending) and folds them into its own pivot row.
+	for k := n - 1; k >= 0; k-- {
+		sum := x[s.pivRow[k]]
+		for i := s.lPtr[k]; i < s.lPtr[k+1]; i++ {
+			sum -= s.lVals[i] * x[s.lRows[i]]
+		}
+		x[s.pivRow[k]] = sum
 	}
 	return nil
 }

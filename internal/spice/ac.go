@@ -25,9 +25,9 @@ type ACBackend int
 // path otherwise.
 const (
 	ACAuto ACBackend = iota
-	// ACDense forces the dense CLU backend regardless of size.
+	// ACDense forces the pivoted dense LU backend regardless of size.
 	ACDense
-	// ACSparse forces the pivoted CSparseLU backend.
+	// ACSparse forces the pivoted sparse LU backend.
 	ACSparse
 	// ACSymbolic forces the symbolic/numeric split backend; NewAC fails
 	// when the circuit's pattern requires pivoting (voltage sources).
@@ -87,8 +87,7 @@ type acActive byte
 const (
 	acViaNone acActive = iota
 	acViaPlan
-	acViaSparse
-	acViaDense
+	acViaLegacy
 )
 
 // acPlan is the two-phase stamp plan of the symbolic backend. The
@@ -236,11 +235,11 @@ func (e *ACEngine) ensureLegacy() {
 	if e.mat == nil {
 		e.mat = linalg.NewCMatrix(e.n, e.n)
 	}
-	if e.sparse == nil && e.dense == nil {
+	if e.legacy == nil {
 		if e.n >= acSparseThreshold {
-			e.sparse = linalg.NewCSparseLU(e.n)
+			e.legacy = linalg.NewSparseLU[complex128](e.n)
 		} else {
-			e.dense = linalg.NewCLU(e.n)
+			e.legacy = linalg.NewDenseLU[complex128](e.n)
 		}
 	}
 }
@@ -293,12 +292,11 @@ type ACEngine struct {
 
 	mat    *linalg.CMatrix // legacy stamp target; nil until a legacy factorization is needed
 	rhs    []complex128
-	x      []complex128 // forward solution of the last solve
-	lam    []complex128 // adjoint solution of the last ImpedanceSens
-	dense  *linalg.CLU
-	sparse *linalg.CSparseLU
-	plan   *acPlan  // two-phase stamp plan; nil when the backend is legacy-only
-	active acActive // backend holding the current factorization
+	x      []complex128              // forward solution of the last solve
+	lam    []complex128              // adjoint solution of the last ImpedanceSens
+	legacy linalg.Solver[complex128] // pivoted LU on mat; nil until needed
+	plan   *acPlan                   // two-phase stamp plan; nil when the backend is legacy-only
+	active acActive                  // backend holding the current factorization
 
 	stampOmega float64 // frequency the current factorization is valid for
 	stampOK    bool
@@ -379,10 +377,10 @@ func NewAC(ckt *circuit.Circuit, opts ACOptions) (*ACEngine, error) {
 	switch opts.Backend {
 	case ACDense:
 		e.mat = linalg.NewCMatrix(e.n, e.n)
-		e.dense = linalg.NewCLU(e.n)
+		e.legacy = linalg.NewDenseLU[complex128](e.n)
 	case ACSparse:
 		e.mat = linalg.NewCMatrix(e.n, e.n)
-		e.sparse = linalg.NewCSparseLU(e.n)
+		e.legacy = linalg.NewSparseLU[complex128](e.n)
 	case ACSymbolic:
 		plan, err := e.buildPlan()
 		if err != nil {
@@ -394,7 +392,7 @@ func NewAC(ckt *circuit.Circuit, opts ACOptions) (*ACEngine, error) {
 			// Small systems stay on the dense bit-reference; the
 			// single-frequency stampOmega cache is the degenerate reuse.
 			e.mat = linalg.NewCMatrix(e.n, e.n)
-			e.dense = linalg.NewCLU(e.n)
+			e.legacy = linalg.NewDenseLU[complex128](e.n)
 			break
 		}
 		plan, err := e.buildPlan()
@@ -405,7 +403,7 @@ func NewAC(ckt *circuit.Circuit, opts ACOptions) (*ACEngine, error) {
 			// Voltage sources (or other structurally zero diagonals):
 			// keep the pivoted sparse path.
 			e.mat = linalg.NewCMatrix(e.n, e.n)
-			e.sparse = linalg.NewCSparseLU(e.n)
+			e.legacy = linalg.NewSparseLU[complex128](e.n)
 		default:
 			return nil, fmt.Errorf("spice: AC symbolic analysis for %q: %w", ckt.Title, err)
 		}
@@ -519,15 +517,8 @@ func (e *ACEngine) factorAt(omega float64) error {
 			m.Add(v.br, j, -1)
 		}
 	}
-	var err error
-	if e.sparse != nil {
-		err = e.sparse.Factor(m)
-		e.active = acViaSparse
-	} else {
-		err = e.dense.Factor(m)
-		e.active = acViaDense
-	}
-	if err != nil {
+	e.active = acViaLegacy
+	if err := e.legacy.Factor(m.Data); err != nil {
 		e.active = acViaNone
 		return fmt.Errorf("spice: AC factorization at omega=%g: %w", omega, err)
 	}
@@ -540,10 +531,8 @@ func (e *ACEngine) solveRHS(b, x []complex128) error {
 	switch e.active {
 	case acViaPlan:
 		return e.plan.lu.Solve(b, x)
-	case acViaSparse:
-		return e.sparse.Solve(b, x)
-	case acViaDense:
-		return e.dense.Solve(b, x)
+	case acViaLegacy:
+		return e.legacy.Solve(b, x)
 	}
 	return fmt.Errorf("spice: AC solve before a successful factorization")
 }
@@ -552,10 +541,8 @@ func (e *ACEngine) solveT(b, x []complex128) error {
 	switch e.active {
 	case acViaPlan:
 		return e.plan.lu.SolveT(b, x)
-	case acViaSparse:
-		return e.sparse.SolveT(b, x)
-	case acViaDense:
-		return e.dense.SolveT(b, x)
+	case acViaLegacy:
+		return e.legacy.SolveT(b, x)
 	}
 	return fmt.Errorf("spice: AC solve before a successful factorization")
 }

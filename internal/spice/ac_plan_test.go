@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ssnkit/internal/circuit"
+	"ssnkit/internal/linalg"
 	"ssnkit/internal/pkgmodel"
 )
 
@@ -197,7 +198,7 @@ func TestACPlanVsrcFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.plan != nil || eng.sparse == nil {
+	if _, sparse := eng.legacy.(*linalg.SparseLU[complex128]); eng.plan != nil || !sparse {
 		t.Fatal("auto selection did not fall back to the pivoted sparse path")
 	}
 	acSparseThreshold = 1 << 30

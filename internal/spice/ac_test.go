@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ssnkit/internal/circuit"
+	"ssnkit/internal/linalg"
 )
 
 // relErrC is the relative complex error with a unit floor.
@@ -411,7 +412,7 @@ func TestACSparseMatchesDense(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if engD.dense == nil || engD.plan != nil {
+	if _, dense := engD.legacy.(*linalg.DenseLU[complex128]); !dense || engD.plan != nil {
 		t.Fatal("dense selection did not respect threshold override")
 	}
 

@@ -189,9 +189,9 @@ type Engine struct {
 	g       *linalg.Matrix // working matrix: base copy plus FET companions
 	base    *linalg.Matrix // cached linear stamps for the current (h, mode) key
 	rhs     []float64
-	solver  linalg.Solver
-	denseLU *linalg.LU // non-nil when solver is the dense backend (devirtualized hot path)
-	x       []float64  // current solution [v1..v_{n-1}, branch currents]
+	solver  linalg.Solver[float64]
+	denseLU *linalg.DenseLU[float64] // non-nil when solver is the dense backend (devirtualized hot path)
+	x       []float64                // current solution [v1..v_{n-1}, branch currents]
 
 	// rhsLin caches the iterate-independent rhs contributions (reactive
 	// state and sources) for the duration of one Newton solve; rhsLinOK is
@@ -379,9 +379,9 @@ func New(ckt *circuit.Circuit, opts Options) (*Engine, error) {
 	e.rhs = make([]float64, br)
 	e.rhsLin = make([]float64, br)
 	if br >= sparseThreshold {
-		e.solver = linalg.NewSparseLU(br)
+		e.solver = linalg.NewSparseLU[float64](br)
 	} else {
-		e.denseLU = linalg.NewLU(br)
+		e.denseLU = linalg.NewDenseLU[float64](br)
 		e.solver = e.denseLU
 	}
 	e.x = make([]float64, br)
@@ -772,12 +772,12 @@ func (e *Engine) solve(t, h float64, mode integMode) error {
 			if e.denseLU != nil && a == e.g {
 				// The working matrix is rebuilt from base on every assemble,
 				// so the fused factor+solve may destroy it in place.
-				err = e.denseLU.FactorSolveScratch(a, e.rhs, xNew)
+				err = e.denseLU.FactorSolveScratch(a.Data, e.rhs, xNew)
 			} else {
 				if e.denseLU != nil {
-					err = e.denseLU.Factor(a)
+					err = e.denseLU.Factor(a.Data)
 				} else {
-					err = e.solver.Factor(a)
+					err = e.solver.Factor(a.Data)
 				}
 				if err == nil {
 					if e.denseLU != nil {
