@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
+	"strconv"
 
 	"ssnkit/internal/colwire"
 	"ssnkit/internal/pdn"
@@ -317,21 +319,88 @@ func (s *Server) handleImpedance(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// profileCacheSize bounds the sweep-profile LRU. Profiles can be large
+// (points x sensitivities), so it stays modest.
+const profileCacheSize = 128
+
 // cachedProfile answers point and sweep requests through the sweep-profile
 // LRU: identical requests (same mesh spec, frequency grid, and sensitivity
 // flag — worker count is not part of the result, see profileKey) share one
-// computed profile and skip the solver entirely. A miss builds one
-// pdn.Sweeper for the request so its pooled engines carry the symbolic
-// analysis across every frequency of the sweep. Optimize mode bypasses
-// this path: it mutates the grid.
+// computed profile and skip the solver entirely. A sweep re-factorizes the
+// MNA system at every frequency — milliseconds to seconds of solver work —
+// so repeated identical sweeps (dashboards polling a fixed design, retried
+// requests) collapse to a map lookup. Failed sweeps are not cached (see
+// lru). A miss builds one pdn.Sweeper for the request so its pooled
+// engines carry the symbolic analysis across every frequency of the sweep.
+// Optimize mode bypasses this path: it mutates the grid.
 func (s *Server) cachedProfile(ctx context.Context, grid *pkgmodel.PDNGrid, freqs []float64, cfg pdn.Config) (*pdn.Profile, error) {
-	return s.profiles.Get(profileKey(grid, freqs, cfg.WithSens), func() (*pdn.Profile, error) {
+	prof, hit, err := s.profiles.get(profileKey(grid, freqs, cfg.WithSens), func() (*pdn.Profile, error) {
 		sw, err := pdn.NewSweeper(grid, cfg)
 		if err != nil {
 			return nil, err
 		}
 		return sw.RunProfile(ctx, freqs)
 	})
+	if hit {
+		s.metrics.ObserveImpedanceCache("hit")
+	} else {
+		s.metrics.ObserveImpedanceCache("miss")
+	}
+	return prof, err
+}
+
+// profileKey fingerprints everything a /v1/impedance profile depends on:
+// the mesh spec (dimensions, segment and die parasitics, pin model, pad
+// and decap placements, observation node) plus the frequency grid and the
+// sensitivity flag. Worker count is deliberately excluded — per-point
+// values are bit-identical for any worker count because every engine runs
+// the same deterministic refactor sequence (DESIGN.md §17), so concurrency
+// is not part of the result's identity. Float64s enter by their exact bit
+// patterns; the frequency list is folded to its length, endpoints, and a
+// 64-bit FNV-1a over all sample bits, which distinguishes log from linear
+// spacing and any custom grid shape.
+func profileKey(grid *pkgmodel.PDNGrid, freqs []float64, withSens bool) string {
+	b := make([]byte, 0, 160)
+	appInt := func(v int) {
+		b = strconv.AppendInt(append(b, '|'), int64(v), 10)
+	}
+	appF := func(v float64) {
+		b = strconv.AppendUint(append(b, '|'), math.Float64bits(v), 16)
+	}
+	appInt(grid.Rows)
+	appInt(grid.Cols)
+	appF(grid.SegR)
+	appF(grid.SegL)
+	appF(grid.DieC)
+	appF(grid.DieR)
+	appF(grid.Pin.L)
+	appF(grid.Pin.C)
+	appF(grid.Pin.R)
+	appInt(grid.Obs)
+	appInt(len(grid.PadSites))
+	for _, p := range grid.PadSites {
+		appInt(p)
+	}
+	appInt(len(grid.DecapSites))
+	for _, d := range grid.DecapSites {
+		appInt(d.Node)
+		appF(d.C)
+		appF(d.ESR)
+	}
+	if withSens {
+		b = append(b, "|s"...)
+	}
+	appInt(len(freqs))
+	if n := len(freqs); n > 0 {
+		appF(freqs[0])
+		appF(freqs[n-1])
+	}
+	h := uint64(fnvOffset)
+	for _, f := range freqs {
+		h = fnvWord(h, math.Float64bits(f))
+	}
+	b = strconv.AppendUint(append(b, '|'), h, 16)
+	return string(b)
 }
 
 func defaultF(v, def float64) float64 {

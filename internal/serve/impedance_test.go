@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"ssnkit/internal/colwire"
+	"ssnkit/internal/pkgmodel"
+	"ssnkit/internal/spice"
 )
 
 // postJSONAccept POSTs a JSON body with an explicit Accept header.
@@ -270,6 +272,89 @@ func TestImpedanceMetricsExposition(t *testing.T) {
 		`ssnserve_impedance_total{mode="point"} 1`,
 		`ssnserve_impedance_total{mode="sweep"} 1`,
 		`ssnserve_impedance_points_total 9`,
+	} {
+		if !bytes.Contains(metrics, []byte(want)) {
+			t.Errorf("missing %q in metrics exposition", want)
+		}
+	}
+}
+
+// TestProfileKeyDistinguishes: every request knob that changes the result
+// must change the key; knobs that do not (worker count) must not appear.
+func TestProfileKeyDistinguishes(t *testing.T) {
+	base := func() *pkgmodel.PDNGrid { return pkgmodel.DefaultPDN(pkgmodel.PGA, 3, 3, 4) }
+	logF, err := spice.FreqGrid(1e6, 1e10, 20, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	linF, err := spice.FreqGrid(1e6, 1e10, 20, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := profileKey(base(), logF, false)
+	if got := profileKey(base(), logF, false); got != ref {
+		t.Fatal("identical inputs produced different keys")
+	}
+	variants := map[string]string{
+		"with_sens": profileKey(base(), logF, true),
+		"linear":    profileKey(base(), linF, false),
+		"package": profileKey(
+			pkgmodel.DefaultPDN(pkgmodel.QFP, 3, 3, 4), logF, false),
+		"rows": profileKey(pkgmodel.DefaultPDN(pkgmodel.PGA, 4, 3, 4), logF, false),
+		"pads": profileKey(pkgmodel.DefaultPDN(pkgmodel.PGA, 3, 3, 2), logF, false),
+		"points": func() string {
+			f, err := spice.FreqGrid(1e6, 1e10, 21, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return profileKey(base(), f, false)
+		}(),
+		"decap": func() string {
+			g := base()
+			g.DecapSites = append(g.DecapSites, pkgmodel.DecapSite{Node: 1, C: 1e-9, ESR: 5e-3})
+			return profileKey(g, logF, false)
+		}(),
+	}
+	seen := map[string]string{ref: "base"}
+	for name, key := range variants {
+		if prev, dup := seen[key]; dup {
+			t.Errorf("variant %q collides with %q", name, prev)
+		}
+		seen[key] = name
+	}
+}
+
+// TestImpedanceProfileCached: repeated identical sweeps hit the cache (the
+// second response must be byte-identical without re-solving), a request
+// differing only in workers still hits, and a different grid misses. The
+// exposition carries the outcome counters.
+func TestImpedanceProfileCached(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	const body = `{"rows":3,"cols":3,"pads":4,"points":24,"workers":1}`
+	_, first := postJSON(t, ts.URL+"/v1/impedance", body)
+	resp, second := postJSON(t, ts.URL+"/v1/impedance", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, second)
+	}
+	if !bytes.Equal(first, second) {
+		t.Fatal("cached sweep response differs from the first")
+	}
+	counts := s.Metrics().ImpedanceCacheCounts()
+	if counts["miss"] != 1 || counts["hit"] != 1 {
+		t.Fatalf("after identical sweeps: %v, want 1 miss + 1 hit", counts)
+	}
+	// Worker count shapes the run, not the result: still a hit.
+	postJSON(t, ts.URL+"/v1/impedance", `{"rows":3,"cols":3,"pads":4,"points":24,"workers":2}`)
+	// A different mesh is a different profile: a miss.
+	postJSON(t, ts.URL+"/v1/impedance", `{"rows":2,"cols":3,"pads":4,"points":24}`)
+	counts = s.Metrics().ImpedanceCacheCounts()
+	if counts["miss"] != 2 || counts["hit"] != 2 {
+		t.Fatalf("counts %v, want 2 misses + 2 hits", counts)
+	}
+	_, metrics := getURL(t, ts.URL+"/metrics")
+	for _, want := range []string{
+		`ssnserve_impedance_cache_total{outcome="hit"} 2`,
+		`ssnserve_impedance_cache_total{outcome="miss"} 2`,
 	} {
 		if !bytes.Contains(metrics, []byte(want)) {
 			t.Errorf("missing %q in metrics exposition", want)

@@ -21,11 +21,11 @@
 //
 // Internals: every unit of evaluation — a batch item, a Monte Carlo job —
 // runs through one bounded worker pool sized by GOMAXPROCS; ASDM
-// extraction (the expensive repeated step) is cached per process corner in
-// a sharded LRU, and compiled evaluation plans are memoized per parameter
-// point; requests are validated against size and time limits with
-// structured JSON errors; shutdown drains in-flight jobs before
-// cancelling them.
+// extraction and impedance profiles (the expensive repeated steps) are
+// memoized in one sharded LRU type, while each /v1/maxssn item compiles
+// its own evaluation plan, which is cheaper than a cache lookup; requests
+// are validated against size and time limits with structured JSON errors;
+// shutdown drains in-flight jobs before cancelling them.
 package serve
 
 import (
@@ -35,6 +35,8 @@ import (
 	"net/http"
 	"runtime"
 	"time"
+
+	"ssnkit/internal/pdn"
 )
 
 // Config tunes the service. The zero value is usable: every field has a
@@ -49,11 +51,6 @@ type Config struct {
 	MaxJobs        int           // retained job records, default 1024
 	MaxMCSamples   int           // max Monte Carlo samples per job, default 10,000,000
 	MaxSweepPoints int           // max grid points per /v1/sweep, default 1,000,000
-	PlanCacheSize  int           // compiled-plan cache entries, default 4096
-	// ImpedanceCacheSize bounds the sweep-profile LRU (cached /v1/impedance
-	// point and sweep results), default 128. Profiles can be large (points
-	// x sensitivities), so the default stays modest.
-	ImpedanceCacheSize int
 
 	// Admission control. Evaluation endpoints pass through a bounded
 	// concurrency + queue gate; excess load is shed with 429 + Retry-After
@@ -102,12 +99,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxSweepPoints <= 0 {
 		c.MaxSweepPoints = 1_000_000
 	}
-	if c.PlanCacheSize <= 0 {
-		c.PlanCacheSize = 4096
-	}
-	if c.ImpedanceCacheSize <= 0 {
-		c.ImpedanceCacheSize = 128
-	}
 	if c.MaxConcurrent <= 0 {
 		c.MaxConcurrent = 2 * c.Workers
 	}
@@ -126,15 +117,14 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server wires the pool, job store, extraction cache and metrics behind
+// Server wires the pool, job store, caches and metrics behind
 // the HTTP mux. Construct with New, serve with ListenAndServe (or mount
 // Handler in a test server), stop with Shutdown.
 type Server struct {
 	cfg      Config
 	metrics  *Metrics
 	cache    *ExtractCache
-	plans    *PlanCache
-	profiles *ProfileCache
+	profiles *lru[string, *pdn.Profile]
 	pool     *pool
 	jobs     *jobStore
 	adm      *admission
@@ -153,8 +143,7 @@ func New(cfg Config) *Server {
 		cfg:      cfg,
 		metrics:  m,
 		cache:    NewExtractCache(cfg.CacheSize, m),
-		plans:    NewPlanCache(cfg.PlanCacheSize),
-		profiles: NewProfileCache(cfg.ImpedanceCacheSize, m),
+		profiles: newLRU[string, *pdn.Profile](profileCacheSize, fnv1a),
 		pool:     p,
 		jobs:     newJobStore(p, m, cfg.MaxJobs),
 		dist:     newDistRuns(cfg.MaxDistRuns),

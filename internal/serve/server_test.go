@@ -5,12 +5,15 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"ssnkit/internal/ssn"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -100,6 +103,11 @@ func TestMaxSSNBatch(t *testing.T) {
 	if out.Count != 100 || len(out.Results) != 100 {
 		t.Fatalf("count %d, results %d", out.Count, len(out.Results))
 	}
+	// Every item must equal the scalar LC model on the same resolved
+	// params, bit for bit. Items 96-99 repeat items 0-3, so a repeated
+	// point is held to the same answer as its first occurrence.
+	ref := NewExtractCache(8, nil)
+	distinct := map[string]bool{}
 	for i, r := range out.Results {
 		if r.Error != nil {
 			t.Fatalf("item %d failed: %+v", i, r.Error)
@@ -110,6 +118,28 @@ func TestMaxSSNBatch(t *testing.T) {
 		if r.VMax <= 0 {
 			t.Errorf("item %d vmax %g", i, r.VMax)
 		}
+		var it EvalItem
+		if err := json.Unmarshal([]byte(items[i]), &it); err != nil {
+			t.Fatal(err)
+		}
+		p, err := it.resolve(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := ssn.NewLCModel(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(r.VMax) != math.Float64bits(m.VMax()) ||
+			r.CaseCode != int(m.Case()) ||
+			math.Float64bits(r.TMax) != math.Float64bits(m.VMaxTime()) {
+			t.Errorf("item %d: served (%v, %d, %v) != model (%v, %d, %v)",
+				i, r.VMax, r.CaseCode, r.TMax, m.VMax(), int(m.Case()), m.VMaxTime())
+		}
+		distinct[items[i]] = true
+	}
+	if len(distinct) == len(items) {
+		t.Fatal("the batch must repeat items")
 	}
 	// 100 items over 3 corners: the extraction cache must have absorbed
 	// the repeats.
