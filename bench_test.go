@@ -18,6 +18,7 @@ import (
 	"ssnkit"
 	"ssnkit/internal/experiments"
 	"ssnkit/internal/linalg"
+	"ssnkit/internal/oracle"
 	"ssnkit/internal/pkgmodel"
 	"ssnkit/internal/spice"
 )
@@ -417,6 +418,32 @@ func BenchmarkAdaptiveVsFixed(b *testing.B) {
 			benchResult = res
 		}
 	})
+}
+
+// BenchmarkOracleCheck runs the differential oracle (closed form against
+// the ASDM transient) over the first 16 points of campaign seed 1: the
+// transient path of the paper's own device model, explicit and merged
+// arrays across every Table 1 case.
+func BenchmarkOracleCheck(b *testing.B) {
+	const points = 16
+	pts := make([]oracle.DesignPoint, points)
+	for i := range pts {
+		pt, ok := oracle.Generate(1, i)
+		if !ok {
+			b.Fatalf("generator exhausted at index %d", i)
+		}
+		pts[i] = pt
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, pt := range pts {
+			res := oracle.Check(pt, spice.Options{})
+			if res.Err != nil || !res.Pass {
+				b.Fatal(res)
+			}
+			benchResult = res.Sim
+		}
+	}
 }
 
 // BenchmarkMonteCarlo measures the statistical sign-off loop (1000 corners

@@ -165,7 +165,8 @@ func checkWith(pl *ssn.Plan, pt DesignPoint, opts spice.Options) Result {
 
 // Simulate synthesizes the netlist for the point and runs the transient
 // engine, returning the peak bounce voltage inside the ramp window (the
-// quantity Table 1 models) and the number of accepted time steps.
+// quantity Table 1 models) and the number of samples in the waveform: the
+// accepted time steps plus the initial point.
 func Simulate(pt DesignPoint, opts spice.Options) (vmax float64, steps int, err error) {
 	ckt, tran, err := BuildDeck(pt)
 	if err != nil {

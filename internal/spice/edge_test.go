@@ -127,3 +127,44 @@ func TestEdgeRiseShorterThanStep(t *testing.T) {
 		}
 	}
 }
+
+// TestFactorReuseKeyedOnConductances pins the factorization-reuse rule on
+// the oracle topology. The ASDM's partials are constant while it conducts,
+// so the fast path factors once per (h, mode, conduction state), a handful
+// of times per run, while the reference path factors on every Newton
+// iteration; the waveforms must still match bit for bit.
+func TestFactorReuseKeyedOnConductances(t *testing.T) {
+	const maxFastFactors = 16
+	spec := circuit.TranSpec{Step: 2e-12, Stop: 2.2e-9, UseIC: true}
+	run := func(ref bool) (*waveform.Set, int) {
+		eng, err := New(edgeDriverDeck(4, 5e-9, 8e-12), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.refMode = ref
+		set, err := eng.Transient(spec)
+		if err != nil {
+			t.Fatalf("transient (ref=%v): %v", ref, err)
+		}
+		return set, eng.factors
+	}
+	ref, refFactors := run(true)
+	opt, optFactors := run(false)
+	diffSets(t, "factor-reuse", ref, opt)
+	for _, w := range ref.Waves {
+		g := opt.Get(w.Name)
+		for i := range w.Values {
+			if math.Float64bits(g.Values[i]) != math.Float64bits(w.Values[i]) {
+				t.Fatalf("%s sample %d: fast %v, reference %v", w.Name, i, g.Values[i], w.Values[i])
+			}
+		}
+	}
+	if optFactors > maxFastFactors {
+		t.Errorf("fast path factored %d times, want <= %d", optFactors, maxFastFactors)
+	}
+	if steps := ref.Waves[0].Len() - 1; refFactors < steps {
+		t.Errorf("reference path factored %d times over %d accepted steps, want at least one per step",
+			refFactors, steps)
+	}
+	t.Logf("factorizations: fast %d, reference %d", optFactors, refFactors)
+}

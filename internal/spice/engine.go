@@ -146,14 +146,26 @@ type fetStamp struct {
 	pch        bool
 	name       string
 
-	// Linearization memo: Ids depends only on the terminal voltages, so
-	// when the iterate revisits a point (every step's first iteration
-	// re-linearizes at the previous step's converged solution) the cached
-	// stamps are bit-identical to a recompute.
-	cacheOK            bool
-	cVd, cVg, cVs, cVb float64
-	cID, cJG, cJD, cJB float64
+	// Stamp geometry, fixed at New: the unknown slots of the drain and
+	// source rows and of the terminals in stamp order g, d, b, s (-1 where
+	// the node carries no unknown), and the knownNode pinning a terminal.
+	row   [2]int
+	col   [4]int
+	known [4]*knownNode
+
+	// Linearization at the current iterate, refreshed by linearizeFET on
+	// every assemble and read by the matrix and rhs stamps. v and jac run in
+	// stamp order g, d, b, s: the terminal voltages and the partials of the
+	// drain-source current id with respect to them, jac[3] =
+	// -(jac[0]+jac[1]+jac[2]). The conductances also key factorization
+	// reuse; see Engine.matEpoch.
+	id     float64
+	v, jac [4]float64
 }
+
+// fetRowSign is the sign of the companion stamps on the drain row (+) and
+// the source row (-): the current leaves d and enters s.
+var fetRowSign = [2]float64{1, -1}
 
 type mutualStamp struct {
 	a, b *indStamp
@@ -208,15 +220,22 @@ type Engine struct {
 	basePinICs bool
 	baseValid  bool
 
-	// Factorization reuse: matEpoch advances whenever the assembled matrix
-	// content can have changed (base rebuild or a FET re-linearization);
-	// facEpoch records the epoch the solver last factored. Matching epochs
-	// mean the held factorization is of a bit-identical matrix, so Factor
-	// is skipped — across timesteps for linear circuits, and on each
-	// step's first Newton iteration for FET circuits.
+	// Factorization reuse. matEpoch advances whenever the assembled matrix
+	// content changes: a base rebuild, or a FET linearization whose
+	// conductances differ bit for bit from its previous linearization's
+	// (the FET matrix stamp reads nothing else). facEpoch records the
+	// epoch the solver last factored. Matching epochs mean the held
+	// factorization is of a bit-identical matrix, so assemble skips the
+	// matrix rebuild and solve skips Factor. The ASDM's Jacobian is
+	// piecewise constant, so its decks factor once per (h, mode,
+	// conduction state); linear circuits factor once per (h, mode). The
+	// working matrix g is written only in an iteration that refactors it,
+	// so the LU FactorSolveScratch leaves in g.Data stays valid for every
+	// reuse.
 	matEpoch uint64
 	facEpoch uint64
 	facValid bool
+	factors  int // Factor and FactorSolveScratch calls, for tests
 
 	xOld, xNew []float64        // Newton scratch, hoisted out of solve
 	xFull      []float64        // adaptive-step scratch (full-step trial solution)
@@ -341,8 +360,16 @@ func New(ckt *circuit.Circuit, opts Options) (*Engine, error) {
 		case *circuit.ISource:
 			e.isrc = append(e.isrc, &isrcStamp{np: c.Np, nn: c.Nn, wave: c.Wave})
 		case *circuit.MOSFET:
-			e.fets = append(e.fets, &fetStamp{d: c.D, g: c.G, s: c.S, b: c.B,
-				model: c.Model, pch: c.Pol == circuit.PChannel, name: c.Name})
+			f := &fetStamp{d: c.D, g: c.G, s: c.S, b: c.B,
+				model: c.Model, pch: c.Pol == circuit.PChannel, name: c.Name}
+			f.row = [2]int{e.vIdx(c.D), e.vIdx(c.S)}
+			for k, n := range [4]int{c.G, c.D, c.B, c.S} {
+				f.col[k] = e.vIdx(n)
+				if n > 0 && e.slot[n] < 0 {
+					f.known[k] = e.knowns[-2-e.slot[n]]
+				}
+			}
+			e.fets = append(e.fets, f)
 		case *circuit.Mutual:
 			// Resolved after the loop once both inductors exist.
 		case *circuit.TLine:
@@ -562,18 +589,16 @@ func (e *Engine) ensureBase(h float64, mode integMode) {
 }
 
 // assemble builds the MNA system for the given time, step and mode,
-// linearized around the iterate x, and returns the matrix to factor. The
-// linear part is served from the base cache; only the FET companion models
-// are restamped per iteration, on a copy of the base. The right-hand side
-// is rebuilt on every call (it carries the time-varying sources and the
-// companion-model history terms).
-func (e *Engine) assemble(t, h float64, mode integMode, x []float64) *linalg.Matrix {
+// linearized around the iterate x. It returns the matrix to solve with and
+// whether the solver must factor it; when refactor is false the matrix is
+// bit-identical to the one the solver already holds. The linear part is
+// served from the base cache. The working matrix (base plus the FET
+// companion stamps) is rebuilt only when it is about to be refactored,
+// since a FactorSolveScratch may have left its LU there. The right-hand
+// side is rebuilt on every call (it carries the time-varying sources and
+// the companion-model history terms).
+func (e *Engine) assemble(t, h float64, mode integMode, x []float64) (a *linalg.Matrix, refactor bool) {
 	e.ensureBase(h, mode)
-	a := e.base
-	if len(e.fets) > 0 {
-		copy(e.g.Data, e.base.Data)
-		a = e.g
-	}
 	rhs := e.rhs
 	if e.rhsLinOK && !e.refMode {
 		// The state- and source-driven contributions do not depend on the
@@ -627,7 +652,21 @@ func (e *Engine) assemble(t, h float64, mode integMode, x []float64) *linalg.Mat
 		e.rhsLinOK = !e.refMode
 	}
 	for _, f := range e.fets {
-		e.stampFET(f, x)
+		e.linearizeFET(f, x)
+	}
+	refactor = e.refMode || !e.facValid || e.facEpoch != e.matEpoch
+	a = e.base
+	if len(e.fets) > 0 {
+		a = e.g
+		if refactor {
+			copy(e.g.Data, e.base.Data)
+			for _, f := range e.fets {
+				e.stampFETMatrix(f)
+			}
+		}
+	}
+	for _, f := range e.fets {
+		e.stampFETRHS(f)
 	}
 	for _, tl := range e.tlines {
 		e.stampTLineRHS(tl, t, mode, x)
@@ -639,7 +678,7 @@ func (e *Engine) assemble(t, h float64, mode integMode, x []float64) *linalg.Mat
 			}
 		}
 	}
-	return a
+	return a, refactor
 }
 
 // SetNodeICs registers .IC initial node voltages (applied at the start of a
@@ -668,62 +707,83 @@ func (e *Engine) SetNodeICs(ics map[string]float64) error {
 	return nil
 }
 
-// stampFET linearizes one MOSFET around iterate x and stamps its companion
-// model. The drain-source current I and its partials with respect to the
-// four terminal voltages are computed with polarity reflection for PMOS.
-func (e *Engine) stampFET(f *fetStamp, x []float64) {
-	vd := e.nodeV(x, f.d)
-	vg := e.nodeV(x, f.g)
-	vs := e.nodeV(x, f.s)
-	vb := e.nodeV(x, f.b)
-
-	var id, jg, jd, jb float64
-	if f.cacheOK && !e.refMode && vd == f.cVd && vg == f.cVg && vs == f.cVs && vb == f.cVb {
-		id, jg, jd, jb = f.cID, f.cJG, f.cJD, f.cJB
-	} else {
-		if !f.pch {
-			i, gm, gds, gmbs := f.model.Ids(vg-vs, vd-vs, vb-vs)
-			id, jg, jd, jb = i, gm, gds, gmbs
-		} else {
-			// P-channel: evaluate the mirrored N model; the drain->source
-			// current of the P device is the negative of the mirrored current,
-			// and the chain rule flips each partial twice, leaving jg, jd, jb
-			// equal to the N-model conductances.
-			i, gm, gds, gmbs := f.model.Ids(vs-vg, vs-vd, vs-vb)
-			id, jg, jd, jb = -i, gm, gds, gmbs
+// linearizeFET evaluates one MOSFET's companion model around iterate x,
+// with polarity reflection for PMOS. The FET matrix stamp reads only the
+// conductances, so matEpoch advances only when one of them changes bit for
+// bit. Their zero initial value needs no special case: the first
+// factorization follows the first linearization, and facValid starts
+// false.
+func (e *Engine) linearizeFET(f *fetStamp, x []float64) {
+	for k, j := range f.col {
+		switch {
+		case j >= 0:
+			f.v[k] = x[j]
+		case f.known[k] != nil:
+			f.v[k] = f.known[k].val
 		}
-		f.cacheOK = true
-		f.cVd, f.cVg, f.cVs, f.cVb = vd, vg, vs, vb
-		f.cID, f.cJG, f.cJD, f.cJB = id, jg, jd, jb
+	}
+	vg, vd, vb, vs := f.v[0], f.v[1], f.v[2], f.v[3]
+	var id, jg, jd, jb float64
+	if !f.pch {
+		id, jg, jd, jb = f.model.Ids(vg-vs, vd-vs, vb-vs)
+	} else {
+		// P-channel: evaluate the mirrored N model; the drain->source
+		// current of the P device is the negative of the mirrored current,
+		// and the chain rule flips each partial twice, leaving jg, jd, jb
+		// equal to the N-model conductances.
+		var i float64
+		i, jg, jd, jb = f.model.Ids(vs-vg, vs-vd, vs-vb)
+		id = -i
+	}
+	if math.Float64bits(jg) != math.Float64bits(f.jac[0]) ||
+		math.Float64bits(jd) != math.Float64bits(f.jac[1]) ||
+		math.Float64bits(jb) != math.Float64bits(f.jac[2]) {
 		e.matEpoch++
 	}
-	js := -(jg + jd + jb)
+	f.id = id
+	f.jac = [4]float64{jg, jd, jb, -(jg + jd + jb)}
+}
 
-	// Conductance stamps: row d gets +partials, row s gets -partials. A
-	// column belonging to a source-pinned node is a constant contribution;
-	// it moves to the right-hand side with the known voltage.
-	addCol := func(i, node int, coef, v float64) {
-		if node == 0 {
-			return
+// stampFETMatrix adds a FET's conductance stamps to the working matrix:
+// the drain row gets +partials and the source row -partials, in the
+// unknown columns.
+func (e *Engine) stampFETMatrix(f *fetStamp) {
+	for r, i := range f.row {
+		if i < 0 {
+			continue
 		}
-		if j := e.slot[node]; j >= 0 {
-			e.g.Add(i, j, coef)
-		} else {
-			e.rhs[i] -= coef * v
-		}
-	}
-	addRow := func(row int, sign float64) {
-		if i := e.vIdx(row); i >= 0 {
-			addCol(i, f.g, sign*jg, vg)
-			addCol(i, f.d, sign*jd, vd)
-			addCol(i, f.b, sign*jb, vb)
-			addCol(i, f.s, sign*js, vs)
+		for k, j := range f.col {
+			if j >= 0 {
+				e.g.Add(i, j, fetRowSign[r]*f.jac[k])
+			}
 		}
 	}
-	addRow(f.d, 1)
-	addRow(f.s, -1)
-	ieq := id - jg*vg - jd*vd - jb*vb - js*vs
-	e.stampI(f.d, f.s, ieq)
+}
+
+// stampFETRHS adds a FET's right-hand-side terms. A column belonging to a
+// source-pinned node is a constant contribution and moves to the rhs with
+// the known voltage; the companion current ieq then flows from d to s.
+func (e *Engine) stampFETRHS(f *fetStamp) {
+	for r, i := range f.row {
+		if i < 0 {
+			continue
+		}
+		for k, kn := range f.known {
+			if kn != nil {
+				e.rhs[i] -= fetRowSign[r] * f.jac[k] * f.v[k]
+			}
+		}
+	}
+	ieq := f.id
+	for k := range f.jac {
+		ieq -= f.jac[k] * f.v[k]
+	}
+	if i := f.row[0]; i >= 0 {
+		e.rhs[i] -= ieq
+	}
+	if j := f.row[1]; j >= 0 {
+		e.rhs[j] += ieq
+	}
 }
 
 // converged checks the NR update against the mixed relative/absolute
@@ -766,12 +826,14 @@ func (e *Engine) solve(t, h float64, mode integMode) error {
 	linear := len(e.fets) == 0
 	fastLinear := linear && !e.refMode && (mode != modeDC || len(e.tlines) == 0)
 	for iter := 0; iter < e.opts.MaxNewton; iter++ {
-		a := e.assemble(t, h, mode, xOld)
-		if e.refMode || !e.facValid || e.facEpoch != e.matEpoch {
+		a, refactor := e.assemble(t, h, mode, xOld)
+		if refactor {
+			e.factors++
 			var err error
 			if e.denseLU != nil && a == e.g {
-				// The working matrix is rebuilt from base on every assemble,
-				// so the fused factor+solve may destroy it in place.
+				// assemble rebuilt the working matrix for this factorization
+				// and writes it again only before the next one, so the fused
+				// factor+solve may leave its LU in place for reuse.
 				err = e.denseLU.FactorSolveScratch(a.Data, e.rhs, xNew)
 			} else {
 				if e.denseLU != nil {
@@ -791,6 +853,7 @@ func (e *Engine) solve(t, h float64, mode integMode) error {
 				}
 			}
 			if err != nil {
+				e.facValid = false
 				return fmt.Errorf("spice: singular MNA matrix at t=%g: %w", t, err)
 			}
 			e.facValid = !e.refMode
