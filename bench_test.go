@@ -19,6 +19,7 @@ import (
 	"ssnkit/internal/experiments"
 	"ssnkit/internal/linalg"
 	"ssnkit/internal/oracle"
+	"ssnkit/internal/pdn"
 	"ssnkit/internal/pkgmodel"
 	"ssnkit/internal/spice"
 )
@@ -335,6 +336,50 @@ func BenchmarkACSweep(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(freqs)), "ns/point")
 			benchResult = acc
+		})
+	}
+}
+
+// BenchmarkOptimizeDecaps measures greedy decap placement on three members
+// of the optimize benchmark suite (60 log-spaced points, 1 MHz-10 GHz,
+// 5 mΩ unit decaps) at one worker: the 5x8 QFP retires many trial sites
+// and places nothing, the 8x7 COB places four decaps, and the 4x4 PGA is
+// the smallest mesh. One op is one full OptimizeDecaps run, so the gate
+// covers pricing, trial sweeps and per-trial compiles together.
+func BenchmarkOptimizeDecaps(b *testing.B) {
+	freqs, err := spice.FreqGrid(1e6, 1e10, 60, true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cases := []struct {
+		name             string
+		pkg              pkgmodel.Package
+		rows, cols, pads int
+		decapNF          float64
+		maxDecaps        int
+	}{
+		{"qfp-5x8", pkgmodel.QFP, 5, 8, 6, 1.5, 2},
+		{"cob-8x7", pkgmodel.COB, 8, 7, 2, 1, 4},
+		{"pga-4x4", pkgmodel.PGA, 4, 4, 2, 1, 2},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			spec := pdn.OptimizeSpec{
+				Grid:      pkgmodel.DefaultPDN(c.pkg, c.rows, c.cols, c.pads),
+				Freqs:     freqs,
+				DecapC:    1e-9 * c.decapNF,
+				DecapESR:  5e-3,
+				MaxDecaps: c.maxDecaps,
+				Config:    pdn.Config{Workers: 1},
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := pdn.OptimizeDecaps(context.Background(), spec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchResult = res.PeakAfter
+			}
 		})
 	}
 }

@@ -1,9 +1,11 @@
 package pdn
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"ssnkit/internal/pkgmodel"
 	"ssnkit/internal/spice"
@@ -46,15 +48,23 @@ type OptimizeResult struct {
 	Final      *Profile // profile after optimization
 }
 
-// OptimizeDecaps greedily places decaps to minimize the peak of |Z(f)|:
-// each step refines the peak frequency (see bestSite) and computes the
-// adjoint gradient of the peak impedance with respect to a virtual
-// capacitance at every open candidate site — one transposed solve covers
-// all of them — places a unit decap at the
-// steepest-descent site, and re-sweeps. A placement that fails to lower the
-// peak (anti-resonance shifts can do this) is rolled back and its site
+// OptimizeDecaps greedily places decaps to minimize the peak of |Z(f)|.
+// Each accepted grid state is priced once (see priceSites): the peak
+// frequency is refined and one adjoint solve yields the gradient of the
+// peak impedance with respect to a virtual capacitance at every open
+// candidate site. The steepest-descent site (see bestSite) gets a trial
+// unit decap and a trial sweep. A placement that fails to lower the peak
+// (anti-resonance shifts can do this) is rolled back and its site
 // retired, so the returned sequence provably decreases peak |Z| step by
 // step: PeakAfter < PeakBefore whenever any placement is reported.
+//
+// A rejection costs only what deciding it needs. The rollback restores
+// the priced state exactly, so the next pick reuses the same gradients
+// instead of re-pricing, and the trial sweep visits frequencies in
+// descending |Z| of the current profile and stops at the first point at
+// or above the current peak. Accepted trials still sweep every point, and
+// per-point values do not depend on visit order, so every output is the
+// same bits a full re-price and full re-sweep would give.
 func OptimizeDecaps(ctx context.Context, spec OptimizeSpec) (*OptimizeResult, error) {
 	if spec.DecapC <= 0 || spec.DecapESR <= 0 {
 		return nil, fmt.Errorf("pdn: decap C=%g ESR=%g must be positive", spec.DecapC, spec.DecapESR)
@@ -74,7 +84,7 @@ func OptimizeDecaps(ctx context.Context, spec OptimizeSpec) (*OptimizeResult, er
 
 	// One sweep context per accepted grid state: its pooled engines carry
 	// the symbolic analysis and warm buffers through the baseline sweep,
-	// every peak refinement, and the adjoint pricing of that state.
+	// the peak refinement, and the adjoint pricing of that state.
 	cur, err := NewSweeper(grid, spec.Config)
 	if err != nil {
 		return nil, err
@@ -90,16 +100,24 @@ func OptimizeDecaps(ctx context.Context, spec OptimizeSpec) (*OptimizeResult, er
 		Grid:       grid,
 	}
 	current := baseline
-	retired := make(map[int]bool)
+	retired := make([]bool, len(grid.DecapSites))
+	// grads, peakFreq and order describe the current accepted state; grads
+	// is nil when that state has not been priced yet.
+	var grads []float64
+	var peakFreq float64
+	var order []int
 
 	for len(res.Placements) < spec.MaxDecaps {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		site, grad, peakFreq, err := bestSite(cur, grid, current, retired)
-		if err != nil {
-			return nil, err
+		if grads == nil {
+			if grads, peakFreq, err = priceSites(cur, grid, current, retired); err != nil {
+				return nil, err
+			}
+			order = descendingAbsZ(current)
 		}
+		site, grad := bestSite(grid, grads, retired)
 		if site < 0 || grad >= 0 {
 			break // no open site lowers the peak to first order
 		}
@@ -112,13 +130,14 @@ func OptimizeDecaps(ctx context.Context, spec OptimizeSpec) (*OptimizeResult, er
 		if err != nil {
 			return nil, err
 		}
-		trial, err := trialSw.RunProfile(ctx, spec.Freqs)
+		trial, exceeded, err := trialSw.run(ctx, spec.Freqs, order, res.PeakAfter)
 		if err != nil {
 			return nil, err
 		}
-		if trial.Peak().AbsZ >= res.PeakAfter {
+		if exceeded {
 			// The first-order gradient lied at this step size: revert and
-			// retire the site for this run.
+			// retire the site for this run. The grid is back in its priced
+			// state, so grads still hold.
 			grid.DecapSites[site] = saved
 			retired[site] = true
 			continue
@@ -136,11 +155,28 @@ func OptimizeDecaps(ctx context.Context, spec OptimizeSpec) (*OptimizeResult, er
 		current = trial
 		cur = trialSw
 		res.Final = trial
+		grads = nil
 	}
 	if res.Final == nil {
 		res.Final = baseline
 	}
 	return res, nil
+}
+
+// descendingAbsZ returns the profile's point indices ordered by
+// descending |Z|, ties in ascending index order. Trial sweeps visit
+// frequencies in this order: a placement that fails to lower the peak
+// usually fails near the current peak, so the bounded sweep tends to
+// meet a point above the bound within its first few visits.
+func descendingAbsZ(prof *Profile) []int {
+	order := make([]int, len(prof.Points))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int {
+		return cmp.Compare(prof.Points[b].AbsZ, prof.Points[a].AbsZ)
+	})
+	return order
 }
 
 // refineIters bounds the golden-section peak refinement; the log-frequency
@@ -149,9 +185,11 @@ func OptimizeDecaps(ctx context.Context, spec OptimizeSpec) (*OptimizeResult, er
 // one AC factor+solve.
 const refineIters = 48
 
-// bestSite ranks the open candidate sites by d|Z|/dC at the *refined* peak
-// frequency and returns the steepest-descent site index (or -1 when no
-// gradient is negative) with its gradient and the refined frequency.
+// priceSites prices one accepted grid state: it refines the peak
+// frequency f* of the state's profile and returns d|Z|/dC at f* for every
+// open candidate site (empty and not retired), indexed like the grid's
+// DecapSites, with f* itself. Entries for other sites are left zero and
+// never read (see bestSite).
 //
 // The refinement is load-bearing, not a nicety. For a high-Q anti-resonance
 // the fixed-frequency gradient splits into a height term and a huge
@@ -164,14 +202,14 @@ const refineIters = 48
 // the peak is first located by golden-section search in log f between the
 // grid samples bracketing the discrete maximum, and one adjoint solve at
 // f* then prices every candidate site.
-func bestSite(sw *Sweeper, grid *pkgmodel.PDNGrid, prof *Profile, retired map[int]bool) (site int, grad, peakFreq float64, err error) {
-	best, bestGrad, fstar := -1, 0.0, 0.0
+func priceSites(sw *Sweeper, grid *pkgmodel.PDNGrid, prof *Profile, retired []bool) (grads []float64, peakFreq float64, err error) {
+	grads = make([]float64, len(grid.DecapSites))
 	err = sw.borrow(func(eng *spice.ACEngine, obs int) error {
-		fstar, err = refinePeak(eng, obs, prof)
+		peakFreq, err = refinePeak(eng, obs, prof)
 		if err != nil {
 			return err
 		}
-		if _, _, err := eng.ImpedanceSens(2*math.Pi*fstar, obs, nil); err != nil {
+		if _, _, err := eng.ImpedanceSens(2*math.Pi*peakFreq, obs, nil); err != nil {
 			return err
 		}
 		for i, d := range grid.DecapSites {
@@ -182,20 +220,34 @@ func bestSite(sw *Sweeper, grid *pkgmodel.PDNGrid, prof *Profile, retired map[in
 			if node < 0 {
 				return fmt.Errorf("pdn: candidate node %q missing from netlist", grid.NodeName(d.Node))
 			}
-			g, err := eng.CapSens(node, 0)
-			if err != nil {
+			if grads[i], err = eng.CapSens(node, 0); err != nil {
 				return err
-			}
-			if g < bestGrad {
-				best, bestGrad = i, g
 			}
 		}
 		return nil
 	})
 	if err != nil {
-		return -1, 0, 0, err
+		return nil, 0, err
 	}
-	return best, bestGrad, fstar, nil
+	return grads, peakFreq, nil
+}
+
+// bestSite picks the steepest-descent open site from a state's pricing:
+// the first, in index order, of the sites with the most negative
+// gradient among those still empty and not retired, or -1 when no
+// gradient is negative. A rejected trial only retires its site, so the
+// next pick rescans the same gradients without re-pricing the state.
+func bestSite(grid *pkgmodel.PDNGrid, grads []float64, retired []bool) (site int, grad float64) {
+	site = -1
+	for i, d := range grid.DecapSites {
+		if retired[i] || d.C > 0 {
+			continue
+		}
+		if grads[i] < grad {
+			site, grad = i, grads[i]
+		}
+	}
+	return site, grad
 }
 
 // refinePeak golden-section maximizes |Z(f)| in log f between the grid

@@ -13,6 +13,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"ssnkit/internal/circuit"
 	"ssnkit/internal/pkgmodel"
@@ -143,11 +144,27 @@ func (s *Sweeper) borrow(fn func(eng *spice.ACEngine, obs int) error) error {
 // in chunks, so per-frequency refactorizations dominate and coordination
 // cost vanishes. Results are deterministic: the output order is the
 // input frequency order regardless of worker count, and the per-point
-// values are bit-identical for any worker count because every engine
-// executes the same deterministic refactor sequence.
+// values are bit-identical for any worker count or visit order because
+// every engine executes the same deterministic refactor sequence.
+// RunProfile is run with ascending visit order and bound +Inf, so it
+// always sweeps every point.
 func (s *Sweeper) RunProfile(ctx context.Context, freqs []float64) (*Profile, error) {
+	prof, _, err := s.run(ctx, freqs, nil, math.Inf(1))
+	return prof, err
+}
+
+// run is the sweep loop behind RunProfile and the optimizer's trial
+// sweeps. Frequencies are visited in the given order of indices into
+// freqs (nil means ascending), and the sweep stops at the first point
+// with |Z| >= bound, reporting exceeded with no profile: the optimizer
+// passes the current peak, so a trial that cannot lower it is rejected
+// after as few points as its visit order allows. A bound of +Inf never
+// stops. The stop is not an error: it releases its Gate slot and cancels
+// the other workers, while a real error or a cancellation of ctx still
+// takes precedence over it.
+func (s *Sweeper) run(ctx context.Context, freqs []float64, order []int, bound float64) (prof *Profile, exceeded bool, err error) {
 	if len(freqs) == 0 {
-		return nil, fmt.Errorf("pdn: empty frequency grid")
+		return nil, false, fmt.Errorf("pdn: empty frequency grid")
 	}
 	cfg := s.cfg
 	workers := cfg.Workers
@@ -161,6 +178,8 @@ func (s *Sweeper) RunProfile(ctx context.Context, freqs []float64) (*Profile, er
 	if chunk <= 0 {
 		chunk = 16
 	}
+	bounded := bound < math.Inf(1)
+	var stopped atomic.Bool
 	points := make([]Point, len(freqs))
 	chunks := make(chan [2]int)
 	errs := make(chan error, workers)
@@ -183,14 +202,20 @@ func (s *Sweeper) RunProfile(ctx context.Context, freqs []float64) (*Profile, er
 			for c := range chunks {
 				if cfg.Gate != nil {
 					if err := cfg.Gate.Acquire(cctx); err != nil {
-						errs <- err
+						if !stopped.Load() {
+							errs <- err
+						}
 						cancel()
 						return
 					}
 				}
-				for i := c[0]; i < c[1]; i++ {
+				for k := c[0]; k < c[1]; k++ {
 					if cctx.Err() != nil {
 						break
+					}
+					i := k
+					if order != nil {
+						i = order[k]
 					}
 					w := 2 * math.Pi * freqs[i]
 					var z complex128
@@ -214,6 +239,11 @@ func (s *Sweeper) RunProfile(ctx context.Context, freqs []float64) (*Profile, er
 					points[i].Freq = freqs[i]
 					points[i].Z = z
 					points[i].AbsZ = math.Hypot(real(z), imag(z))
+					if bounded && points[i].AbsZ >= bound {
+						stopped.Store(true)
+						cancel()
+						break
+					}
 				}
 				if cfg.Gate != nil {
 					cfg.Gate.Release()
@@ -236,19 +266,22 @@ func (s *Sweeper) RunProfile(ctx context.Context, freqs []float64) (*Profile, er
 	wg.Wait()
 	select {
 	case err := <-errs:
-		return nil, err
+		return nil, false, err
 	default:
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	prof := &Profile{Points: points}
+	if stopped.Load() {
+		return nil, true, nil
+	}
+	prof = &Profile{Points: points}
 	for i := range points {
 		if points[i].AbsZ > points[prof.PeakIdx].AbsZ {
 			prof.PeakIdx = i
 		}
 	}
-	return prof, nil
+	return prof, false, nil
 }
 
 // RunProfile sweeps a grid's input impedance over freqs with a one-shot

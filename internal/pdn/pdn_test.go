@@ -2,6 +2,8 @@ package pdn
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"math/cmplx"
 	"sync"
@@ -134,6 +136,145 @@ func (g *countingGate) Release() {
 	g.mu.Unlock()
 	g.releases.Add(1)
 	<-g.sem
+}
+
+// boundedFixture is a small grid with its unbounded reference profile and
+// the descending-|Z| visit order the optimizer's trial sweeps use.
+func boundedFixture(t *testing.T) (*pkgmodel.PDNGrid, []float64, *Profile, []int) {
+	t.Helper()
+	grid := pkgmodel.DefaultPDN(pkgmodel.QFP, 3, 4, 2)
+	fs := testFreqs(t, 50)
+	ref, err := RunProfile(context.Background(), grid, fs, Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return grid, fs, ref, descendingAbsZ(ref)
+}
+
+func sameProfile(t *testing.T, label string, got, want *Profile) {
+	t.Helper()
+	if got == nil {
+		t.Fatalf("%s: nil profile", label)
+	}
+	if got.PeakIdx != want.PeakIdx || len(got.Points) != len(want.Points) {
+		t.Fatalf("%s: peak %d of %d points, want %d of %d", label, got.PeakIdx, len(got.Points), want.PeakIdx, len(want.Points))
+	}
+	for i := range want.Points {
+		g, w := got.Points[i], want.Points[i]
+		if g.Freq != w.Freq || g.Z != w.Z || math.Float64bits(g.AbsZ) != math.Float64bits(w.AbsZ) {
+			t.Fatalf("%s: point %d is %v/%v, want %v/%v", label, i, g.Z, g.AbsZ, w.Z, w.AbsZ)
+		}
+	}
+}
+
+// TestRunUnboundedMatchesRunProfile: with bound +Inf the run is the full
+// profile, bit for bit, in ascending or descending-|Z| visit order and at
+// any worker count.
+func TestRunUnboundedMatchesRunProfile(t *testing.T) {
+	grid, fs, ref, order := boundedFixture(t)
+	for _, workers := range []int{1, 2, 4} {
+		sw, err := NewSweeper(grid, Config{Workers: workers, ChunkSize: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ord := range [][]int{nil, order} {
+			prof, exceeded, err := sw.run(context.Background(), fs, ord, math.Inf(1))
+			if err != nil || exceeded {
+				t.Fatalf("workers=%d: exceeded=%v err=%v", workers, exceeded, err)
+			}
+			sameProfile(t, fmt.Sprintf("workers=%d ordered=%v", workers, ord != nil), prof, ref)
+		}
+	}
+}
+
+// TestRunBound: a bound at or just below the peak stops the sweep with
+// exceeded and no profile; a bound just above it returns the whole
+// profile.
+func TestRunBound(t *testing.T) {
+	grid, fs, ref, order := boundedFixture(t)
+	peak := ref.Peak().AbsZ
+	for _, workers := range []int{1, 2, 4} {
+		sw, err := NewSweeper(grid, Config{Workers: workers, ChunkSize: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ord := range [][]int{nil, order} {
+			label := fmt.Sprintf("workers=%d ordered=%v", workers, ord != nil)
+			// A bound equal to the peak stops too: the optimizer rejects a
+			// trial whose peak ties the current one.
+			for _, bound := range []float64{math.Nextafter(peak, 0), peak} {
+				prof, exceeded, err := sw.run(context.Background(), fs, ord, bound)
+				if err != nil || !exceeded || prof != nil {
+					t.Errorf("%s: bound %g vs peak %g gave exceeded=%v prof=%v err=%v", label, bound, peak, exceeded, prof != nil, err)
+				}
+			}
+			prof, exceeded, err := sw.run(context.Background(), fs, ord, math.Nextafter(peak, math.Inf(1)))
+			if err != nil || exceeded {
+				t.Fatalf("%s: bound above peak gave exceeded=%v err=%v", label, exceeded, err)
+			}
+			sameProfile(t, label, prof, ref)
+		}
+	}
+}
+
+// TestRunBoundGate: a stop releases every gate slot it took, and the
+// workers it cancels leave none held.
+func TestRunBoundGate(t *testing.T) {
+	grid, fs, ref, order := boundedFixture(t)
+	for _, ord := range [][]int{nil, order} {
+		g := &countingGate{capacity: 2, sem: make(chan struct{}, 2)}
+		sw, err := NewSweeper(grid, Config{Workers: 4, ChunkSize: 2, Gate: g})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, exceeded, err := sw.run(context.Background(), fs, ord, math.Nextafter(ref.Peak().AbsZ, 0))
+		if err != nil || !exceeded {
+			t.Fatalf("exceeded=%v err=%v", exceeded, err)
+		}
+		if g.acquires.Load() == 0 {
+			t.Error("gate never acquired")
+		}
+		if a, r := g.acquires.Load(), g.releases.Load(); a != r || len(g.sem) != 0 {
+			t.Errorf("unbalanced gate after stop: %d acquires, %d releases, %d held", a, r, len(g.sem))
+		}
+		if g.maxInFlight.Load() > int64(g.capacity) {
+			t.Errorf("gate overshoot: %d > %d", g.maxInFlight.Load(), g.capacity)
+		}
+	}
+}
+
+// cancelOnRelease cancels the caller's context when a slot comes back, so
+// a bounded run sees its caller cancelled right after it has stopped.
+type cancelOnRelease struct{ cancel context.CancelFunc }
+
+func (g cancelOnRelease) Acquire(ctx context.Context) error { return ctx.Err() }
+func (g cancelOnRelease) Release()                          { g.cancel() }
+
+// TestRunBoundCancellation: a cancelled caller gets the context error,
+// never exceeded — whether it was cancelled before the run or while the
+// run was stopping at the bound.
+func TestRunBoundCancellation(t *testing.T) {
+	grid, fs, ref, order := boundedFixture(t)
+	bound := math.Nextafter(ref.Peak().AbsZ, 0)
+	sw, err := NewSweeper(grid, Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, exceeded, err := sw.run(ctx, fs, order, bound); !errors.Is(err, context.Canceled) || exceeded {
+		t.Errorf("pre-cancelled run: exceeded=%v err=%v", exceeded, err)
+	}
+
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	sw, err = NewSweeper(grid, Config{Workers: 1, ChunkSize: len(fs), Gate: cancelOnRelease{cancel}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, exceeded, err := sw.run(ctx, fs, order, bound); !errors.Is(err, context.Canceled) || exceeded {
+		t.Errorf("cancelled while stopping: exceeded=%v err=%v", exceeded, err)
+	}
 }
 
 // TestRunProfileCancellation: a canceled context must abort promptly with

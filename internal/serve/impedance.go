@@ -202,6 +202,28 @@ func (s *Server) buildImpedance(req impedanceRequest) (*pkgmodel.PDNGrid, []floa
 				Message: "optimize mode reports placement gradients, not per-point sensitivities",
 				Field:   "with_sens", Constraint: "with_sens applies to point and sweep modes"}
 		}
+		// Zero means the default for each of these, so only negative
+		// values are refused; pdn would reject them too, but without
+		// naming the field.
+		if req.DecapC < 0 {
+			return nil, nil, "", cfg, &apiError{Code: CodeInvalidRequest,
+				Message: fmt.Sprintf("decap_c %g must be positive", req.DecapC),
+				Field:   "decap_c", Value: req.DecapC, Constraint: "decap_c > 0 (omit for 1e-9)"}
+		}
+		if req.DecapESR < 0 {
+			return nil, nil, "", cfg, &apiError{Code: CodeInvalidRequest,
+				Message: fmt.Sprintf("decap_esr %g must be positive", req.DecapESR),
+				Field:   "decap_esr", Value: req.DecapESR, Constraint: "decap_esr > 0 (omit for 5e-3)"}
+		}
+		if req.MaxDecaps < 0 {
+			return nil, nil, "", cfg, &apiError{Code: CodeInvalidRequest,
+				Message: fmt.Sprintf("max_decaps %d must be positive", req.MaxDecaps),
+				Field:   "max_decaps", Value: req.MaxDecaps,
+				Constraint: fmt.Sprintf("max_decaps >= 1 (omit for 4; capped at %d)", maxImpedanceDecaps)}
+		}
+		// The optimizer places at most one unit per site, so a node listed
+		// twice would be two sites on one node and could take two units.
+		listed := make(map[int]bool, len(req.DecapSites))
 		for _, n := range req.DecapSites {
 			if n < 0 || n >= rows*cols {
 				return nil, nil, "", cfg, &apiError{Code: CodeInvalidRequest,
@@ -209,6 +231,12 @@ func (s *Server) buildImpedance(req impedanceRequest) (*pkgmodel.PDNGrid, []floa
 					Field:   "decap_sites", Value: n,
 					Constraint: fmt.Sprintf("node ids within [0, %d)", rows*cols)}
 			}
+			if listed[n] {
+				return nil, nil, "", cfg, &apiError{Code: CodeInvalidRequest,
+					Message: fmt.Sprintf("decap site %d listed twice", n),
+					Field:   "decap_sites", Value: n, Constraint: "distinct node ids"}
+			}
+			listed[n] = true
 			grid.DecapSites = append(grid.DecapSites, pkgmodel.DecapSite{Node: n})
 		}
 	}

@@ -214,19 +214,23 @@ func TestImpedanceOptimize(t *testing.T) {
 func TestImpedanceValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxSweepPoints: 1000})
 	cases := []struct {
-		name, body, code string
+		name, body, code, field string
 	}{
-		{"bad package", `{"package":"dip"}`, CodeInvalidRequest},
-		{"bad mode", `{"mode":"resonate"}`, CodeInvalidRequest},
-		{"negative rows", `{"rows":-1}`, CodeInvalidRequest},
-		{"mesh too large", `{"rows":100,"cols":100}`, CodeGridTooLarge},
-		{"too many points", `{"points":100000}`, CodeGridTooLarge},
-		{"point needs freq", `{"mode":"point"}`, CodeInvalidRequest},
-		{"bad grid range", `{"from":1e9,"to":1e6}`, CodeInvalidRequest},
-		{"sites need optimize", `{"decap_sites":[0]}`, CodeInvalidRequest},
-		{"site out of range", `{"mode":"optimize","points":4,"decap_sites":[99]}`, CodeInvalidRequest},
-		{"sens in optimize", `{"mode":"optimize","points":4,"with_sens":true}`, CodeInvalidRequest},
-		{"trailing garbage", `{"rows":2} x`, CodeInvalidRequest},
+		{"bad package", `{"package":"dip"}`, CodeInvalidRequest, "package"},
+		{"bad mode", `{"mode":"resonate"}`, CodeInvalidRequest, "mode"},
+		{"negative rows", `{"rows":-1}`, CodeInvalidRequest, "rows"},
+		{"mesh too large", `{"rows":100,"cols":100}`, CodeGridTooLarge, "rows"},
+		{"too many points", `{"points":100000}`, CodeGridTooLarge, "points"},
+		{"point needs freq", `{"mode":"point"}`, CodeInvalidRequest, "freq"},
+		{"bad grid range", `{"from":1e9,"to":1e6}`, CodeInvalidRequest, ""},
+		{"sites need optimize", `{"decap_sites":[0]}`, CodeInvalidRequest, "decap_sites"},
+		{"site out of range", `{"mode":"optimize","points":4,"decap_sites":[99]}`, CodeInvalidRequest, "decap_sites"},
+		{"duplicate site", `{"mode":"optimize","points":4,"decap_sites":[3,5,3]}`, CodeInvalidRequest, "decap_sites"},
+		{"negative max_decaps", `{"mode":"optimize","points":4,"max_decaps":-1}`, CodeInvalidRequest, "max_decaps"},
+		{"negative decap_c", `{"mode":"optimize","points":4,"decap_c":-1e-9}`, CodeInvalidRequest, "decap_c"},
+		{"negative decap_esr", `{"mode":"optimize","points":4,"decap_esr":-5e-3}`, CodeInvalidRequest, "decap_esr"},
+		{"sens in optimize", `{"mode":"optimize","points":4,"with_sens":true}`, CodeInvalidRequest, "with_sens"},
+		{"trailing garbage", `{"rows":2} x`, CodeInvalidRequest, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -242,6 +246,9 @@ func TestImpedanceValidation(t *testing.T) {
 			}
 			if env.Error.Code != tc.code {
 				t.Errorf("code %q, want %q: %s", env.Error.Code, tc.code, body)
+			}
+			if env.Error.Field != tc.field {
+				t.Errorf("field %q, want %q: %s", env.Error.Field, tc.field, body)
 			}
 		})
 	}

@@ -1,11 +1,12 @@
 package spice
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/cmplx"
-	"sort"
+	"slices"
 
 	"ssnkit/internal/circuit"
 	"ssnkit/internal/linalg"
@@ -192,11 +193,11 @@ func (e *ACEngine) buildPlan() (*acPlan, error) {
 	}
 	// Stable sort keeps duplicate contributions in stamp order, so the
 	// merged g/c sums accumulate in the same sequence every build.
-	sort.SliceStable(tr, func(a, b int) bool {
-		if tr[a].i != tr[b].i {
-			return tr[a].i < tr[b].i
+	slices.SortStableFunc(tr, func(a, b acTriplet) int {
+		if a.i != b.i {
+			return cmp.Compare(a.i, b.i)
 		}
-		return tr[a].j < tr[b].j
+		return cmp.Compare(a.j, b.j)
 	})
 	p := &acPlan{}
 	rowPtr := make([]int, e.n+1)
