@@ -225,3 +225,41 @@ func TestSweepDomainRejectedBeforeStream(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepNDJSONMatchesEvalRange pins the invariant the distributed
+// layer rests on: /v1/sweep's point lines (terminal summary stripped) are
+// byte-identical to dist.EvalRange over the same spec. The grid includes
+// the n axis, so the rounded-N path is covered.
+func TestSweepNDJSONMatchesEvalRange(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	resp, got := postJSON(t, ts.URL+"/v1/sweep", `{
+		"params": {"n": 16, "package": "pga", "rise_time": 1e-9},
+		"axes": [{"axis": "n", "from": 1, "to": 40, "points": 7},
+		         {"axis": "l", "from": 5e-10, "to": 8e-9, "points": 5}]
+	}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, got)
+	}
+	end := bytes.LastIndexByte(bytes.TrimSuffix(got, []byte("\n")), '\n') + 1
+	if !bytes.Contains(got[end:], []byte(`"done":true`)) {
+		t.Fatalf("last line is not the terminal summary: %s", got[end:])
+	}
+
+	spec, aerr := s.buildDistSpec(distSweepRequest{
+		paramsEnvelope: paramsEnvelope{Params: &EvalItem{N: 16, Package: "pga", RiseTime: 1e-9}},
+		Axes: []SweepAxis{
+			{Axis: "n", From: 1, To: 40, Points: 7},
+			{Axis: "l", From: 5e-10, To: 8e-9, Points: 5},
+		},
+	})
+	if aerr != nil {
+		t.Fatal(aerr)
+	}
+	want, err := dist.EvalRange(context.Background(), spec, 0, spec.Total(), dist.EvalConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want, got[:end]) {
+		t.Fatalf("/v1/sweep points differ from dist.EvalRange:\nsweep:\n%s\nEvalRange:\n%s", got[:end], want)
+	}
+}
