@@ -48,7 +48,7 @@ func newAdmission(cfg Config, m *Metrics) *admission {
 func (a *admission) admit(ctx context.Context, apiKey string) (func(), *apiError) {
 	if a.quota != nil {
 		if ok, wait := a.quota.take(apiKey); !ok {
-			a.metrics.AdmissionShed("quota")
+			a.metrics.admissionShed.inc("quota")
 			return nil, &apiError{Code: CodeQuotaExhausted,
 				Message:    "per-client request quota exhausted",
 				retryAfter: int(math.Ceil(wait.Seconds()))}
@@ -62,7 +62,7 @@ func (a *admission) admit(ctx context.Context, apiKey string) (func(), *apiError
 	a.mu.Lock()
 	if a.queued >= a.maxQueue {
 		a.mu.Unlock()
-		a.metrics.AdmissionShed("queue_full")
+		a.metrics.admissionShed.inc("queue_full")
 		return nil, &apiError{Code: CodeOverloaded,
 			Message:    "server work queue is full",
 			retryAfter: a.retryAfter}
@@ -70,13 +70,13 @@ func (a *admission) admit(ctx context.Context, apiKey string) (func(), *apiError
 	a.queued++
 	depth := a.queued
 	a.mu.Unlock()
-	a.metrics.AdmissionQueueDepth(depth)
+	a.metrics.admissionQueueDepth.Store(int64(depth))
 	defer func() {
 		a.mu.Lock()
 		a.queued--
 		depth := a.queued
 		a.mu.Unlock()
-		a.metrics.AdmissionQueueDepth(depth)
+		a.metrics.admissionQueueDepth.Store(int64(depth))
 	}()
 	select {
 	case a.slots <- struct{}{}:

@@ -59,8 +59,8 @@ func TestAdmissionShedsWhenSaturated(t *testing.T) {
 	if e.Code != "overloaded" {
 		t.Errorf("code = %q, want overloaded", e.Code)
 	}
-	if sheds := s.Metrics().ShedCounts(); sheds["queue_full"] != 1 {
-		t.Errorf("shed counters = %v, want queue_full: 1", sheds)
+	if n := s.metrics.value("ssnserve_admission_shed_total", "queue_full"); n != 1 {
+		t.Errorf("queue_full sheds = %d, want 1", n)
 	}
 
 	// The metrics endpoint renders the admission series.
@@ -131,8 +131,8 @@ func TestQuotaShedsPerKey(t *testing.T) {
 	if resp, body := doWithKey("bob"); resp.StatusCode != http.StatusOK {
 		t.Errorf("other key caught in alice's quota: %d: %s", resp.StatusCode, body)
 	}
-	if sheds := s.Metrics().ShedCounts(); sheds["quota"] == 0 {
-		t.Errorf("shed counters = %v, want quota > 0", sheds)
+	if n := s.metrics.value("ssnserve_admission_shed_total", "quota"); n == 0 {
+		t.Errorf("quota sheds = %d, want > 0", n)
 	}
 }
 

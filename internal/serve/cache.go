@@ -51,9 +51,9 @@ func (c *ExtractCache) Get(spec device.ExtractSpec) (device.ASDM, fit.Stats, err
 	})
 	if c.metrics != nil {
 		if hit {
-			c.metrics.CacheHit()
+			c.metrics.cacheHits.inc()
 		} else {
-			c.metrics.CacheMiss()
+			c.metrics.cacheMisses.inc()
 		}
 	}
 	return x.model, x.stats, x.err

@@ -30,7 +30,7 @@ func TestExtractCacheHitMissAndEquivalence(t *testing.T) {
 	if a != direct {
 		t.Errorf("cache changed the model: %v vs %v", a, direct)
 	}
-	if hits, misses := m.CacheRates(); hits != 1 || misses != 1 {
+	if hits, misses := m.value("ssnserve_cache_hits_total"), m.value("ssnserve_cache_misses_total"); hits != 1 || misses != 1 {
 		t.Errorf("hits %d misses %d, want 1/1", hits, misses)
 	}
 }
@@ -67,7 +67,7 @@ func TestExtractCacheCachesFailures(t *testing.T) {
 	if _, _, err := c.Get(bad); err == nil {
 		t.Fatal("cached failure must still error")
 	}
-	if hits, misses := m.CacheRates(); hits != 1 || misses != 1 {
+	if hits, misses := m.value("ssnserve_cache_hits_total"), m.value("ssnserve_cache_misses_total"); hits != 1 || misses != 1 {
 		t.Errorf("failure not cached: hits %d misses %d", hits, misses)
 	}
 }
@@ -97,7 +97,7 @@ func TestExtractCacheConcurrentSameKey(t *testing.T) {
 		}
 	}
 	// Concurrent first access dedupes to exactly one miss.
-	if _, misses := m.CacheRates(); misses != 1 {
+	if misses := m.value("ssnserve_cache_misses_total"); misses != 1 {
 		t.Errorf("misses %d, want 1 (in-flight dedup)", misses)
 	}
 }

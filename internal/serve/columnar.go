@@ -243,7 +243,7 @@ func (s *Server) writeColumnarBatch(w http.ResponseWriter, results []EvalResult)
 		writeError(w, &apiError{Code: CodeInternal, Message: err.Error()})
 		return
 	}
-	s.metrics.ObserveColumnar("/v1/maxssn", "out")
+	s.metrics.columnar.inc("/v1/maxssn", "out")
 	w.Header().Set("Content-Type", colwire.ContentType)
 	w.Header().Set("Content-Length", strconv.Itoa(len(enc)))
 	w.WriteHeader(http.StatusOK)
@@ -259,7 +259,7 @@ func (s *Server) handleMaxSSNColumnar(w http.ResponseWriter, r *http.Request) {
 		writeError(w, aerr)
 		return
 	}
-	s.metrics.ObserveColumnar("/v1/maxssn", "in")
+	s.metrics.columnar.inc("/v1/maxssn", "in")
 	results := s.evalItems(r.Context(), items)
 	if columnarResponseFor(r) {
 		s.writeColumnarBatch(w, results)
@@ -402,7 +402,7 @@ type sweepColumnarStats struct {
 // block whose meta is {"done":true,"stats":{...}} — or the error envelope
 // if the engine aborted.
 func (s *Server) runSweepColumnar(w http.ResponseWriter, r *http.Request, g sweep.Grid, cfg sweep.Config) {
-	s.metrics.ObserveColumnar("/v1/sweep", "out")
+	s.metrics.columnar.inc("/v1/sweep", "out")
 	w.Header().Set("Content-Type", colwire.ContentType)
 	w.WriteHeader(http.StatusOK)
 	sink := newColumnarSweepSink(w, g.Axes)
@@ -410,7 +410,7 @@ func (s *Server) runSweepColumnar(w http.ResponseWriter, r *http.Request, g swee
 	stats, err := sweep.Run(r.Context(), g, cfg, func(pt sweep.Point) error {
 		return sink.add(pt)
 	})
-	s.metrics.ObserveSweep(stats.Evaluated, stats.Chunks, stats.RefinedPoints, err == nil)
+	s.countSweep(stats, err)
 	// Drain pending rows, then the terminal frame (the same split the
 	// NDJSON path makes between its last batch and the summary line).
 	if ferr := sink.flush(nil); ferr != nil {

@@ -121,9 +121,10 @@ func TestColumnarBatchMatchesJSON(t *testing.T) {
 		}
 	}
 
-	counts := s.metrics.ColumnarCounts()
-	if counts["/v1/maxssn in"] != 1 || counts["/v1/maxssn out"] != 1 {
-		t.Fatalf("columnar counters = %v", counts)
+	in := s.metrics.value("ssnserve_columnar_payloads_total", "/v1/maxssn", "in")
+	out := s.metrics.value("ssnserve_columnar_payloads_total", "/v1/maxssn", "out")
+	if in != 1 || out != 1 {
+		t.Fatalf("columnar counters: in %d, out %d, want 1 each", in, out)
 	}
 }
 

@@ -63,7 +63,8 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		writeError(w, toAPIError(err))
 		return
 	}
-	s.metrics.ObserveShard(hi - lo)
+	s.metrics.shards.inc()
+	s.metrics.shardPoints.add(hi - lo)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(payload)
@@ -141,7 +142,7 @@ func (s *Server) handleDistSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	tracker := dist.NewTracker()
 	id := s.dist.add(tracker)
-	s.metrics.ObserveDistSweep()
+	s.metrics.distSweeps.inc()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Dist-Run", id)

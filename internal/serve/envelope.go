@@ -129,7 +129,7 @@ func (s *Server) decodeEnvelope(w http.ResponseWriter, r *http.Request, dst enve
 	if dst.legacyInline() {
 		w.Header().Set("Deprecation", "true")
 		w.Header().Set("Sunset", legacySunset)
-		s.metrics.LegacyEnvelope()
+		s.metrics.legacyEnvelope.inc()
 	}
 	return nil
 }

@@ -139,7 +139,7 @@ func TestLegacyEnvelopeDeprecation(t *testing.T) {
 	if resp.Header.Get("Sunset") != legacySunset {
 		t.Errorf("Sunset header %q, want %q", resp.Header.Get("Sunset"), legacySunset)
 	}
-	if n := s.Metrics().LegacyEnvelopeCount(); n != 1 {
+	if n := s.metrics.value("ssnserve_legacy_envelope_total"); n != 1 {
 		t.Errorf("legacy counter %d after one legacy request, want 1", n)
 	}
 
@@ -160,7 +160,7 @@ func TestLegacyEnvelopeDeprecation(t *testing.T) {
 	if resp.Header.Get("Deprecation") != "" {
 		t.Error("batch response carries deprecation headers")
 	}
-	if n := s.Metrics().LegacyEnvelopeCount(); n != 1 {
+	if n := s.metrics.value("ssnserve_legacy_envelope_total"); n != 1 {
 		t.Errorf("legacy counter %d after nested+batch requests, want still 1", n)
 	}
 
@@ -172,7 +172,7 @@ func TestLegacyEnvelopeDeprecation(t *testing.T) {
 	if resp.Header.Get("Deprecation") != "true" {
 		t.Error("legacy waveform response missing Deprecation header")
 	}
-	if n := s.Metrics().LegacyEnvelopeCount(); n != 2 {
+	if n := s.metrics.value("ssnserve_legacy_envelope_total"); n != 2 {
 		t.Errorf("legacy counter %d, want 2", n)
 	}
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -310,10 +311,27 @@ func (s *Server) instrument(path string, h http.HandlerFunc) http.Handler {
 				writeJSON(rec, http.StatusInternalServerError,
 					map[string]*apiError{"error": {Code: CodeInternal, Message: fmt.Sprint(p)}})
 			}
-			s.metrics.ObserveRequest(path, rec.code, time.Since(startAt))
+			s.metrics.requests.inc(path, statusLabel(rec.code))
+			s.metrics.latency.observe(time.Since(startAt).Seconds(), path)
 		}()
 		h(rec, r)
 	})
+}
+
+// statusLabels holds the decimal text of every three-digit status code,
+// so labelling a request by its code does not allocate.
+var statusLabels = func() (t [1000]string) {
+	for c := 100; c < len(t); c++ {
+		t[c] = strconv.Itoa(c)
+	}
+	return t
+}()
+
+func statusLabel(code int) string {
+	if code >= 100 && code < len(statusLabels) {
+		return statusLabels[code]
+	}
+	return strconv.Itoa(code)
 }
 
 // statusRecorder captures the response code for metrics.

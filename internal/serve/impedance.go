@@ -293,7 +293,8 @@ func (s *Server) handleImpedance(w http.ResponseWriter, r *http.Request) {
 			Field:   "with_sens", Constraint: "use the NDJSON response for sensitivities"})
 		return
 	}
-	s.metrics.ObserveImpedance(mode, len(freqs))
+	s.metrics.impedance.inc(mode)
+	s.metrics.impedancePoints.add(len(freqs))
 
 	switch mode {
 	case "optimize":
@@ -369,11 +370,11 @@ func (s *Server) cachedProfile(ctx context.Context, grid *pkgmodel.PDNGrid, freq
 		}
 		return sw.RunProfile(ctx, freqs)
 	})
+	outcome := "miss"
 	if hit {
-		s.metrics.ObserveImpedanceCache("hit")
-	} else {
-		s.metrics.ObserveImpedanceCache("miss")
+		outcome = "hit"
 	}
+	s.metrics.impedanceCache.inc(outcome)
 	return prof, err
 }
 
@@ -492,7 +493,7 @@ func (s *Server) writeImpedanceNDJSON(w http.ResponseWriter, prof *pdn.Profile, 
 // float64 bits are the NDJSON path's values exactly — JSON spells them in
 // shortest round-trip decimal, SSNC ships the raw bits.
 func (s *Server) writeImpedanceColumnar(w http.ResponseWriter, prof *pdn.Profile, stats impedanceStats) {
-	s.metrics.ObserveColumnar("/v1/impedance", "out")
+	s.metrics.columnar.inc("/v1/impedance", "out")
 	w.Header().Set("Content-Type", colwire.ContentType)
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)

@@ -104,9 +104,10 @@ func TestImpedanceSweepNDJSON(t *testing.T) {
 	if sum.Stats.PeakZ != maxZ {
 		t.Errorf("summary peak %g != streamed max %g", sum.Stats.PeakZ, maxZ)
 	}
-	byMode, points := s.Metrics().ImpedanceCounts()
-	if byMode["sweep"] != 1 || points != 50 {
-		t.Errorf("metrics: byMode=%v points=%d", byMode, points)
+	sweeps := s.metrics.value("ssnserve_impedance_total", "sweep")
+	points := s.metrics.value("ssnserve_impedance_points_total")
+	if sweeps != 1 || points != 50 {
+		t.Errorf("metrics: sweeps=%d points=%d", sweeps, points)
 	}
 }
 
@@ -346,17 +347,19 @@ func TestImpedanceProfileCached(t *testing.T) {
 	if !bytes.Equal(first, second) {
 		t.Fatal("cached sweep response differs from the first")
 	}
-	counts := s.Metrics().ImpedanceCacheCounts()
-	if counts["miss"] != 1 || counts["hit"] != 1 {
-		t.Fatalf("after identical sweeps: %v, want 1 miss + 1 hit", counts)
+	outcomes := func() (misses, hits uint64) {
+		return s.metrics.value("ssnserve_impedance_cache_total", "miss"),
+			s.metrics.value("ssnserve_impedance_cache_total", "hit")
+	}
+	if misses, hits := outcomes(); misses != 1 || hits != 1 {
+		t.Fatalf("after identical sweeps: %d misses + %d hits, want 1 + 1", misses, hits)
 	}
 	// Worker count shapes the run, not the result: still a hit.
 	postJSON(t, ts.URL+"/v1/impedance", `{"rows":3,"cols":3,"pads":4,"points":24,"workers":2}`)
 	// A different mesh is a different profile: a miss.
 	postJSON(t, ts.URL+"/v1/impedance", `{"rows":2,"cols":3,"pads":4,"points":24}`)
-	counts = s.Metrics().ImpedanceCacheCounts()
-	if counts["miss"] != 2 || counts["hit"] != 2 {
-		t.Fatalf("counts %v, want 2 misses + 2 hits", counts)
+	if misses, hits := outcomes(); misses != 2 || hits != 2 {
+		t.Fatalf("%d misses + %d hits, want 2 + 2", misses, hits)
 	}
 	_, metrics := getURL(t, ts.URL+"/metrics")
 	for _, want := range []string{

@@ -128,7 +128,7 @@ func (s *jobStore) submit(fn func(ctx context.Context) (any, error)) Job {
 	s.order = append(s.order, j.snap.ID)
 	s.evictLocked()
 	s.mu.Unlock()
-	s.metrics.JobTransition(string(JobQueued))
+	s.metrics.jobs.inc(string(JobQueued))
 
 	s.wg.Add(1)
 	go func() {
@@ -139,22 +139,22 @@ func (s *jobStore) submit(fn func(ctx context.Context) (any, error)) Job {
 			return
 		}
 		defer s.pool.release()
-		s.transition(j, JobRunning)
+		s.start(j)
 		res, err := fn(ctx)
 		s.finish(j, res, err)
 	}()
 	return s.get(j.snap.ID)
 }
 
-func (s *jobStore) transition(j *job, state JobState) {
+// start moves a job that holds a pool slot to running.
+func (s *jobStore) start(j *job) {
+	now := time.Now()
 	s.mu.Lock()
-	j.snap.State = state
-	if state == JobRunning {
-		now := time.Now()
-		j.snap.Started = &now
-	}
+	j.snap.State = JobRunning
+	j.snap.Started = &now
 	s.mu.Unlock()
-	s.metrics.JobTransition(string(state))
+	s.metrics.jobs.inc(string(JobRunning))
+	s.metrics.jobsInFlight.Add(1)
 }
 
 func (s *jobStore) finish(j *job, res any, err error) {
@@ -175,8 +175,14 @@ func (s *jobStore) finish(j *job, res any, err error) {
 	j.snap.Finished = &now
 	j.snap.Result = res
 	j.snap.Error = apiErr
+	ran := j.snap.Started != nil // a job canceled while queued never ran
 	s.mu.Unlock()
-	s.metrics.JobTransition(string(state))
+	// Settle the gauge before counting the transition: a reader that sees
+	// the terminal count sees the gauge it implies.
+	if ran {
+		s.metrics.jobsInFlight.Add(-1)
+	}
+	s.metrics.jobs.inc(string(state))
 }
 
 // get returns a snapshot of the job, with ok=false for unknown IDs.

@@ -146,3 +146,41 @@ func TestJobIDsUnique(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestJobsInFlightCountsOnlyRunningJobs: a job canceled while it still
+// waits for a pool slot never ran, so it must not move the running gauge.
+// With job A running and job B canceled while queued, the gauge reads 1.
+func TestJobsInFlightCountsOnlyRunningJobs(t *testing.T) {
+	m := NewMetrics()
+	st := newJobStore(newPool(1), m, 16)
+	gate := make(chan struct{})
+	started := make(chan struct{})
+	st.submit(func(ctx context.Context) (any, error) {
+		close(started)
+		<-gate
+		return nil, nil
+	})
+	<-started
+	b := st.submit(func(ctx context.Context) (any, error) { return nil, nil })
+	st.mu.Lock()
+	st.jobs[b.ID].cancel()
+	st.mu.Unlock()
+	if final := waitTerminal(t, st, b.ID); final.State != JobCanceled || final.Started != nil {
+		t.Fatalf("queued job ended %s (started %v), want canceled before running", final.State, final.Started)
+	}
+	// finish moves the gauge before it counts the transition, so once the
+	// cancel is counted the gauge has settled.
+	for m.value("ssnserve_jobs_total", "canceled") == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	if n := m.jobsInFlight.Load(); n != 1 {
+		t.Errorf("jobs in flight = %d with one job running, want 1", n)
+	}
+	close(gate)
+	if err := st.drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if n := m.jobsInFlight.Load(); n != 0 {
+		t.Errorf("jobs in flight = %d after both jobs ended, want 0", n)
+	}
+}

@@ -1,12 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
 	"strconv"
 	"sync"
-	"time"
+	"sync/atomic"
 )
 
 // latencyBuckets are the histogram upper bounds in seconds. The range spans
@@ -16,451 +17,226 @@ var latencyBuckets = []float64{
 	0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5,
 }
 
-// Metrics is the service's instrumentation: request counters and latency
-// histograms per route, extraction-cache hit/miss counters and job
-// state-transition counters. It renders itself in the Prometheus text
-// exposition format on /metrics without importing a client library — the
-// format is three line shapes and the repo stays dependency-free.
+// Metrics is the service's instrumentation registry, rendered on /metrics
+// in the Prometheus text exposition format without a client library. Each
+// field is one family — a counter vector, a gauge or a histogram vector —
+// declared once in NewMetrics with its name, help text and label names;
+// call sites update the family directly.
 type Metrics struct {
-	mu           sync.Mutex
-	requests     map[requestKey]uint64
-	latency      map[string]*routeHistogram
-	cacheHits    uint64
-	cacheMisses  uint64
-	jobsByState  map[string]uint64
-	jobsInFlight int64
+	families []family // declaration order, which is render order
 
-	sweeps        uint64
-	sweepsAborted uint64
-	sweepPoints   uint64
-	sweepChunks   uint64
-	sweepRefined  uint64
-
-	admissionQueueDepth int
-	admissionShed       map[string]uint64
-
-	shards      uint64
-	shardPoints uint64
-	distSweeps  uint64
-
-	legacyEnvelope uint64
-	solvesByMode   map[string]uint64
-
-	impedanceByMode map[string]uint64
-	impedancePoints uint64
-	impedanceCache  map[string]uint64
-
-	columnarPayloads map[columnarKey]uint64
+	requests, cacheHits, cacheMisses                              *counterVec
+	sweeps, sweepsAborted, sweepPoints, sweepChunks, sweepRefined *counterVec
+	admissionShed, shards, shardPoints, distSweeps                *counterVec
+	legacyEnvelope, solves, jobs, columnar                        *counterVec
+	impedance, impedancePoints, impedanceCache                    *counterVec
+	latency                                                       *histogramVec
+	admissionQueueDepth, jobsInFlight                             *gauge
 }
 
-// columnarKey labels one SSNC payload direction on one route.
-type columnarKey struct {
-	path string
-	dir  string // "in" (request body) or "out" (response body)
-}
-
-type requestKey struct {
-	path string
-	code int
-}
-
-type routeHistogram struct {
-	counts []uint64 // one per bucket, non-cumulative
-	inf    uint64
-	sum    float64
-	total  uint64
-}
-
-// NewMetrics returns an empty metrics registry.
+// NewMetrics declares every family, in the order /metrics prints them.
 func NewMetrics() *Metrics {
-	return &Metrics{
-		requests:      map[requestKey]uint64{},
-		latency:       map[string]*routeHistogram{},
-		jobsByState:   map[string]uint64{},
-		admissionShed: map[string]uint64{},
-		solvesByMode:  map[string]uint64{},
-
-		impedanceByMode: map[string]uint64{},
-		impedanceCache:  map[string]uint64{},
-
-		columnarPayloads: map[columnarKey]uint64{},
-	}
+	m := &Metrics{}
+	m.requests = m.counter("ssnserve_requests_total", "HTTP requests by route and status code.", "path", "code")
+	m.latency = m.histogram("ssnserve_request_duration_seconds", "Request latency by route.", latencyBuckets, "path")
+	m.cacheHits = m.counter("ssnserve_cache_hits_total", "ASDM extraction cache hits.")
+	m.cacheMisses = m.counter("ssnserve_cache_misses_total", "ASDM extraction cache misses.")
+	m.sweeps = m.counter("ssnserve_sweeps_total", "Grid sweeps started.")
+	m.sweepsAborted = m.counter("ssnserve_sweeps_aborted_total", "Grid sweeps cancelled mid-stream.")
+	m.sweepPoints = m.counter("ssnserve_sweep_points_total", "Sweep points evaluated.")
+	m.sweepChunks = m.counter("ssnserve_sweep_chunks_total", "Sweep chunks dispatched.")
+	m.sweepRefined = m.counter("ssnserve_sweep_refined_points_total", "Adaptive refinement points emitted.")
+	m.admissionQueueDepth = m.gauge("ssnserve_admission_queue_depth", "Requests waiting for an admission slot.")
+	m.admissionShed = m.counter("ssnserve_admission_shed_total", "Requests shed with 429 by reason.", "reason")
+	m.shards = m.counter("ssnserve_shards_total", "Distributed sweep shards evaluated.")
+	m.shardPoints = m.counter("ssnserve_shard_points_total", "Points evaluated inside shard requests.")
+	m.distSweeps = m.counter("ssnserve_distsweeps_total", "Coordinator runs started on /v1/distsweep.")
+	m.legacyEnvelope = m.counter("ssnserve_legacy_envelope_total", "Responses to deprecated inline-parameter requests.")
+	m.solves = m.counter("ssnserve_solves_total", "Inverse-design items answered on /v1/solve by mode.", "mode")
+	m.impedance = m.counter("ssnserve_impedance_total", "PDN impedance requests on /v1/impedance by mode.", "mode")
+	m.impedancePoints = m.counter("ssnserve_impedance_points_total", "Impedance frequency points evaluated.")
+	m.impedanceCache = m.counter("ssnserve_impedance_cache_total", "Sweep-profile cache lookups by outcome.", "outcome")
+	m.columnar = m.counter("ssnserve_columnar_payloads_total", "SSNC columnar payloads by route and direction.", "path", "dir")
+	m.jobs = m.counter("ssnserve_jobs_total", "Job state transitions.", "state")
+	m.jobsInFlight = m.gauge("ssnserve_jobs_in_flight", "Jobs currently running.")
+	return m
 }
 
-// ObserveColumnar counts one SSNC columnar payload on a route, by
-// direction ("in" for a decoded request body, "out" for an encoded
-// response body).
-func (m *Metrics) ObserveColumnar(path, dir string) {
-	m.mu.Lock()
-	m.columnarPayloads[columnarKey{path, dir}]++
-	m.mu.Unlock()
-}
-
-// ColumnarCounts returns the columnar payload counters (for tests).
-func (m *Metrics) ColumnarCounts() map[string]uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[string]uint64, len(m.columnarPayloads))
-	for k, v := range m.columnarPayloads {
-		out[k.path+" "+k.dir] = v
-	}
-	return out
-}
-
-// ObserveRequest records one finished HTTP request.
-func (m *Metrics) ObserveRequest(path string, code int, d time.Duration) {
-	secs := d.Seconds()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.requests[requestKey{path, code}]++
-	h := m.latency[path]
-	if h == nil {
-		h = &routeHistogram{counts: make([]uint64, len(latencyBuckets))}
-		m.latency[path] = h
-	}
-	h.sum += secs
-	h.total++
-	for i, ub := range latencyBuckets {
-		if secs <= ub {
-			h.counts[i]++
-			return
-		}
-	}
-	h.inf++
-}
-
-// CacheHit / CacheMiss record extraction-cache outcomes.
-func (m *Metrics) CacheHit() {
-	m.mu.Lock()
-	m.cacheHits++
-	m.mu.Unlock()
-}
-
-// CacheMiss records an extraction-cache miss.
-func (m *Metrics) CacheMiss() {
-	m.mu.Lock()
-	m.cacheMisses++
-	m.mu.Unlock()
-}
-
-// JobTransition counts a job entering the named state; running jobs also
-// move the in-flight gauge.
-func (m *Metrics) JobTransition(state string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.jobsByState[state]++
-	switch state {
-	case "running":
-		m.jobsInFlight++
-	case "done", "failed", "canceled":
-		if m.jobsInFlight > 0 {
-			m.jobsInFlight--
-		}
-	}
-}
-
-// ObserveSweep records one finished (or aborted) /v1/sweep run.
-func (m *Metrics) ObserveSweep(points, chunks, refined int, completed bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.sweeps++
-	if !completed {
-		m.sweepsAborted++
-	}
-	m.sweepPoints += uint64(points)
-	m.sweepChunks += uint64(chunks)
-	m.sweepRefined += uint64(refined)
-}
-
-// AdmissionShed counts one shed request by reason ("queue_full", "quota").
-func (m *Metrics) AdmissionShed(reason string) {
-	m.mu.Lock()
-	m.admissionShed[reason]++
-	m.mu.Unlock()
-}
-
-// AdmissionQueueDepth records the current admission-queue depth gauge.
-func (m *Metrics) AdmissionQueueDepth(depth int) {
-	m.mu.Lock()
-	m.admissionQueueDepth = depth
-	m.mu.Unlock()
-}
-
-// ShedCounts returns the shed counters by reason (for tests).
-func (m *Metrics) ShedCounts() map[string]uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[string]uint64, len(m.admissionShed))
-	for k, v := range m.admissionShed {
-		out[k] = v
-	}
-	return out
-}
-
-// LegacyEnvelope counts one response to a deprecated inline-parameter
-// (non-nested) request, so operators can watch the old wire shape drain.
-func (m *Metrics) LegacyEnvelope() {
-	m.mu.Lock()
-	m.legacyEnvelope++
-	m.mu.Unlock()
-}
-
-// LegacyEnvelopeCount returns the deprecated-request counter (for tests).
-func (m *Metrics) LegacyEnvelopeCount() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.legacyEnvelope
-}
-
-// ObserveSolve counts one /v1/solve item by mode ("solve", "yield").
-func (m *Metrics) ObserveSolve(mode string) {
-	m.mu.Lock()
-	m.solvesByMode[mode]++
-	m.mu.Unlock()
-}
-
-// ObserveImpedance counts one /v1/impedance request by mode ("point",
-// "sweep", "optimize") and the frequency points it evaluates.
-func (m *Metrics) ObserveImpedance(mode string, points int) {
-	m.mu.Lock()
-	m.impedanceByMode[mode]++
-	m.impedancePoints += uint64(points)
-	m.mu.Unlock()
-}
-
-// ImpedanceCounts returns the impedance counters (for tests).
-func (m *Metrics) ImpedanceCounts() (byMode map[string]uint64, points uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	byMode = make(map[string]uint64, len(m.impedanceByMode))
-	for k, v := range m.impedanceByMode {
-		byMode[k] = v
-	}
-	return byMode, m.impedancePoints
-}
-
-// ObserveImpedanceCache counts one sweep-profile cache lookup by outcome
-// ("hit" or "miss").
-func (m *Metrics) ObserveImpedanceCache(outcome string) {
-	m.mu.Lock()
-	m.impedanceCache[outcome]++
-	m.mu.Unlock()
-}
-
-// ImpedanceCacheCounts returns the profile-cache counters (for tests).
-func (m *Metrics) ImpedanceCacheCounts() map[string]uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[string]uint64, len(m.impedanceCache))
-	for k, v := range m.impedanceCache {
-		out[k] = v
-	}
-	return out
-}
-
-// ObserveShard records one /v1/shard evaluation of the given point count.
-func (m *Metrics) ObserveShard(points int) {
-	m.mu.Lock()
-	m.shards++
-	m.shardPoints += uint64(points)
-	m.mu.Unlock()
-}
-
-// ObserveDistSweep records one coordinator run started on /v1/distsweep.
-func (m *Metrics) ObserveDistSweep() {
-	m.mu.Lock()
-	m.distSweeps++
-	m.mu.Unlock()
-}
-
-// SweepCounts returns the sweep counters (for tests).
-func (m *Metrics) SweepCounts() (sweeps, aborted, points uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.sweeps, m.sweepsAborted, m.sweepPoints
-}
-
-// CacheRates returns the hit/miss counters (for tests and health output).
-func (m *Metrics) CacheRates() (hits, misses uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.cacheHits, m.cacheMisses
-}
-
-// WriteTo renders the registry in the Prometheus text format. Series are
-// emitted in sorted label order so the output is deterministic.
+// WriteTo renders every family in declaration order, each family's series
+// sorted by label values, so the output is deterministic. An unlabeled
+// series always prints; a labeled family prints only the series it has seen.
 func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	cw := &countingWriter{w: w}
-
-	fmt.Fprintln(cw, "# HELP ssnserve_requests_total HTTP requests by route and status code.")
-	fmt.Fprintln(cw, "# TYPE ssnserve_requests_total counter")
-	reqKeys := make([]requestKey, 0, len(m.requests))
-	for k := range m.requests {
-		reqKeys = append(reqKeys, k)
+	var b bytes.Buffer
+	for _, f := range m.families {
+		d := f.describe()
+		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", d.name, d.help, d.name, d.typ)
+		f.writeSeries(&b)
 	}
-	sort.Slice(reqKeys, func(i, j int) bool {
-		if reqKeys[i].path != reqKeys[j].path {
-			return reqKeys[i].path < reqKeys[j].path
+	return b.WriteTo(w)
+}
+
+// family is one declared metric family.
+type family interface {
+	describe() *desc
+	writeSeries(b *bytes.Buffer)
+}
+
+// desc is what a family declares once: name, help text, type and labels.
+type desc struct {
+	name, help, typ string
+	labels          []string
+}
+
+func (d *desc) describe() *desc { return d }
+
+// labelValues keys one series by its label values, in the family's label
+// order. No family has more than two labels.
+type labelValues [2]string
+
+func keyOf(values []string) (k labelValues) {
+	copy(k[:], values)
+	return k
+}
+
+// sample writes one line: name{labels} value, where le, when set, is the
+// histogram bucket label appended after the family's own.
+func (d *desc) sample(b *bytes.Buffer, suffix string, k labelValues, le, value string) {
+	b.WriteString(d.name)
+	b.WriteString(suffix)
+	sep := byte('{')
+	for i, l := range d.labels {
+		b.WriteByte(sep)
+		b.WriteString(l + "=" + strconv.Quote(k[i]))
+		sep = ','
+	}
+	if le != "" {
+		b.WriteByte(sep)
+		b.WriteString("le=" + strconv.Quote(le))
+		sep = ','
+	}
+	if sep == ',' {
+		b.WriteByte('}')
+	}
+	b.WriteString(" " + value + "\n")
+}
+
+// sortedKeys returns a family's series keys in label-value order.
+func sortedKeys[V any](series map[labelValues]V) []labelValues {
+	keys := make([]labelValues, 0, len(series))
+	for k := range series {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i][0] != keys[j][0] {
+			return keys[i][0] < keys[j][0]
 		}
-		return reqKeys[i].code < reqKeys[j].code
+		return keys[i][1] < keys[j][1]
 	})
-	for _, k := range reqKeys {
-		fmt.Fprintf(cw, "ssnserve_requests_total{path=%q,code=\"%d\"} %d\n", k.path, k.code, m.requests[k])
-	}
+	return keys
+}
 
-	fmt.Fprintln(cw, "# HELP ssnserve_request_duration_seconds Request latency by route.")
-	fmt.Fprintln(cw, "# TYPE ssnserve_request_duration_seconds histogram")
-	paths := make([]string, 0, len(m.latency))
-	for p := range m.latency {
-		paths = append(paths, p)
+// counterVec is a counter family; with no labels it is a single counter.
+type counterVec struct {
+	desc
+	mu     sync.Mutex
+	series map[labelValues]uint64
+}
+
+func (m *Metrics) counter(name, help string, labels ...string) *counterVec {
+	c := &counterVec{desc: desc{name, help, "counter", labels}, series: map[labelValues]uint64{}}
+	if len(labels) == 0 {
+		c.series[labelValues{}] = 0
 	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		h := m.latency[p]
+	m.families = append(m.families, c)
+	return c
+}
+
+// add adds n to the series named by the label values.
+func (c *counterVec) add(n int, values ...string) {
+	k := keyOf(values)
+	c.mu.Lock()
+	c.series[k] += uint64(n)
+	c.mu.Unlock()
+}
+
+func (c *counterVec) inc(values ...string) { c.add(1, values...) }
+
+func (c *counterVec) writeSeries(b *bytes.Buffer) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, k := range sortedKeys(c.series) {
+		c.sample(b, "", k, "", strconv.FormatUint(c.series[k], 10))
+	}
+}
+
+// gauge is an unlabeled value that moves both ways.
+type gauge struct {
+	desc
+	atomic.Int64
+}
+
+func (m *Metrics) gauge(name, help string) *gauge {
+	g := &gauge{desc: desc{name: name, help: help, typ: "gauge"}}
+	m.families = append(m.families, g)
+	return g
+}
+
+func (g *gauge) writeSeries(b *bytes.Buffer) {
+	g.sample(b, "", labelValues{}, "", strconv.FormatInt(g.Load(), 10))
+}
+
+// histogramVec is a fixed-bucket histogram family.
+type histogramVec struct {
+	desc
+	bounds []float64
+	mu     sync.Mutex
+	series map[labelValues]*histogram
+}
+
+// histogram holds one series: a count per bucket (non-cumulative, the
+// last one +Inf) and the sum of observations.
+type histogram struct {
+	counts []uint64
+	sum    float64
+}
+
+func (m *Metrics) histogram(name, help string, bounds []float64, labels ...string) *histogramVec {
+	h := &histogramVec{desc: desc{name, help, "histogram", labels}, bounds: bounds,
+		series: map[labelValues]*histogram{}}
+	m.families = append(m.families, h)
+	return h
+}
+
+// observe records v in the series named by the label values.
+func (h *histogramVec) observe(v float64, values ...string) {
+	k := keyOf(values)
+	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v; len(bounds) is +Inf
+	h.mu.Lock()
+	s := h.series[k]
+	if s == nil {
+		s = &histogram{counts: make([]uint64, len(h.bounds)+1)}
+		h.series[k] = s
+	}
+	s.counts[i]++
+	s.sum += v
+	h.mu.Unlock()
+}
+
+func (h *histogramVec) writeSeries(b *bytes.Buffer) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for _, k := range sortedKeys(h.series) {
+		s := h.series[k]
 		cum := uint64(0)
-		for i, ub := range latencyBuckets {
-			cum += h.counts[i]
-			fmt.Fprintf(cw, "ssnserve_request_duration_seconds_bucket{path=%q,le=%q} %d\n",
-				p, strconv.FormatFloat(ub, 'g', -1, 64), cum)
+		for i, c := range s.counts {
+			cum += c
+			le := "+Inf"
+			if i < len(h.bounds) {
+				le = strconv.FormatFloat(h.bounds[i], 'g', -1, 64)
+			}
+			h.sample(b, "_bucket", k, le, strconv.FormatUint(cum, 10))
 		}
-		fmt.Fprintf(cw, "ssnserve_request_duration_seconds_bucket{path=%q,le=\"+Inf\"} %d\n", p, h.total)
-		fmt.Fprintf(cw, "ssnserve_request_duration_seconds_sum{path=%q} %g\n", p, h.sum)
-		fmt.Fprintf(cw, "ssnserve_request_duration_seconds_count{path=%q} %d\n", p, h.total)
+		h.sample(b, "_sum", k, "", strconv.FormatFloat(s.sum, 'g', -1, 64))
+		h.sample(b, "_count", k, "", strconv.FormatUint(cum, 10))
 	}
-
-	fmt.Fprintln(cw, "# HELP ssnserve_cache_hits_total ASDM extraction cache hits.")
-	fmt.Fprintln(cw, "# TYPE ssnserve_cache_hits_total counter")
-	fmt.Fprintf(cw, "ssnserve_cache_hits_total %d\n", m.cacheHits)
-	fmt.Fprintln(cw, "# HELP ssnserve_cache_misses_total ASDM extraction cache misses.")
-	fmt.Fprintln(cw, "# TYPE ssnserve_cache_misses_total counter")
-	fmt.Fprintf(cw, "ssnserve_cache_misses_total %d\n", m.cacheMisses)
-
-	fmt.Fprintln(cw, "# HELP ssnserve_sweeps_total Grid sweeps started.")
-	fmt.Fprintln(cw, "# TYPE ssnserve_sweeps_total counter")
-	fmt.Fprintf(cw, "ssnserve_sweeps_total %d\n", m.sweeps)
-	fmt.Fprintln(cw, "# HELP ssnserve_sweeps_aborted_total Grid sweeps cancelled mid-stream.")
-	fmt.Fprintln(cw, "# TYPE ssnserve_sweeps_aborted_total counter")
-	fmt.Fprintf(cw, "ssnserve_sweeps_aborted_total %d\n", m.sweepsAborted)
-	fmt.Fprintln(cw, "# HELP ssnserve_sweep_points_total Sweep points evaluated.")
-	fmt.Fprintln(cw, "# TYPE ssnserve_sweep_points_total counter")
-	fmt.Fprintf(cw, "ssnserve_sweep_points_total %d\n", m.sweepPoints)
-	fmt.Fprintln(cw, "# HELP ssnserve_sweep_chunks_total Sweep chunks dispatched.")
-	fmt.Fprintln(cw, "# TYPE ssnserve_sweep_chunks_total counter")
-	fmt.Fprintf(cw, "ssnserve_sweep_chunks_total %d\n", m.sweepChunks)
-	fmt.Fprintln(cw, "# HELP ssnserve_sweep_refined_points_total Adaptive refinement points emitted.")
-	fmt.Fprintln(cw, "# TYPE ssnserve_sweep_refined_points_total counter")
-	fmt.Fprintf(cw, "ssnserve_sweep_refined_points_total %d\n", m.sweepRefined)
-
-	fmt.Fprintln(cw, "# HELP ssnserve_admission_queue_depth Requests waiting for an admission slot.")
-	fmt.Fprintln(cw, "# TYPE ssnserve_admission_queue_depth gauge")
-	fmt.Fprintf(cw, "ssnserve_admission_queue_depth %d\n", m.admissionQueueDepth)
-	fmt.Fprintln(cw, "# HELP ssnserve_admission_shed_total Requests shed with 429 by reason.")
-	fmt.Fprintln(cw, "# TYPE ssnserve_admission_shed_total counter")
-	reasons := make([]string, 0, len(m.admissionShed))
-	for r := range m.admissionShed {
-		reasons = append(reasons, r)
-	}
-	sort.Strings(reasons)
-	for _, r := range reasons {
-		fmt.Fprintf(cw, "ssnserve_admission_shed_total{reason=%q} %d\n", r, m.admissionShed[r])
-	}
-
-	fmt.Fprintln(cw, "# HELP ssnserve_shards_total Distributed sweep shards evaluated.")
-	fmt.Fprintln(cw, "# TYPE ssnserve_shards_total counter")
-	fmt.Fprintf(cw, "ssnserve_shards_total %d\n", m.shards)
-	fmt.Fprintln(cw, "# HELP ssnserve_shard_points_total Points evaluated inside shard requests.")
-	fmt.Fprintln(cw, "# TYPE ssnserve_shard_points_total counter")
-	fmt.Fprintf(cw, "ssnserve_shard_points_total %d\n", m.shardPoints)
-	fmt.Fprintln(cw, "# HELP ssnserve_distsweeps_total Coordinator runs started on /v1/distsweep.")
-	fmt.Fprintln(cw, "# TYPE ssnserve_distsweeps_total counter")
-	fmt.Fprintf(cw, "ssnserve_distsweeps_total %d\n", m.distSweeps)
-
-	fmt.Fprintln(cw, "# HELP ssnserve_legacy_envelope_total Responses to deprecated inline-parameter requests.")
-	fmt.Fprintln(cw, "# TYPE ssnserve_legacy_envelope_total counter")
-	fmt.Fprintf(cw, "ssnserve_legacy_envelope_total %d\n", m.legacyEnvelope)
-	fmt.Fprintln(cw, "# HELP ssnserve_solves_total Inverse-design items answered on /v1/solve by mode.")
-	fmt.Fprintln(cw, "# TYPE ssnserve_solves_total counter")
-	modes := make([]string, 0, len(m.solvesByMode))
-	for md := range m.solvesByMode {
-		modes = append(modes, md)
-	}
-	sort.Strings(modes)
-	for _, md := range modes {
-		fmt.Fprintf(cw, "ssnserve_solves_total{mode=%q} %d\n", md, m.solvesByMode[md])
-	}
-	fmt.Fprintln(cw, "# HELP ssnserve_impedance_total PDN impedance requests on /v1/impedance by mode.")
-	fmt.Fprintln(cw, "# TYPE ssnserve_impedance_total counter")
-	impModes := make([]string, 0, len(m.impedanceByMode))
-	for md := range m.impedanceByMode {
-		impModes = append(impModes, md)
-	}
-	sort.Strings(impModes)
-	for _, md := range impModes {
-		fmt.Fprintf(cw, "ssnserve_impedance_total{mode=%q} %d\n", md, m.impedanceByMode[md])
-	}
-	fmt.Fprintln(cw, "# HELP ssnserve_impedance_points_total Impedance frequency points evaluated.")
-	fmt.Fprintln(cw, "# TYPE ssnserve_impedance_points_total counter")
-	fmt.Fprintf(cw, "ssnserve_impedance_points_total %d\n", m.impedancePoints)
-	fmt.Fprintln(cw, "# HELP ssnserve_impedance_cache_total Sweep-profile cache lookups by outcome.")
-	fmt.Fprintln(cw, "# TYPE ssnserve_impedance_cache_total counter")
-	cacheOutcomes := make([]string, 0, len(m.impedanceCache))
-	for oc := range m.impedanceCache {
-		cacheOutcomes = append(cacheOutcomes, oc)
-	}
-	sort.Strings(cacheOutcomes)
-	for _, oc := range cacheOutcomes {
-		fmt.Fprintf(cw, "ssnserve_impedance_cache_total{outcome=%q} %d\n", oc, m.impedanceCache[oc])
-	}
-
-	fmt.Fprintln(cw, "# HELP ssnserve_columnar_payloads_total SSNC columnar payloads by route and direction.")
-	fmt.Fprintln(cw, "# TYPE ssnserve_columnar_payloads_total counter")
-	colKeys := make([]columnarKey, 0, len(m.columnarPayloads))
-	for k := range m.columnarPayloads {
-		colKeys = append(colKeys, k)
-	}
-	sort.Slice(colKeys, func(i, j int) bool {
-		if colKeys[i].path != colKeys[j].path {
-			return colKeys[i].path < colKeys[j].path
-		}
-		return colKeys[i].dir < colKeys[j].dir
-	})
-	for _, k := range colKeys {
-		fmt.Fprintf(cw, "ssnserve_columnar_payloads_total{path=%q,dir=%q} %d\n", k.path, k.dir, m.columnarPayloads[k])
-	}
-
-	fmt.Fprintln(cw, "# HELP ssnserve_jobs_total Job state transitions.")
-	fmt.Fprintln(cw, "# TYPE ssnserve_jobs_total counter")
-	states := make([]string, 0, len(m.jobsByState))
-	for s := range m.jobsByState {
-		states = append(states, s)
-	}
-	sort.Strings(states)
-	for _, s := range states {
-		fmt.Fprintf(cw, "ssnserve_jobs_total{state=%q} %d\n", s, m.jobsByState[s])
-	}
-	fmt.Fprintln(cw, "# HELP ssnserve_jobs_in_flight Jobs currently running.")
-	fmt.Fprintln(cw, "# TYPE ssnserve_jobs_in_flight gauge")
-	fmt.Fprintf(cw, "ssnserve_jobs_in_flight %d\n", m.jobsInFlight)
-
-	return cw.n, cw.err
-}
-
-// countingWriter tracks bytes written and the first error, so WriteTo can
-// satisfy io.WriterTo without error plumbing at every Fprintf.
-type countingWriter struct {
-	w   io.Writer
-	n   int64
-	err error
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	if c.err != nil {
-		return 0, c.err
-	}
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	c.err = err
-	return n, err
 }

@@ -176,10 +176,6 @@ func New(cfg Config) *Server {
 // Handler returns the routed handler, for tests and embedding.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Metrics exposes the registry (the ssnserve binary logs a summary on
-// exit; tests assert on counters).
-func (s *Server) Metrics() *Metrics { return s.metrics }
-
 // ListenAndServe serves on cfg.Addr until Shutdown or a listener error.
 // Like net/http, it returns http.ErrServerClosed after a clean Shutdown.
 func (s *Server) ListenAndServe() error {

@@ -143,7 +143,7 @@ func TestMaxSSNBatch(t *testing.T) {
 	}
 	// 100 items over 3 corners: the extraction cache must have absorbed
 	// the repeats.
-	hits, misses := s.Metrics().CacheRates()
+	hits, misses := s.metrics.value("ssnserve_cache_hits_total"), s.metrics.value("ssnserve_cache_misses_total")
 	if misses != 3 {
 		t.Errorf("expected 3 cache misses (one per corner), got %d", misses)
 	}
@@ -441,7 +441,7 @@ func TestBatch1000UnderRace(t *testing.T) {
 		t.Error(err)
 	}
 
-	hits, misses := s.Metrics().CacheRates()
+	hits, misses := s.metrics.value("ssnserve_cache_hits_total"), s.metrics.value("ssnserve_cache_misses_total")
 	if misses != 3 {
 		t.Errorf("cache misses %d, want 3 (one per corner)", misses)
 	}
@@ -449,7 +449,7 @@ func TestBatch1000UnderRace(t *testing.T) {
 		t.Errorf("cache hits %d, want >= 4000", hits)
 	}
 	var buf bytes.Buffer
-	if _, err := s.Metrics().WriteTo(&buf); err != nil {
+	if _, err := s.metrics.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), `ssnserve_request_duration_seconds_count{path="/v1/maxssn"}`) {

@@ -168,7 +168,7 @@ func (s *Server) solveBoundary(it SolveItem, res SolveResult) SolveResult {
 		res.Error = toAPIError(err)
 		return res
 	}
-	s.metrics.ObserveSolve("solve")
+	s.metrics.solves.inc("solve")
 	res.Value = sol.Value
 	res.MaxDrivers = sol.MaxDrivers()
 	res.VMax = sol.VMax
@@ -217,7 +217,7 @@ func (s *Server) solveYield(ctx context.Context, it SolveItem, res SolveResult) 
 		}
 		return res
 	}
-	s.metrics.ObserveSolve("yield")
+	s.metrics.solves.inc("yield")
 	cases := make(map[string]int, len(y.Stats.CaseCounts))
 	for cse, cnt := range y.Stats.CaseCounts {
 		cases[cse.String()] = cnt

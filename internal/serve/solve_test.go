@@ -227,7 +227,7 @@ func TestSolveLegacyInlineDeprecated(t *testing.T) {
 	if resp.Header.Get("Deprecation") != "true" || resp.Header.Get("Sunset") == "" {
 		t.Error("legacy inline solve response missing deprecation headers")
 	}
-	if n := s.Metrics().LegacyEnvelopeCount(); n != 1 {
+	if n := s.metrics.value("ssnserve_legacy_envelope_total"); n != 1 {
 		t.Errorf("legacy counter %d, want 1", n)
 	}
 }

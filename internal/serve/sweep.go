@@ -260,7 +260,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return nil
 	}
 	stats, err := sweep.Run(r.Context(), g, cfg, sink)
-	s.metrics.ObserveSweep(stats.Evaluated, stats.Chunks, stats.RefinedPoints, err == nil)
+	s.countSweep(stats, err)
 	if err != nil {
 		// The status line is long gone; report the abort as a terminal
 		// NDJSON record in the same error envelope.
@@ -278,4 +278,16 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if flusher != nil {
 		flusher.Flush()
 	}
+}
+
+// countSweep records one finished (or aborted) sweep run.
+func (s *Server) countSweep(st sweep.Stats, err error) {
+	m := s.metrics
+	m.sweeps.inc()
+	if err != nil {
+		m.sweepsAborted.inc()
+	}
+	m.sweepPoints.add(st.Evaluated)
+	m.sweepChunks.add(st.Chunks)
+	m.sweepRefined.add(st.RefinedPoints)
 }

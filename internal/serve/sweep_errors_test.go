@@ -151,7 +151,7 @@ func TestSweepDisconnectBeforeFirstRecord(t *testing.T) {
 
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if _, aborted, _ := s.Metrics().SweepCounts(); aborted >= 1 {
+		if s.metrics.value("ssnserve_sweeps_aborted_total") >= 1 {
 			return
 		}
 		if time.Now().After(deadline) {

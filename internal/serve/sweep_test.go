@@ -79,7 +79,9 @@ func TestSweepNDJSONStream(t *testing.T) {
 	if stats == nil || stats["grid_points"].(float64) != 12 || stats["evaluated"].(float64) != 12 {
 		t.Errorf("terminal stats: %v", stats)
 	}
-	sweeps, aborted, points := s.Metrics().SweepCounts()
+	sweeps := s.metrics.value("ssnserve_sweeps_total")
+	aborted := s.metrics.value("ssnserve_sweeps_aborted_total")
+	points := s.metrics.value("ssnserve_sweep_points_total")
 	if sweeps != 1 || aborted != 0 || points != 12 {
 		t.Errorf("sweep metrics: %d sweeps, %d aborted, %d points", sweeps, aborted, points)
 	}
@@ -244,7 +246,7 @@ func TestSweepCancelMidStream(t *testing.T) {
 	// The abort must land in the metrics and the workers must unwind.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if _, aborted, _ := s.Metrics().SweepCounts(); aborted == 1 {
+		if s.metrics.value("ssnserve_sweeps_aborted_total") == 1 {
 			break
 		}
 		if time.Now().After(deadline) {
