@@ -330,7 +330,11 @@ func TestColumnarSweepStream(t *testing.T) {
 	lines := bytes.Split(bytes.TrimSpace(jbody), []byte("\n"))
 	row := 0
 	for _, line := range lines {
-		var pt sweepPoint
+		var pt struct {
+			Values   map[string]float64 `json:"values"`
+			VMax     float64            `json:"vmax"`
+			CaseCode int                `json:"case_code"`
+		}
 		if err := json.Unmarshal(line, &pt); err != nil {
 			t.Fatal(err)
 		}
