@@ -95,12 +95,12 @@ func TestShardConcatenationIsByteIdentical(t *testing.T) {
 	if !bytes.Equal(full, merged.Bytes()) {
 		t.Fatalf("merged shards != full run (%d vs %d bytes)", merged.Len(), len(full))
 	}
-	// Every line parses as a Record, errors in place included.
+	// Every line parses as a point record, errors in place included.
 	lines := bytes.Split(bytes.TrimSuffix(full, []byte("\n")), []byte("\n"))
 	if len(lines) != spec.Total() {
 		t.Fatalf("%d NDJSON lines, want %d", len(lines), spec.Total())
 	}
-	var rec Record
+	var rec wireRecord
 	if err := json.Unmarshal(lines[0], &rec); err != nil {
 		t.Fatalf("first record: %v", err)
 	}
@@ -120,6 +120,13 @@ func TestCoordinatorInProcess(t *testing.T) {
 	if sum.Points != spec.Total() || sum.Shards != spec.NumShards() {
 		t.Fatalf("summary %+v", sum)
 	}
+}
+
+// wireRecord decodes the point records EvalRange emits.
+type wireRecord struct {
+	Values map[string]float64 `json:"values"`
+	VMax   float64            `json:"vmax"`
+	Error  *RecordError       `json:"error"`
 }
 
 // shardHandler is a minimal in-test /v1/shard worker.
@@ -319,7 +326,7 @@ func TestResolvedNInPayload(t *testing.T) {
 	if len(lines) != 3 {
 		t.Fatalf("%d lines, want 3", len(lines))
 	}
-	var first, last Record
+	var first, last wireRecord
 	if err := json.Unmarshal(lines[0], &first); err != nil {
 		t.Fatal(err)
 	}

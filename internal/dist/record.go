@@ -1,27 +1,12 @@
 package dist
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 
 	"ssnkit/internal/ssn"
 	"ssnkit/internal/sweep"
 )
-
-// Record is the canonical NDJSON shape of one evaluated point, mirroring
-// the /v1/sweep wire record. Every worker encodes shard payloads through
-// this one type (encoding/json emits struct fields in declaration order
-// and map keys sorted, so the bytes are deterministic across replicas);
-// the coordinator merges payloads without re-encoding.
-type Record struct {
-	Values   map[string]float64 `json:"values"`
-	VMax     float64            `json:"vmax,omitempty"`
-	Case     string             `json:"case,omitempty"`
-	CaseCode int                `json:"case_code,omitempty"`
-	Error    *RecordError       `json:"error,omitempty"`
-}
 
 // RecordError reports a per-point failure in place, in the same
 // code/message/field envelope the service uses.
@@ -57,9 +42,10 @@ type EvalConfig struct {
 }
 
 // EvalRange evaluates the row-major index range [lo, hi) of the spec's
-// grid and returns its canonical NDJSON payload: one Record per point in
-// index order, per-point errors in place. The bytes depend only on (spec,
-// lo, hi) — never on worker count, chunking or which process ran it.
+// grid and returns its canonical NDJSON payload: one sweep.PointEncoder
+// record per point in index order, per-point errors in place, as
+// /v1/sweep streams them. The bytes depend only on (spec, lo, hi) — never
+// on worker count, chunking or which process ran it.
 func EvalRange(ctx context.Context, spec SweepSpec, lo, hi int, cfg EvalConfig) ([]byte, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -68,37 +54,17 @@ func EvalRange(ctx context.Context, spec SweepSpec, lo, hi int, cfg EvalConfig) 
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	buf.Grow(64 * (hi - lo))
-	enc := json.NewEncoder(&buf)
-	enc.SetEscapeHTML(false)
-	rec := Record{Values: make(map[string]float64, len(g.Axes))}
-	sink := func(pt sweep.Point) error {
-		rec.VMax = 0
-		rec.Case = ""
-		rec.CaseCode = 0
-		rec.Error = nil
-		for k, ax := range g.Axes {
-			v := pt.Values[k]
-			if ax.Name == sweep.AxisN && pt.Err == nil {
-				v = float64(pt.Params.N) // the resolved (rounded) driver count
-			}
-			rec.Values[ax.Name] = v
-		}
-		if pt.Err != nil {
-			rec.Error = toRecordError(pt.Err)
-		} else {
-			rec.VMax = pt.VMax
-			rec.Case = pt.Case.String()
-			rec.CaseCode = int(pt.Case)
-		}
-		return enc.Encode(&rec)
+	buf := make([]byte, 0, 64*(hi-lo))
+	enc := sweep.NewPointEncoder(g.Axes, func(err error) any { return toRecordError(err) })
+	sink := func(pt sweep.Point) (err error) {
+		buf, err = enc.Append(buf, pt)
+		return err
 	}
 	scfg := sweep.Config{Workers: cfg.Workers, Extract: cfg.Extract, Gate: cfg.Gate}
 	if _, err := sweep.RunRange(ctx, g, scfg, lo, hi, sink); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	return buf, nil
 }
 
 // EvalShard evaluates shard i of the spec: EvalRange over ShardRange(i).

@@ -13,6 +13,7 @@ import (
 	"ssnkit/internal/pdn"
 	"ssnkit/internal/pkgmodel"
 	"ssnkit/internal/spice"
+	"ssnkit/internal/sweep"
 )
 
 // impedanceRequest asks for frequency-domain PDN input impedance of a
@@ -450,41 +451,49 @@ func clampDecaps(n int) int {
 }
 
 // writeImpedanceNDJSON streams the profile as NDJSON records, one per
-// frequency, then the terminal done/stats summary.
+// frequency, then the terminal done/stats summary — or, should a record
+// fail to encode, the {"error":…} record in its place.
 func (s *Server) writeImpedanceNDJSON(w http.ResponseWriter, prof *pdn.Profile, stats impedanceStats) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	buf := sweepBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer func() {
-		if buf.Cap() <= sweepBufMaxRetain {
-			sweepBufPool.Put(buf)
-		}
-	}()
-	enc := json.NewEncoder(buf)
-	enc.SetEscapeHTML(false)
+	st := startNDJSON(w)
+	var err error
 	for i := range prof.Points {
-		rec := impedanceRecord(prof.Points[i])
-		if err := enc.Encode(&rec); err != nil {
-			return
+		if err = appendImpedanceRecord(st.buf, st.enc, &prof.Points[i]); err != nil {
+			break
 		}
-		if (i+1)%sweepFlushEvery == 0 {
-			if _, err := w.Write(buf.Bytes()); err != nil {
-				return
-			}
-			buf.Reset()
-			if flusher != nil {
-				flusher.Flush()
-			}
+		if err = st.endLine(); err != nil {
+			break
 		}
 	}
-	_ = enc.Encode(impedanceSummary{Done: true, Stats: stats})
-	_, _ = w.Write(buf.Bytes())
-	buf.Reset()
-	if flusher != nil {
-		flusher.Flush()
+	st.finish(impedanceSummary{Done: true, Stats: stats}, err)
+}
+
+// appendImpedanceRecord appends p's sweep record — the impedancePoint
+// JSON — to buf: the four floats through the shared float appender, the
+// optional sens array through enc. On error buf is left as it was.
+func appendImpedanceRecord(buf *bytes.Buffer, enc *json.Encoder, p *pdn.Point) error {
+	b := buf.AvailableBuffer()
+	var err error
+	for _, f := range [...]struct {
+		key string
+		v   float64
+	}{{`{"freq":`, p.Freq}, {`,"z_re":`, real(p.Z)}, {`,"z_im":`, imag(p.Z)}, {`,"z_mag":`, p.AbsZ}} {
+		b = append(b, f.key...)
+		if b, err = sweep.AppendJSONFloat(b, f.v); err != nil {
+			return err
+		}
 	}
+	start := buf.Len()
+	buf.Write(b)
+	if len(p.Sens) > 0 {
+		buf.WriteString(`,"sens":`)
+		if err := enc.Encode(impedanceSensRecords(p.Sens)); err != nil {
+			buf.Truncate(start)
+			return err
+		}
+		buf.Truncate(buf.Len() - 1) // Encode's newline
+	}
+	buf.WriteString("}\n")
+	return nil
 }
 
 // writeImpedanceColumnar streams the profile as SSNC blocks with columns

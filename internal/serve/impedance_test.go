@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"ssnkit/internal/colwire"
+	"ssnkit/internal/pdn"
 	"ssnkit/internal/pkgmodel"
 	"ssnkit/internal/spice"
 )
@@ -178,6 +180,37 @@ func TestImpedanceSweepColumnarMatchesJSON(t *testing.T) {
 			t.Errorf("row %d: columnar (%g, %g) vs JSON (%g, %g)",
 				i, colFreqs[i], colMags[i], jsonFreqs[i], jsonMags[i])
 		}
+	}
+}
+
+// TestImpedanceNDJSONEndsFailedStreamWithError: a record that cannot be
+// encoded (NaN |Z|) ends the stream with the {"error":…} terminal record
+// after every line before it — never a 200 that silently stops.
+func TestImpedanceNDJSONEndsFailedStreamWithError(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	prof := &pdn.Profile{}
+	for i := 0; i < 70; i++ {
+		prof.Points = append(prof.Points, pdn.Point{Freq: float64(i+1) * 1e6, Z: complex(0.01, float64(i)), AbsZ: 0.5})
+	}
+	prof.Points[66].AbsZ = math.NaN()
+	rec := httptest.NewRecorder()
+	s.writeImpedanceNDJSON(rec, prof, impedanceStats{Points: 70})
+
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d", rec.Code)
+	}
+	lines := bytes.Split(bytes.TrimSuffix(rec.Body.Bytes(), []byte("\n")), []byte("\n"))
+	if len(lines) != 67 {
+		t.Fatalf("%d lines, want 66 records + error:\n%s", len(lines), rec.Body.Bytes())
+	}
+	for i, line := range lines[:66] {
+		var pt impedancePoint
+		if err := json.Unmarshal(line, &pt); err != nil || pt.Freq != prof.Points[i].Freq {
+			t.Fatalf("line %d: %s (%v)", i, line, err)
+		}
+	}
+	if want := `{"error":{"code":"invalid_request","message":"json: unsupported value: NaN"}}`; string(lines[66]) != want {
+		t.Errorf("terminal record %s, want %s", lines[66], want)
 	}
 }
 

@@ -1,0 +1,168 @@
+package sweep
+
+import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"reflect"
+	"slices"
+	"strconv"
+	"strings"
+
+	"ssnkit/internal/ssn"
+)
+
+// PointEncoder appends the canonical NDJSON record of one sweep point,
+//
+//	{"values":{…},"vmax":…,"case":…,"case_code":…,"depth":…}
+//	{"values":{…},"depth":…,"error":{…}}             (failed point)
+//
+// straight into a caller's buffer. The bytes are exactly what
+// encoding/json (SetEscapeHTML(false)) writes for the record struct
+//
+//	struct {
+//		Values   map[string]float64 `json:"values"`
+//		VMax     float64            `json:"vmax,omitempty"`
+//		Case     string             `json:"case,omitempty"`
+//		CaseCode int                `json:"case_code,omitempty"`
+//		Depth    int                `json:"depth,omitempty"`
+//		Error    any                `json:"error,omitempty"`
+//	}
+//
+// with Values keyed by axis name — the resolved N on the n axis of a
+// valid point, the raw axis value otherwise — so every stream of sweep
+// points (/v1/sweep, dist shards) shares one spelling. The values keys are
+// sorted and quoted once per grid; a valid point costs no reflection and
+// no allocation. The per-point error sub-record, rare and caller-shaped,
+// stays on encoding/json.
+//
+// A PointEncoder is not safe for concurrent use; sweep sinks are serial.
+type PointEncoder struct {
+	values    []valueField // in sorted-name order
+	errRecord func(error) any
+	buf       bytes.Buffer // encoding/json scratch for keys, rare cases and errors
+	enc       *json.Encoder
+}
+
+// valueField is one key of the values object.
+type valueField struct {
+	axis int    // index into Grid.Axes and Point.Values
+	key  []byte // `"name":`, comma-led after the first key
+	isN  bool   // the n axis: a valid point reports its resolved N
+}
+
+// caseFields holds the pre-quoted case and case_code fields of the
+// Table 1 cases, indexed by case code.
+var caseFields = func() [ssn.UnderDampedBoundary + 1][]byte {
+	var t [ssn.UnderDampedBoundary + 1][]byte
+	for c := ssn.OverDamped; c <= ssn.UnderDampedBoundary; c++ {
+		q, _ := json.Marshal(c.String()) // the case names carry no HTML characters
+		t[c] = []byte(`,"case":` + string(q) + `,"case_code":` + strconv.Itoa(int(c)))
+	}
+	return t
+}()
+
+// NewPointEncoder builds the encoder for points of a grid with these axes
+// (distinct names, as Grid.Validate requires). errRecord shapes a point's
+// error into the caller's wire error object.
+func NewPointEncoder(axes []Axis, errRecord func(error) any) *PointEncoder {
+	e := &PointEncoder{errRecord: errRecord}
+	e.enc = json.NewEncoder(&e.buf)
+	e.enc.SetEscapeHTML(false)
+	for k, ax := range axes {
+		e.values = append(e.values, valueField{axis: k, isN: ax.Name == AxisN})
+	}
+	slices.SortFunc(e.values, func(a, b valueField) int {
+		return strings.Compare(axes[a.axis].Name, axes[b.axis].Name)
+	})
+	for i := range e.values {
+		var key []byte
+		if i > 0 {
+			key = append(key, ',')
+		}
+		key, _ = e.appendJSON(key, axes[e.values[i].axis].Name) // a string always encodes
+		e.values[i].key = append(key, ':')
+	}
+	return e
+}
+
+// Append appends pt's record and its newline to dst. On error — a
+// non-finite value, which encoding/json refuses with the same
+// *json.UnsupportedValueError — dst comes back with nothing appended.
+func (e *PointEncoder) Append(dst []byte, pt Point) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, `{"values":{`...)
+	var err error
+	for _, f := range e.values {
+		v := pt.Values[f.axis]
+		if f.isN && pt.Err == nil {
+			v = float64(pt.Params.N) // the resolved (rounded) driver count
+		}
+		dst = append(dst, f.key...)
+		if dst, err = AppendJSONFloat(dst, v); err != nil {
+			return dst[:start], err
+		}
+	}
+	dst = append(dst, '}')
+	if pt.Err == nil {
+		if pt.VMax != 0 {
+			dst = append(dst, `,"vmax":`...)
+			if dst, err = AppendJSONFloat(dst, pt.VMax); err != nil {
+				return dst[:start], err
+			}
+		}
+		if pt.Case >= ssn.OverDamped && pt.Case <= ssn.UnderDampedBoundary {
+			dst = append(dst, caseFields[pt.Case]...)
+		} else {
+			dst = append(dst, `,"case":`...)
+			dst, _ = e.appendJSON(dst, pt.Case.String())
+			if pt.Case != 0 {
+				dst = append(dst, `,"case_code":`...)
+				dst = strconv.AppendInt(dst, int64(pt.Case), 10)
+			}
+		}
+	}
+	if pt.Depth != 0 {
+		dst = append(dst, `,"depth":`...)
+		dst = strconv.AppendInt(dst, int64(pt.Depth), 10)
+	}
+	if pt.Err != nil {
+		dst = append(dst, `,"error":`...)
+		if dst, err = e.appendJSON(dst, e.errRecord(pt.Err)); err != nil {
+			return dst[:start], err
+		}
+	}
+	return append(dst, "}\n"...), nil
+}
+
+// appendJSON appends v as encoding/json spells it without HTML escaping.
+func (e *PointEncoder) appendJSON(dst []byte, v any) ([]byte, error) {
+	e.buf.Reset()
+	if err := e.enc.Encode(v); err != nil {
+		return dst, err
+	}
+	return append(dst, bytes.TrimSuffix(e.buf.Bytes(), []byte{'\n'})...), nil
+}
+
+// AppendJSONFloat appends f as encoding/json spells a float64: the
+// shortest round-trip decimal, in exponent form for |f| < 1e-6 or
+// |f| >= 1e21 with a one-digit negative exponent unpadded (1e-7, not
+// 1e-07), and -0 kept. NaN and ±Inf are refused with the error
+// encoding/json returns, and dst comes back unchanged.
+func AppendJSONFloat(dst []byte, f float64) ([]byte, error) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return dst, &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(dst); dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+	}
+	return dst, nil
+}
