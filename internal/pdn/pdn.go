@@ -86,6 +86,9 @@ type Sweeper struct {
 // compiles the first AC engine so construction surfaces circuit errors
 // immediately.
 func NewSweeper(grid *pkgmodel.PDNGrid, cfg Config) (*Sweeper, error) {
+	if grid == nil {
+		return nil, fmt.Errorf("pdn: nil grid")
+	}
 	if err := grid.Validate(); err != nil {
 		return nil, err
 	}

@@ -385,3 +385,82 @@ func TestOptimizeDecapsValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestNilGrid: a nil grid is refused with an error by every entry point
+// that takes one, never dereferenced.
+func TestNilGrid(t *testing.T) {
+	fs := testFreqs(t, 4)
+	cases := []struct {
+		name string
+		run  func() error
+	}{
+		{"NewSweeper", func() error { _, err := NewSweeper(nil, Config{}); return err }},
+		{"RunProfile", func() error { _, err := RunProfile(context.Background(), nil, fs, Config{}); return err }},
+		{"OptimizeDecaps", func() error {
+			_, err := OptimizeDecaps(context.Background(), OptimizeSpec{
+				Freqs: fs, DecapC: 1e-9, DecapESR: 5e-3, MaxDecaps: 1,
+			})
+			return err
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if err := c.run(); err == nil {
+				t.Error("nil grid accepted")
+			}
+		})
+	}
+}
+
+// TestOptimizeTrialCounts: every trial ends screened, rejected or
+// accepted, and accepted trials are exactly the placements. A mesh small
+// enough for the dense engine takes no snapshots, so its screen rejects
+// nothing and every rejection comes from the exact sweep.
+func TestOptimizeTrialCounts(t *testing.T) {
+	fs := testFreqs(t, 40)
+	for _, c := range []struct {
+		name       string
+		rows, cols int
+		dense      bool
+	}{
+		{"dense-2x2", 2, 2, true},
+		{"symbolic-5x5", 5, 5, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			grid := pkgmodel.DefaultPDN(pkgmodel.QFP, c.rows, c.cols, 2)
+			sw, err := NewSweeper(grid, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var dense bool
+			if err := sw.borrow(func(eng *spice.ACEngine, obs int) error {
+				var f spice.ACFactor
+				ok, err := eng.Snapshot(2*math.Pi*fs[0], obs, &f)
+				dense = !ok
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if dense != c.dense {
+				t.Fatalf("engine takes snapshots: %v, want %v", !dense, !c.dense)
+			}
+			res, err := OptimizeDecaps(context.Background(), OptimizeSpec{
+				Grid: grid, Freqs: fs, DecapC: 1e-9, DecapESR: 5e-3, MaxDecaps: 3,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := res.Trials
+			if tr.Accepted != len(res.Placements) {
+				t.Errorf("%d accepted trials, %d placements", tr.Accepted, len(res.Placements))
+			}
+			if c.dense && tr.Screened != 0 {
+				t.Errorf("dense engine screened %d trials", tr.Screened)
+			}
+			if tr.Screened+tr.Rejected+tr.Accepted == 0 {
+				t.Error("no trials counted")
+			}
+			t.Logf("%+v", tr)
+		})
+	}
+}

@@ -311,6 +311,9 @@ func (s *Server) handleImpedance(w http.ResponseWriter, r *http.Request) {
 			writeError(w, toAPIError(err))
 			return
 		}
+		s.metrics.optimizeTrials.add(res.Trials.Screened, "screened")
+		s.metrics.optimizeTrials.add(res.Trials.Rejected, "rejected")
+		s.metrics.optimizeTrials.add(res.Trials.Accepted, "accepted")
 		placements := res.Placements
 		if placements == nil {
 			placements = []pdn.Placement{}

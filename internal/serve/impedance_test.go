@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -239,6 +240,47 @@ func TestImpedanceOptimize(t *testing.T) {
 		}
 		if !(p.PeakAfter < p.PeakBefore) {
 			t.Errorf("placement %d did not lower the peak: %g -> %g", i, p.PeakBefore, p.PeakAfter)
+		}
+	}
+}
+
+// TestImpedanceOptimizeTrials: the optimize handler adds each run's trial
+// outcomes to ssnserve_optimize_trials_total, the same counts pdn reports
+// for the same spec, and keeps them out of the JSON reply.
+func TestImpedanceOptimizeTrials(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	resp, body := postJSON(t, ts.URL+"/v1/impedance",
+		`{"package":"qfp","rows":5,"cols":8,"pads":6,"mode":"optimize","from":1e6,"to":1e10,"points":60,"decap_c":1.5e-9,"decap_esr":5e-3,"max_decaps":2}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	if bytes.Contains(body, []byte("screened")) {
+		t.Errorf("trial counts leaked into the reply: %s", body)
+	}
+	fs, err := spice.FreqGrid(1e6, 1e10, 60, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := pdn.OptimizeDecaps(context.Background(), pdn.OptimizeSpec{
+		Grid:      pkgmodel.DefaultPDN(pkgmodel.QFP, 5, 8, 6),
+		Freqs:     fs,
+		DecapC:    1.5e-9,
+		DecapESR:  5e-3,
+		MaxDecaps: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Trials.Screened == 0 {
+		t.Fatal("reference run screened no trial")
+	}
+	for outcome, want := range map[string]int{
+		"screened": res.Trials.Screened,
+		"rejected": res.Trials.Rejected,
+		"accepted": res.Trials.Accepted,
+	} {
+		if got := s.metrics.value("ssnserve_optimize_trials_total", outcome); got != uint64(want) {
+			t.Errorf("outcome %s: counter %d, want %d", outcome, got, want)
 		}
 	}
 }

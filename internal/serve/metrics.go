@@ -29,7 +29,7 @@ type Metrics struct {
 	sweeps, sweepsAborted, sweepPoints, sweepChunks, sweepRefined *counterVec
 	admissionShed, shards, shardPoints, distSweeps                *counterVec
 	legacyEnvelope, solves, jobs, columnar                        *counterVec
-	impedance, impedancePoints, impedanceCache                    *counterVec
+	impedance, impedancePoints, impedanceCache, optimizeTrials    *counterVec
 	latency                                                       *histogramVec
 	admissionQueueDepth, jobsInFlight                             *gauge
 }
@@ -56,6 +56,7 @@ func NewMetrics() *Metrics {
 	m.impedance = m.counter("ssnserve_impedance_total", "PDN impedance requests on /v1/impedance by mode.", "mode")
 	m.impedancePoints = m.counter("ssnserve_impedance_points_total", "Impedance frequency points evaluated.")
 	m.impedanceCache = m.counter("ssnserve_impedance_cache_total", "Sweep-profile cache lookups by outcome.", "outcome")
+	m.optimizeTrials = m.counter("ssnserve_optimize_trials_total", "Decap placement trials by outcome (screened, rejected, accepted).", "outcome")
 	m.columnar = m.counter("ssnserve_columnar_payloads_total", "SSNC columnar payloads by route and direction.", "path", "dir")
 	m.jobs = m.counter("ssnserve_jobs_total", "Job state transitions.", "state")
 	m.jobsInFlight = m.gauge("ssnserve_jobs_in_flight", "Jobs currently running.")

@@ -220,3 +220,83 @@ func TestACPlanVsrcFallback(t *testing.T) {
 		t.Errorf("vsrc fallback: Z sparse %v vs dense %v rel err %.3e", zS, zD, e)
 	}
 }
+
+// TestACFactorShuntRC: a snapshot keeps the engine's Z bits after the
+// engine moves on, and its Sherman–Morrison shunt update matches a fresh
+// engine on the netlist with the series R–C branch actually added, with
+// and without Gmin. Dense engines take no snapshot.
+func TestACFactorShuntRC(t *testing.T) {
+	grid := pkgmodel.DefaultPDN(pkgmodel.PGA, 5, 5, 4)
+	freqs, err := FreqGrid(1e6, 1e10, 7, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const r, c = 5e-3, 2e-9
+	for _, gmin := range []float64{0, 1e-9} {
+		ckt, obs, err := grid.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := NewAC(ckt, ACOptions{Gmin: gmin})
+		if err != nil {
+			t.Fatal(err)
+		}
+		node := ckt.LookupNode(grid.NodeName(12))
+		mod, _, err := grid.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		mod.AddR("rtrial", grid.NodeName(12), "mtrial", r)
+		mod.AddC("ctrial", "mtrial", "0", c)
+		fresh, err := NewAC(mod, ACOptions{Gmin: gmin})
+		if err != nil {
+			t.Fatal(err)
+		}
+		facs := make([]ACFactor, len(freqs))
+		for i, f := range freqs {
+			ok, err := eng.Snapshot(2*math.Pi*f, obs, &facs[i])
+			if err != nil || !ok {
+				t.Fatalf("gmin=%g f=%g: snapshot ok=%v err=%v", gmin, f, ok, err)
+			}
+		}
+		for i, f := range freqs {
+			w := 2 * math.Pi * f
+			z, err := eng.Impedance(w, obs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if facs[i].Z() != z {
+				t.Errorf("gmin=%g f=%g: snapshot Z %v != engine Z %v", gmin, f, facs[i].Z(), z)
+			}
+			got, err := facs[i].ShuntRC(node, r, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fresh.Impedance(w, obs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e := relErrC(got, want); e > 1e-10 {
+				t.Errorf("gmin=%g f=%g: shunt update %v vs fresh %v rel err %.3e", gmin, f, got, want, e)
+			}
+		}
+		if _, err := facs[0].ShuntRC(0, r, c); err == nil {
+			t.Error("ShuntRC accepted the ground node")
+		}
+		if _, err := facs[0].ShuntRC(node, r, 0); err == nil {
+			t.Error("ShuntRC accepted a zero capacitance")
+		}
+	}
+	ckt, obs, err := grid.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dense, err := NewAC(ckt, ACOptions{Backend: ACDense})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var f ACFactor
+	if ok, err := dense.Snapshot(2*math.Pi*1e8, obs, &f); ok || err != nil {
+		t.Errorf("dense engine snapshot: ok=%v err=%v, want false, nil", ok, err)
+	}
+}
