@@ -19,12 +19,19 @@ var ErrNeedsPivoting = errors.New("linalg: pattern has a structurally zero diago
 //
 // The constructor performs the symbolic analysis once: a deterministic
 // fill-reducing minimum-degree ordering on the symmetrized pattern, the
-// elimination (fill) pattern of L and U under that ordering, and a fixed
-// CSR layout holding both factors. Refactor then runs an up-looking
-// Doolittle elimination with static diagonal pivots into that layout,
-// touching no allocator and executing the exact same floating-point
-// operation sequence every call — so two Refactors of the same values are
-// bit-identical, whether on a fresh or a reused instance.
+// elimination (fill) pattern of L and U under that ordering, a fixed CSR
+// layout holding both factors, and an update map that names, for every
+// input entry and every elimination update, the slot of that layout it
+// writes. Refactor then runs an up-looking Doolittle elimination with
+// static diagonal pivots directly in the factor storage, following the
+// map: no dense workspace, no allocation, and the exact same
+// floating-point operation sequence every call — so two Refactors of the
+// same values are bit-identical, whether on a fresh or a reused instance.
+//
+// Each final pivot also keeps the divisor half of Go's complex division
+// (pivotDiv), so every later division by it — the L multipliers, Solve,
+// SolveT, SolveEntry and SymInvDiag — costs two real divides and returns
+// exactly the bits Go's / would.
 //
 // Static pivoting is safe exactly when every diagonal is structurally
 // present and numerically dominant-ish; MNA matrices of pure R/L/C
@@ -51,15 +58,19 @@ type CSymbolicLU struct {
 	diag   []int // index into cols/vals of row k's diagonal entry
 	vals   []complex128
 
-	// Input scatter plan: the input-CSR entries belonging to permuted row
-	// k are inPos[inPtr[k]:inPtr[k+1]] (positions into the caller's value
-	// array), landing at permuted columns inCol[...].
+	// Update map, shared by clones. Input scatter: the input-CSR entries
+	// of permuted row k are inPos[inPtr[k]:inPtr[k+1]] (positions into the
+	// caller's value array), added into vals[inTgt[...]]. Elimination: in
+	// the order Refactor walks them — rows ascending, each row's L entries
+	// ascending, then the U part of the row the entry refers to — upd
+	// holds the vals slot each update writes.
 	inPtr []int
-	inPos []int
-	inCol []int
+	inPos []int32
+	inTgt []int32
+	upd   []int32
 
-	w []complex128 // dense elimination workspace
-	y []complex128 // solve scratch
+	piv []pivotDiv   // per-pivot division parameters of the current factors
+	y   []complex128 // solve scratch
 }
 
 // NewCSymbolicLU analyzes the sparsity pattern given as CSR row pointers
@@ -102,7 +113,7 @@ func NewCSymbolicLU(rowPtr, colIdx []int) (*CSymbolicLU, error) {
 		nnzIn: len(colIdx),
 		perm:  make([]int, n),
 		iperm: make([]int, n),
-		w:     make([]complex128, n),
+		piv:   make([]pivotDiv, n),
 		y:     make([]complex128, n),
 	}
 	adj := symmetrizePattern(n, rowPtr, colIdx)
@@ -110,7 +121,10 @@ func NewCSymbolicLU(rowPtr, colIdx []int) (*CSymbolicLU, error) {
 	// Rebuild adjacency (orderMinDegree consumed it) and compute fill.
 	adj = symmetrizePattern(n, rowPtr, colIdx)
 	s.buildFill(adj)
-	s.buildScatter(rowPtr, colIdx)
+	if len(s.cols) > math.MaxInt32 {
+		return nil, fmt.Errorf("linalg: factor of %d entries exceeds the int32 update map", len(s.cols))
+	}
+	s.buildUpdateMap(rowPtr, colIdx)
 	s.vals = make([]complex128, len(s.cols))
 	return s, nil
 }
@@ -280,10 +294,18 @@ func mergeSorted(a, b []int) []int {
 	return out
 }
 
-// buildScatter groups the input CSR positions by permuted row so Refactor
-// can scatter a value array straight into the elimination workspace.
-func (s *CSymbolicLU) buildScatter(rowPtr, colIdx []int) {
+// buildUpdateMap records, for every input entry and every elimination
+// update Refactor performs, the vals slot it writes (see the upd field).
+// The fill is closed under elimination: every column an update of row k
+// touches is in row k's pattern, so pos always names a slot of that row.
+func (s *CSymbolicLU) buildUpdateMap(rowPtr, colIdx []int) {
 	n := s.n
+	pos := make([]int32, n) // pos[c] = slot of column c in the row being mapped
+	setRow := func(k int) {
+		for t := s.rowPtr[k]; t < s.rowPtr[k+1]; t++ {
+			pos[s.cols[t]] = int32(t)
+		}
+	}
 	s.inPtr = make([]int, n+1)
 	for i := 0; i < n; i++ {
 		s.inPtr[s.iperm[i]+1] = rowPtr[i+1] - rowPtr[i]
@@ -291,14 +313,23 @@ func (s *CSymbolicLU) buildScatter(rowPtr, colIdx []int) {
 	for k := 0; k < n; k++ {
 		s.inPtr[k+1] += s.inPtr[k]
 	}
-	s.inPos = make([]int, s.nnzIn)
-	s.inCol = make([]int, s.nnzIn)
+	s.inPos = make([]int32, s.nnzIn)
+	s.inTgt = make([]int32, s.nnzIn)
 	for i := 0; i < n; i++ {
+		setRow(s.iperm[i])
 		base := s.inPtr[s.iperm[i]]
 		for t := rowPtr[i]; t < rowPtr[i+1]; t++ {
-			s.inPos[base] = t
-			s.inCol[base] = s.iperm[colIdx[t]]
+			s.inPos[base] = int32(t)
+			s.inTgt[base] = pos[s.iperm[colIdx[t]]]
 			base++
+		}
+	}
+	for k := 0; k < n; k++ {
+		setRow(k)
+		for _, j := range s.cols[s.rowPtr[k]:s.diag[k]] {
+			for _, c := range s.cols[s.diag[j]+1 : s.rowPtr[j+1]] {
+				s.upd = append(s.upd, pos[c])
+			}
 		}
 	}
 }
@@ -310,62 +341,65 @@ func (s *CSymbolicLU) N() int { return s.n }
 // per-refactor work measure the ordering minimizes.
 func (s *CSymbolicLU) Fill() int { return len(s.cols) }
 
-// Clone returns an instance that shares the receiver's symbolic analysis,
-// which never changes after construction, and owns its numeric storage,
-// reusing dst's buffers when dst is non-nil and large enough. The clone
-// holds no factorization until its own Refactor; after that it solves
+// Clone returns an instance that shares the receiver's symbolic analysis
+// and update map, which never change after construction, and owns its
+// numeric storage (factors, pivot divisors, solve scratch), reusing dst's
+// buffers when dst is non-nil and large enough. The clone holds no
+// factorization until its own Refactor; after that it solves
 // independently of the receiver, so a caller can keep factors of one
 // pattern at several value sets at once without repeating the analysis.
 func (s *CSymbolicLU) Clone(dst *CSymbolicLU) *CSymbolicLU {
 	if dst == nil {
 		dst = new(CSymbolicLU)
 	}
-	vals, w, y := dst.vals, dst.w, dst.y
+	vals, piv, y := dst.vals, dst.piv, dst.y
 	*dst = *s
 	dst.vals = slices.Grow(vals[:0], len(s.vals))[:len(s.vals)]
-	dst.w = slices.Grow(w[:0], s.n)[:s.n]
+	dst.piv = slices.Grow(piv[:0], s.n)[:s.n]
 	dst.y = slices.Grow(y[:0], s.n)[:s.n]
 	return dst
 }
 
 // Refactor numerically factors the matrix whose values are given in the
-// same CSR entry order the pattern was analyzed with. It allocates
-// nothing and performs a deterministic operation sequence, so identical
-// inputs produce bit-identical factors on every call. Returns ErrSingular
-// when a pivot cancels to zero or is NaN; the factorization is then
-// unusable until a successful Refactor.
+// same CSR entry order the pattern was analyzed with. Each row is
+// eliminated in place in the factor storage: its slots are cleared, the
+// inputs added, and every update vals[slot] -= l·u goes to the slot the
+// update map recorded for it. It allocates nothing and performs a
+// deterministic operation sequence, so identical inputs produce
+// bit-identical factors on every call. Returns ErrSingular when a pivot
+// cancels to zero or is NaN; the factorization is then unusable until a
+// successful Refactor.
 func (s *CSymbolicLU) Refactor(in []complex128) error {
 	if len(in) != s.nnzIn {
 		return fmt.Errorf("linalg: Refactor got %d values, pattern has %d", len(in), s.nnzIn)
 	}
-	w, vals, cols := s.w, s.vals, s.cols
+	vals, cols, upd := s.vals, s.cols, s.upd
+	q := 0 // next entry of upd
 	for k := 0; k < s.n; k++ {
 		lo, hi, dk := s.rowPtr[k], s.rowPtr[k+1], s.diag[k]
-		for t := lo; t < hi; t++ {
-			w[cols[t]] = 0
-		}
+		clear(vals[lo:hi])
 		for t := s.inPtr[k]; t < s.inPtr[k+1]; t++ {
-			w[s.inCol[t]] += in[s.inPos[t]]
+			vals[s.inTgt[t]] += in[s.inPos[t]]
 		}
 		// Up-looking elimination: fold in each already-factored row j this
-		// row depends on, ascending, so w[j] is final when its turn comes.
+		// row depends on, ascending, so vals[t] is final when its turn comes.
 		for t := lo; t < dk; t++ {
 			j := cols[t]
-			l := w[j] / vals[s.diag[j]]
-			w[j] = l
+			l := s.piv[j].quo(vals[t], vals[s.diag[j]])
+			vals[t] = l
+			u := vals[s.diag[j]+1 : s.rowPtr[j+1]]
 			if l != 0 {
-				for u := s.diag[j] + 1; u < s.rowPtr[j+1]; u++ {
-					w[cols[u]] -= l * vals[u]
+				for i, p := range upd[q : q+len(u)] {
+					vals[p] -= l * u[i]
 				}
 			}
+			q += len(u)
 		}
-		piv := w[k]
+		piv := vals[dk]
 		if piv == 0 || math.IsNaN(real(piv)) || math.IsNaN(imag(piv)) {
 			return fmt.Errorf("%w: zero pivot at elimination step %d", ErrSingular, k)
 		}
-		for t := lo; t < hi; t++ {
-			vals[t] = w[cols[t]]
-		}
+		s.piv[k] = newPivotDiv(piv)
 	}
 	return nil
 }
@@ -381,26 +415,57 @@ func (s *CSymbolicLU) Solve(b, x []complex128) error {
 	for k := 0; k < n; k++ {
 		y[k] = b[s.perm[k]]
 	}
-	// Forward: L is unit lower triangular in the row layout.
+	s.forward(y, 0)
+	s.backward(y, 0)
 	for k := 0; k < n; k++ {
+		x[s.perm[k]] = y[k]
+	}
+	return nil
+}
+
+// forward runs the unit lower triangular sweep L y = y over rows k0 on.
+func (s *CSymbolicLU) forward(y []complex128, k0 int) {
+	for k := k0; k < s.n; k++ {
 		sum := y[k]
 		for t := s.rowPtr[k]; t < s.diag[k]; t++ {
 			sum -= s.vals[t] * y[s.cols[t]]
 		}
 		y[k] = sum
 	}
-	// Backward over U.
-	for k := n - 1; k >= 0; k-- {
+}
+
+// backward runs the upper triangular sweep U y = y over rows n-1 down to
+// k0.
+func (s *CSymbolicLU) backward(y []complex128, k0 int) {
+	for k := s.n - 1; k >= k0; k-- {
 		sum := y[k]
 		for t := s.diag[k] + 1; t < s.rowPtr[k+1]; t++ {
 			sum -= s.vals[t] * y[s.cols[t]]
 		}
-		y[k] = sum / s.vals[s.diag[k]]
+		y[k] = s.piv[k].quo(sum, s.vals[s.diag[k]])
 	}
-	for k := 0; k < n; k++ {
-		x[s.perm[k]] = y[k]
+}
+
+// SolveEntry returns the diagonal entry (A⁻¹)_ii, the i-th component of
+// the solution of A x = e_i, without the rest of x. With m = iperm[i] the
+// permuted right-hand side is the unit vector e_m, so a full Solve's
+// forward sweep leaves rows before m at exactly +0 (each is +0 minus
+// products of finite factors with +0), and its backward sweep finishes
+// row m using only rows after it. SolveEntry runs the forward sweep from
+// m and the backward sweep down to m, with the same operations in the
+// same order, so whenever the factors are finite it returns the bits of
+// Solve(e_i)[i]. Allocation-free.
+func (s *CSymbolicLU) SolveEntry(i int) (complex128, error) {
+	if i < 0 || i >= s.n {
+		return 0, fmt.Errorf("linalg: SolveEntry index %d out of range [0, %d)", i, s.n)
 	}
-	return nil
+	y := s.y
+	m := s.iperm[i]
+	clear(y)
+	y[m] = 1
+	s.forward(y, m)
+	s.backward(y, m)
+	return y[m], nil
 }
 
 // SymInvDiag returns the diagonal entry (A⁻¹)_ii of a complex-symmetric
@@ -420,7 +485,7 @@ func (s *CSymbolicLU) SymInvDiag(i int) (complex128, error) {
 	m := s.iperm[i]
 	clear(y[:m])
 	y[m] = 1
-	sum := 1 / s.vals[s.diag[m]]
+	sum := s.piv[m].quo(1, s.vals[s.diag[m]])
 	for k := m + 1; k < s.n; k++ {
 		var yk complex128
 		for t := s.rowPtr[k]; t < s.diag[k]; t++ {
@@ -428,7 +493,7 @@ func (s *CSymbolicLU) SymInvDiag(i int) (complex128, error) {
 		}
 		y[k] = yk
 		if yk != 0 {
-			sum += yk * yk / s.vals[s.diag[k]]
+			sum += s.piv[k].quo(yk*yk, s.vals[s.diag[k]])
 		}
 	}
 	return sum, nil
@@ -438,12 +503,12 @@ func (s *CSymbolicLU) SymInvDiag(i int) (complex128, error) {
 // permutation P A Pᵀ = L U, the permuted transpose factors as Uᵀ Lᵀ: a
 // forward scatter sweep over U's rows (Uᵀ is lower triangular with U's
 // diagonal) followed by a backward scatter sweep over L's rows (Lᵀ is
-// unit upper). x must not alias b is not required — a scratch vector
-// carries the intermediate. Allocation-free.
+// unit upper). The intermediate lives in a scratch vector, so x may alias
+// b. Allocation-free.
 func (s *CSymbolicLU) SolveT(b, x []complex128) error {
 	n := s.n
 	if len(b) != n || len(x) != n {
-		return fmt.Errorf("linalg: Solve vector length %d/%d, want %d", len(b), len(x), n)
+		return fmt.Errorf("linalg: SolveT vector length %d/%d, want %d", len(b), len(x), n)
 	}
 	y := s.y
 	for k := 0; k < n; k++ {
@@ -452,7 +517,7 @@ func (s *CSymbolicLU) SolveT(b, x []complex128) error {
 	// Uᵀ z = b': row-major U is column-major Uᵀ, so finalize y[k] and
 	// scatter its tail forward.
 	for k := 0; k < n; k++ {
-		yk := y[k] / s.vals[s.diag[k]]
+		yk := s.piv[k].quo(y[k], s.vals[s.diag[k]])
 		y[k] = yk
 		if yk == 0 {
 			continue
@@ -476,4 +541,42 @@ func (s *CSymbolicLU) SolveT(b, x []complex128) error {
 		x[s.perm[k]] = y[k]
 	}
 	return nil
+}
+
+// pivotDiv is the divisor half of Go's complex division for one pivot m:
+// the branch, ratio and denominator of Smith's algorithm exactly as
+// runtime.complex128div computes them, kept so that n/m for many n costs
+// two real divides. The expressions below are the runtime's, operand for
+// operand, so they round (and contract, where the target fuses multiply-
+// adds) the same way.
+type pivotDiv struct {
+	ratio, denom float64
+	reBig        bool // |real(m)| >= |imag(m)|
+}
+
+func newPivotDiv(m complex128) pivotDiv {
+	if math.Abs(real(m)) >= math.Abs(imag(m)) {
+		ratio := imag(m) / real(m)
+		return pivotDiv{ratio: ratio, denom: real(m) + ratio*imag(m), reBig: true}
+	}
+	ratio := real(m) / imag(m)
+	return pivotDiv{ratio: ratio, denom: imag(m) + ratio*real(m)}
+}
+
+// quo returns n/m bit for bit, m being the pivot p was built from. When
+// both parts come out NaN the runtime applies the C99 infinity and zero
+// corrections, so that rare case defers to / itself.
+func (p *pivotDiv) quo(n, m complex128) complex128 {
+	var e, f float64
+	if p.reBig {
+		e = (real(n) + imag(n)*p.ratio) / p.denom
+		f = (imag(n) - real(n)*p.ratio) / p.denom
+	} else {
+		e = (real(n)*p.ratio + imag(n)) / p.denom
+		f = (imag(n)*p.ratio - real(n)) / p.denom
+	}
+	if e != e && f != f {
+		return n / m
+	}
+	return complex(e, f)
 }

@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -169,9 +170,11 @@ func TestCSymbolicRefactorBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCSymbolicClone: a clone refactored with its own values solves them
-// bit for bit like the source would, whatever the source refactors
-// afterwards, and re-cloning into it reuses its storage.
+// TestCSymbolicClone: a clone shares the receiver's update map and owns
+// its factors and pivot divisors. Refactored with its own values it
+// solves them bit for bit like the source would, whatever the source
+// refactors afterwards; its own Refactor leaves the source's factors and
+// SymInvDiag bits untouched; and re-cloning into it allocates nothing.
 func TestCSymbolicClone(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	_, rowPtr, cols, vals := randSymPattern(rng, 40, 0.2)
@@ -195,6 +198,12 @@ func TestCSymbolicClone(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := s.Clone(nil)
+	if &c.upd[0] != &s.upd[0] || &c.inTgt[0] != &s.inTgt[0] || &c.inPos[0] != &s.inPos[0] {
+		t.Fatal("clone copied the update map instead of sharing it")
+	}
+	if &c.piv[0] == &s.piv[0] || &c.vals[0] == &s.vals[0] || &c.y[0] == &s.y[0] {
+		t.Fatal("clone shares numeric storage with its source")
+	}
 	if err := c.Refactor(vals); err != nil {
 		t.Fatal(err)
 	}
@@ -218,9 +227,111 @@ func TestCSymbolicClone(t *testing.T) {
 			t.Fatalf("clone [%d]: Solve %v/%v, SolveT %v/%v", i, got[i], want[i], gotT[i], wantT[i])
 		}
 	}
+
+	// The clone refactoring other values must not touch the source.
+	factors := append([]complex128(nil), s.vals...)
+	pivots := append([]pivotDiv(nil), s.piv...)
+	diag := make([]complex128, s.N())
+	for i := range diag {
+		if diag[i], err = s.SymInvDiag(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Refactor(vals); err != nil {
+		t.Fatal(err)
+	}
+	for i := range factors {
+		if !sameBits(s.vals[i], factors[i]) {
+			t.Fatalf("clone Refactor moved source factor %d: %v -> %v", i, factors[i], s.vals[i])
+		}
+	}
+	for k := range pivots {
+		if s.piv[k] != pivots[k] {
+			t.Fatalf("clone Refactor moved source pivot divisor %d", k)
+		}
+	}
+	for i := range diag {
+		d, err := s.SymInvDiag(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameBits(d, diag[i]) {
+			t.Fatalf("source SymInvDiag(%d) moved after clone Refactor: %v -> %v", i, diag[i], d)
+		}
+	}
 	if allocs := testing.AllocsPerRun(20, func() { s.Clone(c) }); allocs != 0 {
 		t.Fatalf("Clone into a sized clone allocates %v, want 0", allocs)
 	}
+}
+
+// sameBits reports whether two complex values are identical bit for bit.
+func sameBits(a, b complex128) bool {
+	return math.Float64bits(real(a)) == math.Float64bits(real(b)) &&
+		math.Float64bits(imag(a)) == math.Float64bits(imag(b))
+}
+
+// TestCSymbolicSolveEntry: the single-entry solve returns the bits of a
+// full Solve's entry, (A⁻¹)_ii = Solve(e_i)[i], on random patterns of
+// many sizes, and rejects out-of-range indices.
+func TestCSymbolicSolveEntry(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 40; trial++ {
+		n := 2 + rng.Intn(60)
+		_, rowPtr, cols, vals := randSymPattern(rng, n, 0.05+0.2*rng.Float64())
+		s, err := NewCSymbolicLU(rowPtr, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Refactor(vals); err != nil {
+			t.Fatal(err)
+		}
+		e := make([]complex128, n)
+		x := make([]complex128, n)
+		for i := range e {
+			e[i] = 1
+			if err := s.Solve(e, x); err != nil {
+				t.Fatal(err)
+			}
+			e[i] = 0
+			got, err := s.SolveEntry(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameBits(got, x[i]) {
+				t.Fatalf("trial %d n=%d: SolveEntry(%d) = %v, Solve(e_i)[i] = %v", trial, n, i, got, x[i])
+			}
+		}
+		if _, err := s.SolveEntry(n); err == nil {
+			t.Fatal("out-of-range index accepted")
+		}
+	}
+}
+
+// FuzzPivotDiv: dividing by a pivot through its precomputed divisor must
+// give the bits of Go's complex division for every dividend and divisor,
+// specials included.
+func FuzzPivotDiv(f *testing.F) {
+	inf, nan := math.Inf(1), math.NaN()
+	specials := []float64{
+		0, math.Copysign(0, -1), 5e-324, -5e-324, 2.2250738585072014e-308,
+		1, -1, 1e300, -1e300, 1e-300, -1e-300, math.MaxFloat64, inf, -inf, nan,
+	}
+	for _, a := range specials {
+		for _, b := range specials {
+			f.Add(1.0, 1.0, a, b) // every divisor class, both branches
+			f.Add(a, b, 3.0, -2.0)
+			f.Add(a, b, 2.0, 3.0)
+		}
+	}
+	f.Add(1e300, 1e300, 1e-300, 1e-300)
+	f.Add(-1e-300, 1e300, 1e300, -1e-300)
+	f.Fuzz(func(t *testing.T, nr, ni, mr, mi float64) {
+		n, m := complex(nr, ni), complex(mr, mi)
+		p := newPivotDiv(m)
+		if got, want := p.quo(n, m), n/m; !sameBits(got, want) {
+			t.Fatalf("(%v)/(%v): pivot division %v, Go / %v", n, m, got, want)
+		}
+	})
 }
 
 // TestCSymbolicSymInvDiag: on a complex-symmetric matrix the one-sweep

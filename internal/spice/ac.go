@@ -557,17 +557,27 @@ func (e *ACEngine) solveT(b, x []complex128) error {
 // circuit node: the node voltage produced by a unit AC current injection,
 // with every voltage source shorted and every current source opened.
 // Factorizations are cached per frequency, so Impedance followed by
-// ImpedanceSens at the same omega factors once.
+// ImpedanceSens at the same omega factors once. On the stamp plan only
+// the observed entry of the response is solved for
+// (linalg.CSymbolicLU.SolveEntry), with the bits of the full solve.
 func (e *ACEngine) Impedance(omega float64, node int) (complex128, error) {
+	return e.impedance(omega, node, false)
+}
+
+// impedance factors at omega and solves for the response to a unit
+// current at node. With full set, or off the stamp plan, the whole
+// response lands in e.x; otherwise only the node's entry is solved for.
+func (e *ACEngine) impedance(omega float64, node int, full bool) (complex128, error) {
 	if node <= 0 || node >= e.nNodes {
 		return 0, fmt.Errorf("spice: AC observation node %d out of range (1..%d)", node, e.nNodes-1)
 	}
 	if err := e.factorAt(omega); err != nil {
 		return 0, err
 	}
-	for i := range e.rhs {
-		e.rhs[i] = 0
+	if !full && e.active == acViaPlan {
+		return e.plan.lu.SolveEntry(slotOf(node))
 	}
+	clear(e.rhs)
 	e.rhs[slotOf(node)] = 1
 	if err := e.solveRHS(e.rhs, e.x); err != nil {
 		return 0, err
@@ -594,7 +604,7 @@ func (e *ACEngine) Impedance(omega float64, node int) (complex128, error) {
 // The returned slice reuses out's backing storage when capacity allows; it
 // is valid until the engine is used again.
 func (e *ACEngine) ImpedanceSens(omega float64, node int, out []SensEntry) (complex128, []SensEntry, error) {
-	z, err := e.Impedance(omega, node)
+	z, err := e.impedance(omega, node, true)
 	if err != nil {
 		return 0, nil, err
 	}

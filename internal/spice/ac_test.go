@@ -7,6 +7,7 @@ import (
 
 	"ssnkit/internal/circuit"
 	"ssnkit/internal/linalg"
+	"ssnkit/internal/pkgmodel"
 )
 
 // relErrC is the relative complex error with a unit floor.
@@ -540,5 +541,74 @@ func TestACFactorizationReuse(t *testing.T) {
 	}
 	if z2 == z1 {
 		t.Error("frequency change did not invalidate the factorization")
+	}
+}
+
+// TestACSolveEntryBits: on the catalog packages' meshes the plan's
+// single-entry solve returns the bits of a full solve's diagonal entry at
+// every unknown (at one frequency per mesh, cycling through the band),
+// and Impedance (single entry) and ImpedanceSens (full solve) return the
+// same z bits at every frequency.
+func TestACSolveEntryBits(t *testing.T) {
+	freqs, err := FreqGrid(1e6, 1e10, 3, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(a, b complex128) bool {
+		return math.Float64bits(real(a)) == math.Float64bits(real(b)) &&
+			math.Float64bits(imag(a)) == math.Float64bits(imag(b))
+	}
+	cfg := 0
+	for _, pkg := range pkgmodel.Catalog() {
+		for _, rc := range []int{4, 8, 12} {
+			ckt, obs, err := pkgmodel.DefaultPDN(pkg, rc, rc, 4).Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, gmin := range []float64{0, 1e-9} {
+				eng, err := NewAC(ckt, ACOptions{Gmin: gmin, Backend: ACSymbolic})
+				if err != nil {
+					t.Fatal(err)
+				}
+				lu := eng.plan.lu
+				e := make([]complex128, lu.N())
+				x := make([]complex128, lu.N())
+				var sens []SensEntry
+				full := cfg % len(freqs)
+				cfg++
+				for k, f := range freqs {
+					w := 2 * math.Pi * f
+					z, err := eng.Impedance(w, obs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var zs complex128
+					if zs, sens, err = eng.ImpedanceSens(w, obs, sens); err != nil {
+						t.Fatal(err)
+					}
+					if !same(z, zs) {
+						t.Fatalf("%s %dx%d gmin=%g f=%g: Impedance %v, ImpedanceSens %v", pkg.Name, rc, rc, gmin, f, z, zs)
+					}
+					if k != full {
+						continue
+					}
+					for i := range e {
+						e[i] = 1
+						if err := lu.Solve(e, x); err != nil {
+							t.Fatal(err)
+						}
+						e[i] = 0
+						got, err := lu.SolveEntry(i)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !same(got, x[i]) {
+							t.Fatalf("%s %dx%d gmin=%g f=%g: SolveEntry(%d) %v, Solve(e_i)[i] %v",
+								pkg.Name, rc, rc, gmin, f, i, got, x[i])
+						}
+					}
+				}
+			}
+		}
 	}
 }
