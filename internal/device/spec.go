@@ -8,11 +8,12 @@ import (
 
 // ExtractSpec names one ASDM extraction by its inputs: process kit, corner,
 // driver polarity and width. Extraction is a pure function of these four
-// values — equal specs always fit the identical model — which makes
-// Key() a sound cache key for extraction reuse. ExtractASDM solves a fresh
-// least-squares problem over a (Vg, Vs) grid on every call, the expensive
-// repeated step when evaluating SSN in bulk, so batch consumers (the
-// ssnserve evaluation service, sweep harnesses) key their caches on this.
+// values — equal specs always fit the identical model — which makes the
+// normalized spec a sound cache key for extraction reuse. ExtractASDM
+// solves a fresh least-squares problem over a (Vg, Vs) grid on every call,
+// the expensive repeated step when evaluating SSN in bulk, so batch
+// consumers (the ssnserve evaluation service, sweep harnesses) key their
+// caches on this.
 type ExtractSpec struct {
 	Process string  // kit name: "c018", "c025" or "c035"
 	Corner  Corner  // process corner applied via Process.At
@@ -20,9 +21,9 @@ type ExtractSpec struct {
 	Size    float64 // driver width multiple; <= 0 means 1x
 }
 
-// normalized maps the degenerate width encodings onto one representative so
-// equivalent specs share a key.
-func (s ExtractSpec) normalized() ExtractSpec {
+// Normalized maps the degenerate width encodings (Size <= 0) onto 1x, so
+// equivalent specs compare equal and share a Key.
+func (s ExtractSpec) Normalized() ExtractSpec {
 	if s.Size <= 0 {
 		s.Size = 1
 	}
@@ -31,7 +32,7 @@ func (s ExtractSpec) normalized() ExtractSpec {
 
 // Key returns a canonical string identity for the spec.
 func (s ExtractSpec) Key() string {
-	s = s.normalized()
+	s = s.Normalized()
 	pol := "dn"
 	if s.Rail {
 		pol = "up"
@@ -43,7 +44,7 @@ func (s ExtractSpec) Key() string {
 // ASDM over the standard SSN region, returning the model with its
 // goodness-of-fit statistics.
 func (s ExtractSpec) Extract() (ASDM, fit.Stats, error) {
-	s = s.normalized()
+	s = s.Normalized()
 	proc, err := ProcessByName(s.Process)
 	if err != nil {
 		return ASDM{}, fit.Stats{}, err

@@ -8,8 +8,9 @@ import (
 	"ssnkit/internal/ssn"
 )
 
-// ExtractCache is a sharded LRU over ASDM extractions keyed by
-// device.ExtractSpec.Key(). Extraction re-fits a least-squares problem on
+// ExtractCache is a sharded LRU over ASDM extractions keyed by the
+// normalized device.ExtractSpec value (extractKey), so a hit hashes a few
+// words and allocates nothing. Extraction re-fits a least-squares problem on
 // a (Vg, Vs) grid per call — microseconds of closed-form evaluation hide
 // behind milliseconds of fitting when every batch item re-extracts — but
 // the result is a pure function of the spec, so a small cache turns the
@@ -21,8 +22,40 @@ import (
 // consumer, not just the HTTP service: cmd/ssnsweep shares it with the
 // sweep engine so a size-axis sweep re-fits each width once.
 type ExtractCache struct {
-	lru     *lru[string, extraction]
+	lru     *lru[extractKey, extraction]
 	metrics *Metrics
+}
+
+// extractKey is the comparable identity of a normalized ExtractSpec: two
+// specs map to one key exactly when their Key() strings are equal. The
+// width is held by its bit pattern with every NaN folded onto one, because
+// a NaN never equals itself and would miss (and never be deleted from) a
+// map keyed by the float.
+type extractKey struct {
+	process string
+	corner  device.Corner
+	rail    bool
+	size    uint64
+}
+
+func extractKeyOf(spec device.ExtractSpec) extractKey {
+	s := spec.Normalized()
+	size := math.Float64bits(s.Size)
+	if math.IsNaN(s.Size) {
+		size = math.Float64bits(math.NaN())
+	}
+	return extractKey{process: s.Process, corner: s.Corner, rail: s.Rail, size: size}
+}
+
+// hashExtractKey mixes every extractKey field with 64-bit FNV-1a to pick a
+// shard.
+func hashExtractKey(k extractKey) uint64 {
+	h := fnvString(fnvOffset, k.process)
+	w := uint64(k.corner) << 1
+	if k.rail {
+		w |= 1
+	}
+	return fnvWord(fnvWord(h, w), k.size)
 }
 
 // extraction is one cached fit. The fit's error is part of the value, so
@@ -37,14 +70,14 @@ type extraction struct {
 // total, split across the shards; m may be nil when no metrics are
 // collected (CLI use).
 func NewExtractCache(capacity int, m *Metrics) *ExtractCache {
-	return &ExtractCache{lru: newLRU[string, extraction](capacity, fnv1a), metrics: m}
+	return &ExtractCache{lru: newLRU[extractKey, extraction](capacity, hashExtractKey), metrics: m}
 }
 
 // Get returns the cached extraction for the spec, extracting on first use.
 func (c *ExtractCache) Get(spec device.ExtractSpec) (device.ASDM, fit.Stats, error) {
 	// The compute never fails (the fit's error rides in the value), so
 	// get's error is always nil.
-	x, hit, _ := c.lru.get(spec.Key(), func() (extraction, error) {
+	x, hit, _ := c.lru.get(extractKeyOf(spec), func() (extraction, error) {
 		var x extraction
 		x.model, x.stats, x.err = spec.Extract()
 		return x, nil

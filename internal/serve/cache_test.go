@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -137,12 +138,26 @@ func BenchmarkExtractUncached(b *testing.B) {
 	}
 }
 
+// TestExtractCacheHitDoesNotAllocate pins the struct key's point: a hit,
+// metrics included, hashes a few words and allocates nothing.
+func TestExtractCacheHitDoesNotAllocate(t *testing.T) {
+	c := NewExtractCache(8, NewMetrics())
+	spec := device.ExtractSpec{Process: "c018", Corner: device.FF, Rail: true, Size: 2}
+	if _, _, err := c.Get(spec); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(1000, func() { _, _, _ = c.Get(spec) }); n != 0 {
+		t.Errorf("%v allocations per cache hit, want 0", n)
+	}
+}
+
 func BenchmarkExtractCached(b *testing.B) {
 	c := NewExtractCache(8, nil)
 	spec := device.ExtractSpec{Process: "c018"}
 	if _, _, err := c.Get(spec); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := c.Get(spec); err != nil {
@@ -184,5 +199,66 @@ func TestPlanCacheMatchesModel(t *testing.T) {
 	_, err2 := ssn.NewLCModel(bad)
 	if err1 == nil || err2 == nil || err1.Error() != err2.Error() {
 		t.Errorf("error mismatch: cache %v, model %v", err1, err2)
+	}
+}
+
+// TestExtractKeyMatchesKeyString pins the struct key to the string key it
+// replaced on the request path: two specs share a cache entry exactly
+// when their Key() strings are equal.
+func TestExtractKeyMatchesKeyString(t *testing.T) {
+	otherNaN := math.Float64frombits(math.Float64bits(math.NaN()) ^ 1)
+	var specs []device.ExtractSpec
+	for _, proc := range []string{"c018", "c025", "c018|tt"} {
+		for _, corner := range []device.Corner{device.TT, device.SS, device.FF, device.Corner(7)} {
+			for _, rail := range []bool{false, true} {
+				for _, size := range []float64{0, math.Copysign(0, -1), -1, 1, 2, 2.5, 5e-324,
+					math.Inf(1), math.Inf(-1), math.NaN(), otherNaN} {
+					specs = append(specs, device.ExtractSpec{Process: proc, Corner: corner, Rail: rail, Size: size})
+				}
+			}
+		}
+	}
+	for _, a := range specs {
+		for _, b := range specs {
+			if (a.Key() == b.Key()) != (extractKeyOf(a) == extractKeyOf(b)) {
+				t.Fatalf("%+v vs %+v: Key %q / %q, struct keys equal %t",
+					a, b, a.Key(), b.Key(), extractKeyOf(a) == extractKeyOf(b))
+			}
+			if extractKeyOf(a) == extractKeyOf(b) && hashExtractKey(extractKeyOf(a)) != hashExtractKey(extractKeyOf(b)) {
+				t.Fatalf("%+v vs %+v: equal keys on different shards", a, b)
+			}
+		}
+	}
+}
+
+// TestExtractCacheSharesEquivalentSpecs drives the cache itself: the
+// degenerate widths share one entry, corners and rails do not, and a NaN
+// width is one entry rather than a fresh miss on every lookup.
+func TestExtractCacheSharesEquivalentSpecs(t *testing.T) {
+	m := NewMetrics()
+	c := NewExtractCache(64, m)
+	get := func(s device.ExtractSpec) {
+		t.Helper()
+		_, _, _ = c.Get(s) // a failed fit is cached like a good one
+	}
+	for _, size := range []float64{0, -1, 1} {
+		get(device.ExtractSpec{Process: "c018", Size: size})
+	}
+	if n, hits := c.Len(), m.value("ssnserve_cache_hits_total"); n != 1 || hits != 2 {
+		t.Errorf("sizes 0, -1, 1: %d entries, %d hits; want 1 entry, 2 hits", n, hits)
+	}
+	get(device.ExtractSpec{Process: "c018", Corner: device.FF})
+	get(device.ExtractSpec{Process: "c018", Rail: true})
+	get(device.ExtractSpec{Process: "c018", Corner: device.FF, Rail: true})
+	if n := c.Len(); n != 4 {
+		t.Errorf("corners and rails: %d entries, want 4", n)
+	}
+	nan := math.NaN()
+	for i := 0; i < 8; i++ {
+		get(device.ExtractSpec{Process: "c018", Size: nan})
+		nan = math.Float64frombits(math.Float64bits(nan) + 1)
+	}
+	if n, misses := c.Len(), m.value("ssnserve_cache_misses_total"); n != 5 || misses != 5 {
+		t.Errorf("NaN width: %d entries, %d misses; want 5 and 5", n, misses)
 	}
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,6 +9,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ssnkit/internal/ssn"
@@ -32,12 +34,26 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, dst any) *ap
 	return nil
 }
 
+// writeJSON sends v with the given status. It encodes into a pooled
+// buffer before the status line goes out, so a value encoding/json
+// refuses (a NaN or an infinity) becomes a 500 internal error envelope
+// rather than a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	buf := jsonBufPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	enc := json.NewEncoder(buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(v); err != nil {
+		status = http.StatusInternalServerError
+		_ = enc.Encode(map[string]*apiError{"error": {Code: CodeInternal,
+			Message: "encoding the reply: " + err.Error()}})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v) // the status line is gone; nothing left to report
+	_, _ = w.Write(buf.Bytes()) // a failed write means the client is gone
+	if buf.Cap() <= jsonBufMaxRetain {
+		jsonBufPool.Put(buf)
+	}
 }
 
 // evalOne resolves and evaluates a single item; errors land in the result
@@ -66,6 +82,15 @@ func (s *Server) evalOne(index int, it EvalItem) EvalResult {
 			res.Error = toAPIError(err)
 			return res
 		}
+		if sens.VMax == 0 {
+			// The relative sensitivities divide by vmax: 0/0 has no answer.
+			res.Error = &apiError{Code: CodeInvalidParams,
+				Message:    "sensitivity requested where vmax = 0: relative sensitivity is undefined",
+				Field:      "sensitivity",
+				Value:      true,
+				Constraint: "relative sensitivity is undefined at vmax = 0"}
+			return res
+		}
 		res.Sens = &SensitivityResult{
 			DVdN: sens.DVdN, DVdL: sens.DVdL, DVdS: sens.DVdS, DVdC: sens.DVdC,
 			RelN: sens.RelN, RelL: sens.RelL, RelS: sens.RelS, RelC: sens.RelC,
@@ -86,9 +111,10 @@ func evalPlan(p ssn.Params) (vmax float64, cse ssn.Case, tmax float64, err error
 }
 
 // handleMaxSSN serves POST /v1/maxssn: a single item inline, or a batch
-// under "items" (JSON) or as SSNC columnar rows. Batch items run
-// concurrently on the shared worker pool; per-item failures are reported
-// in place so one bad corner does not void a thousand good ones.
+// under "items" (JSON) or as SSNC columnar rows. Both batch forms go
+// through evalItems, which spreads the items over at most Workers
+// goroutines on the shared pool; per-item failures are reported in place
+// so one bad corner does not void a thousand good ones.
 func (s *Server) handleMaxSSN(w http.ResponseWriter, r *http.Request) {
 	if isColumnarBody(r) {
 		s.handleMaxSSNColumnar(w, r)
@@ -125,31 +151,57 @@ func (s *Server) handleMaxSSN(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, maxSSNBatchResponse{Count: len(results), Results: results})
 }
 
-// evalItems runs a batch on the shared worker pool under the request
-// timeout; items not yet started at the deadline fail in place.
+// evalItems runs a batch under the request timeout on runBatch's bounded
+// workers; items not yet started at the deadline fail in place.
 func (s *Server) evalItems(ctx context.Context, items []EvalItem) []EvalResult {
 	ctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
 	defer cancel()
 	results := make([]EvalResult, len(items))
-	var wg sync.WaitGroup
-	for i := range items {
-		if err := s.pool.acquire(ctx); err != nil {
-			// Deadline or disconnect: fail the not-yet-started remainder.
-			for j := i; j < len(items); j++ {
-				results[j] = EvalResult{Index: j,
-					Error: &apiError{Code: CodeTimeout, Message: "evaluation aborted: " + err.Error()}}
-			}
-			break
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer s.pool.release()
-			results[i] = s.evalOne(i, items[i])
-		}(i)
-	}
-	wg.Wait()
+	s.runBatch(ctx, len(items), func(i int) {
+		results[i] = s.evalOne(i, items[i])
+	}, func(i int, err error) {
+		results[i] = EvalResult{Index: i,
+			Error: &apiError{Code: CodeTimeout, Message: "evaluation aborted: " + err.Error()}}
+	})
 	return results
+}
+
+// runBatch calls run(i) for every i < n on min(Workers, n) workers, the
+// calling goroutine among them, so a one-worker server spawns none. Each
+// worker claims the next index and holds a pool slot while run(i) works,
+// which keeps batch items on the one pool every route shares. An index
+// claimed after ctx ends, or whose slot wait ctx cuts short, gets
+// abort(i, err) instead of a slot, so the deadline stops new items from
+// starting while the ones already running finish.
+func (s *Server) runBatch(ctx context.Context, n int, run func(i int), abort func(i int, err error)) {
+	var next atomic.Int64
+	item := func(i int) {
+		defer s.pool.release()
+		run(i)
+	}
+	work := func() {
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			err := ctx.Err()
+			if err == nil {
+				err = s.pool.acquire(ctx)
+			}
+			if err != nil {
+				abort(i, err)
+				continue
+			}
+			item(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(s.cfg.Workers, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 }
 
 // handleWaveform serves POST /v1/waveform: the sampled closed-form V(t)

@@ -14,8 +14,10 @@ const (
 
 // fnv1a hashes a key with 64-bit FNV-1a; it picks the shard for a string
 // key without allocating.
-func fnv1a(s string) uint64 {
-	h := uint64(fnvOffset)
+func fnv1a(s string) uint64 { return fnvString(fnvOffset, s) }
+
+// fnvString folds the bytes of s into the FNV-1a state h.
+func fnvString(h uint64, s string) uint64 {
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
 		h *= fnvPrime

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"sync"
 
 	"ssnkit/internal/ssn"
 )
@@ -267,22 +266,11 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	results := make([]SolveResult, len(req.Items))
-	var wg sync.WaitGroup
-	for i := range req.Items {
-		if err := s.pool.acquire(ctx); err != nil {
-			for j := i; j < len(req.Items); j++ {
-				results[j] = SolveResult{Index: j,
-					Error: &apiError{Code: CodeTimeout, Message: "solve aborted: " + err.Error()}}
-			}
-			break
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer s.pool.release()
-			results[i] = s.solveOne(ctx, i, req.Items[i])
-		}(i)
-	}
-	wg.Wait()
+	s.runBatch(ctx, len(req.Items), func(i int) {
+		results[i] = s.solveOne(ctx, i, req.Items[i])
+	}, func(i int, err error) {
+		results[i] = SolveResult{Index: i,
+			Error: &apiError{Code: CodeTimeout, Message: "solve aborted: " + err.Error()}}
+	})
 	writeJSON(w, http.StatusOK, solveBatchResponse{Count: len(results), Results: results})
 }

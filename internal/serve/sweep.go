@@ -152,18 +152,19 @@ func (s *Server) buildSweep(req sweepRequest) (sweep.Grid, sweep.Config, *apiErr
 // clients observe progress incrementally without a per-line syscall.
 const sweepFlushEvery = 64
 
-// sweepBufPool recycles NDJSON encode buffers across streamed requests.
-// Records are appended to a pooled bytes.Buffer and written to the
+// jsonBufPool recycles JSON encode buffers across requests. Streamed
+// records are appended to a pooled bytes.Buffer and written to the
 // connection once per sweepFlushEvery lines, so the per-point cost is an
-// append into memory, not a ResponseWriter round trip.
-var sweepBufPool = sync.Pool{
+// append into memory, not a ResponseWriter round trip; writeJSON encodes a
+// whole reply into one before its status line goes out.
+var jsonBufPool = sync.Pool{
 	New: func() any { return new(bytes.Buffer) },
 }
 
-// sweepBufMaxRetain caps the capacity of a buffer returned to the pool; a
-// stream of pathologically wide records must not pin its high-water mark
+// jsonBufMaxRetain caps the capacity of a buffer returned to the pool; a
+// pathologically wide reply or stream must not pin its high-water mark
 // for the life of the process.
-const sweepBufMaxRetain = 1 << 16
+const jsonBufMaxRetain = 1 << 16
 
 // ndjsonStream is one streamed NDJSON response (/v1/sweep, /v1/impedance):
 // callers put whole lines into buf, and the stream ends with exactly one
@@ -181,7 +182,7 @@ type ndjsonStream struct {
 func startNDJSON(w http.ResponseWriter) *ndjsonStream {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	st := &ndjsonStream{w: w, buf: sweepBufPool.Get().(*bytes.Buffer)}
+	st := &ndjsonStream{w: w, buf: jsonBufPool.Get().(*bytes.Buffer)}
 	st.flusher, _ = w.(http.Flusher)
 	st.buf.Reset()
 	st.enc = json.NewEncoder(st.buf)
@@ -218,8 +219,8 @@ func (st *ndjsonStream) finish(summary any, err error) {
 	}
 	_ = st.enc.Encode(summary) // ints, strings and floats the records already encoded
 	_ = st.flush()             // a failed write means the client is gone
-	if st.buf.Cap() <= sweepBufMaxRetain {
-		sweepBufPool.Put(st.buf)
+	if st.buf.Cap() <= jsonBufMaxRetain {
+		jsonBufPool.Put(st.buf)
 	}
 	st.buf = nil
 }

@@ -240,8 +240,8 @@ type (
 	// Corner names a process corner (TT/SS/FF) for Process.At.
 	Corner = device.Corner
 	// ExtractSpec names one ASDM extraction (process, corner, polarity,
-	// width); its Key() is the cache key batch consumers reuse
-	// extractions under.
+	// width); its Normalized() value is the cache key batch consumers
+	// reuse extractions under.
 	ExtractSpec = device.ExtractSpec
 	// FitStats reports goodness-of-fit of a device extraction.
 	FitStats = fit.Stats
