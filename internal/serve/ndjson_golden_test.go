@@ -11,12 +11,12 @@ import (
 
 var updateNDJSONGolden = flag.Bool("update-ndjson", false, "rewrite the testdata/*.ndjson goldens from a fresh run")
 
-// checkNDJSONGolden compares a streamed body with testdata/<name> byte for
-// byte.
-func checkNDJSONGolden(t *testing.T, name string, got []byte) {
+// checkGolden compares a reply body with testdata/<name> byte for byte,
+// first rewriting the file from got when update is set.
+func checkGolden(t *testing.T, name string, got []byte, update bool) {
 	t.Helper()
 	golden := filepath.Join("testdata", name)
-	if *updateNDJSONGolden {
+	if update {
 		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -26,7 +26,7 @@ func checkNDJSONGolden(t *testing.T, name string, got []byte) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Errorf("stream differs from %s (rerun with -update-ndjson to inspect):\n%s", golden, got)
+		t.Errorf("body differs from %s (rerun with its -update-* flag to inspect):\n%s", golden, got)
 	}
 }
 
@@ -49,7 +49,7 @@ func TestSweepRefineGolden(t *testing.T) {
 	if !bytes.Contains(body, []byte(`"depth":3`)) {
 		t.Fatalf("no depth-3 records in the stream:\n%s", body)
 	}
-	checkNDJSONGolden(t, "sweep_refine.ndjson", body)
+	checkGolden(t, "sweep_refine.ndjson", body, *updateNDJSONGolden)
 }
 
 // TestImpedanceNDJSONGolden pins the /v1/impedance sweep records, plain
@@ -64,6 +64,6 @@ func TestImpedanceNDJSONGolden(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: status %d: %s", tc.name, resp.StatusCode, body)
 		}
-		checkNDJSONGolden(t, tc.name, body)
+		checkGolden(t, tc.name, body, *updateNDJSONGolden)
 	}
 }
