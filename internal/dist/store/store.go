@@ -244,17 +244,6 @@ func (s *Store) Len() int {
 	return len(s.entries)
 }
 
-// Shards returns the committed shard indices in unspecified order.
-func (s *Store) Shards() []int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]int, 0, len(s.entries))
-	for i := range s.entries {
-		out = append(out, i)
-	}
-	return out
-}
-
 // Get reads shard i's payload, verifying its CRC.
 func (s *Store) Get(i int) ([]byte, error) {
 	s.mu.RLock()

@@ -83,25 +83,3 @@ func Linear(rows [][]float64, y []float64) ([]float64, error) {
 	a := linalg.FromRows(rows)
 	return linalg.LeastSquares(a, y)
 }
-
-// Polynomial fits a degree-deg polynomial to (xs, ys) and returns the
-// coefficients in ascending order (c[0] + c[1]x + ...).
-func Polynomial(xs, ys []float64, deg int) ([]float64, error) {
-	if deg < 0 {
-		return nil, fmt.Errorf("%w: negative degree", ErrBadInput)
-	}
-	if len(xs) != len(ys) || len(xs) < deg+1 {
-		return nil, fmt.Errorf("%w: %d samples for degree %d", ErrBadInput, len(xs), deg)
-	}
-	rows := make([][]float64, len(xs))
-	for i, x := range xs {
-		row := make([]float64, deg+1)
-		p := 1.0
-		for j := 0; j <= deg; j++ {
-			row[j] = p
-			p *= x
-		}
-		rows[i] = row
-	}
-	return Linear(rows, ys)
-}

@@ -80,34 +80,6 @@ func TestLinearErrors(t *testing.T) {
 	}
 }
 
-func TestPolynomialExact(t *testing.T) {
-	// y = 1 - x + 2x^2
-	xs := []float64{-2, -1, 0, 1, 2, 3}
-	ys := make([]float64, len(xs))
-	for i, x := range xs {
-		ys[i] = 1 - x + 2*x*x
-	}
-	c, err := Polynomial(xs, ys, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{1, -1, 2}
-	for i := range want {
-		if math.Abs(c[i]-want[i]) > 1e-9 {
-			t.Errorf("c[%d] = %g, want %g", i, c[i], want[i])
-		}
-	}
-}
-
-func TestPolynomialErrors(t *testing.T) {
-	if _, err := Polynomial([]float64{1}, []float64{1}, -1); err == nil {
-		t.Error("negative degree must error")
-	}
-	if _, err := Polynomial([]float64{1, 2}, []float64{1, 2}, 2); err == nil {
-		t.Error("too few samples must error")
-	}
-}
-
 func TestLinearRecoveryProperty(t *testing.T) {
 	// Property: planted noiseless linear models are recovered for random
 	// well-spread regressors.

@@ -57,22 +57,6 @@ func TestMulVec(t *testing.T) {
 	}
 }
 
-func TestMulIdentity(t *testing.T) {
-	m := FromRows([][]float64{{2, -1, 0}, {0, 3, 5}, {7, 1, 1}})
-	p := m.Mul(Identity(3))
-	for i := range m.Data {
-		if p.Data[i] != m.Data[i] {
-			t.Fatal("M * I != M")
-		}
-	}
-	q := Identity(3).Mul(m)
-	for i := range m.Data {
-		if q.Data[i] != m.Data[i] {
-			t.Fatal("I * M != M")
-		}
-	}
-}
-
 func TestLeastSquaresExact(t *testing.T) {
 	// Square consistent system: least squares == exact solve.
 	a := FromRows([][]float64{{1, 1}, {1, -1}})
@@ -153,9 +137,6 @@ func TestVectorHelpers(t *testing.T) {
 	}
 	if !almostEq(VecNorm2([]float64{3, 4}), 5, 1e-15) {
 		t.Error("VecNorm2")
-	}
-	if Dot([]float64{1, 2}, []float64{3, 4}) != 11 {
-		t.Error("Dot")
 	}
 	d := VecSub([]float64{5, 5}, []float64{2, 3})
 	if d[0] != 3 || d[1] != 2 {

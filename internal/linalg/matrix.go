@@ -42,15 +42,6 @@ func FromRows(rows [][]float64) *Matrix {
 	return m
 }
 
-// Identity returns the n x n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -90,26 +81,6 @@ func (m *Matrix) MulVec(x []float64) []float64 {
 		y[i] = s
 	}
 	return y
-}
-
-// Mul returns the matrix product M * B.
-func (m *Matrix) Mul(b *Matrix) *Matrix {
-	if m.Cols != b.Rows {
-		panic(fmt.Sprintf("linalg: Mul dim mismatch %dx%d * %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
-	}
-	out := NewMatrix(m.Rows, b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for k := 0; k < m.Cols; k++ {
-			a := m.At(i, k)
-			if a == 0 {
-				continue
-			}
-			for j := 0; j < b.Cols; j++ {
-				out.Add(i, j, a*b.At(k, j))
-			}
-		}
-	}
-	return out
 }
 
 // Transpose returns Mᵀ.
@@ -170,9 +141,6 @@ func NewCMatrix(rows, cols int) *CMatrix {
 // At returns element (i, j).
 func (m *CMatrix) At(i, j int) complex128 { return m.Data[i*m.Cols+j] }
 
-// Set assigns element (i, j).
-func (m *CMatrix) Set(i, j int, v complex128) { m.Data[i*m.Cols+j] = v }
-
 // Add accumulates v into element (i, j); the fundamental MNA stamp
 // operation.
 func (m *CMatrix) Add(i, j int, v complex128) { m.Data[i*m.Cols+j] += v }
@@ -214,16 +182,4 @@ func VecSub(a, b []float64) []float64 {
 		out[i] = a[i] - b[i]
 	}
 	return out
-}
-
-// Dot returns the inner product of a and b.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("linalg: Dot length mismatch")
-	}
-	s := 0.0
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
 }

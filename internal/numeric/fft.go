@@ -40,23 +40,6 @@ func FFT(x []complex128) ([]complex128, error) {
 	return out, nil
 }
 
-// IFFT computes the inverse DFT (normalized by 1/N).
-func IFFT(x []complex128) ([]complex128, error) {
-	n := len(x)
-	conj := make([]complex128, n)
-	for i, v := range x {
-		conj[i] = cmplx.Conj(v)
-	}
-	y, err := FFT(conj)
-	if err != nil {
-		return nil, err
-	}
-	for i := range y {
-		y[i] = cmplx.Conj(y[i]) / complex(float64(n), 0)
-	}
-	return y, nil
-}
-
 // NextPow2 returns the smallest power of two >= n (minimum 1).
 func NextPow2(n int) int {
 	if n <= 1 {

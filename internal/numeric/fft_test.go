@@ -5,7 +5,6 @@ import (
 	"math/cmplx"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 // naiveDFT is the O(n^2) reference implementation.
@@ -71,34 +70,6 @@ func TestFFTSingleToneBin(t *testing.T) {
 		if math.Abs(cmplx.Abs(X[k])-want) > 1e-8 {
 			t.Fatalf("bin %d: |X| = %g, want %g", k, cmplx.Abs(X[k]), want)
 		}
-	}
-}
-
-func TestIFFTRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 << (1 + rng.Intn(8))
-		x := make([]complex128, n)
-		for i := range x {
-			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-		}
-		X, err := FFT(x)
-		if err != nil {
-			return false
-		}
-		back, err := IFFT(X)
-		if err != nil {
-			return false
-		}
-		for i := range x {
-			if cmplx.Abs(back[i]-x[i]) > 1e-9*float64(n) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
 	}
 }
 

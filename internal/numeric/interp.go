@@ -70,16 +70,6 @@ func (p *Interp1) Breakpoints() []float64 {
 	return out
 }
 
-// Polyval evaluates the polynomial with coefficients c (c[0] + c[1]x + ...)
-// at x using Horner's rule.
-func Polyval(c []float64, x float64) float64 {
-	v := 0.0
-	for i := len(c) - 1; i >= 0; i-- {
-		v = v*x + c[i]
-	}
-	return v
-}
-
 // Linspace returns n evenly spaced samples over [a, b] inclusive. n must be
 // at least 2.
 func Linspace(a, b float64, n int) []float64 {
@@ -107,17 +97,4 @@ func Logspace(a, b float64, n int) []float64 {
 	}
 	xs[0], xs[n-1] = a, b
 	return xs
-}
-
-// TrapzUniform integrates uniformly sampled values with spacing dx using the
-// trapezoidal rule.
-func TrapzUniform(ys []float64, dx float64) float64 {
-	if len(ys) < 2 {
-		return 0
-	}
-	sum := 0.5 * (ys[0] + ys[len(ys)-1])
-	for _, y := range ys[1 : len(ys)-1] {
-		sum += y
-	}
-	return sum * dx
 }

@@ -76,26 +76,6 @@ func TestBrentMatchesBisect(t *testing.T) {
 	}
 }
 
-func TestNewton(t *testing.T) {
-	f := func(x float64) float64 { return x*x - 9 }
-	df := func(x float64) float64 { return 2 * x }
-	r, err := Newton(f, df, 5, 1e-14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(r-3) > 1e-12 {
-		t.Errorf("Newton = %.15g, want 3", r)
-	}
-}
-
-func TestNewtonZeroDerivative(t *testing.T) {
-	f := func(x float64) float64 { return x*x + 1 }
-	df := func(x float64) float64 { return 2 * x }
-	if _, err := Newton(f, df, 0, 1e-12); err == nil {
-		t.Error("expected failure at stationary start")
-	}
-}
-
 func TestFixedPoint(t *testing.T) {
 	// x = cos(x) has the Dottie number as fixed point.
 	r, err := FixedPoint(math.Cos, 1, 1e-12, 1)
@@ -180,16 +160,6 @@ func TestInterp1WithinHull(t *testing.T) {
 	}
 }
 
-func TestPolyval(t *testing.T) {
-	// 1 + 2x + 3x^2 at x=2 -> 17
-	if got := Polyval([]float64{1, 2, 3}, 2); got != 17 {
-		t.Errorf("Polyval = %g, want 17", got)
-	}
-	if got := Polyval(nil, 5); got != 0 {
-		t.Errorf("empty Polyval = %g, want 0", got)
-	}
-}
-
 func TestLinspace(t *testing.T) {
 	xs := Linspace(0, 1, 5)
 	want := []float64{0, 0.25, 0.5, 0.75, 1}
@@ -213,19 +183,6 @@ func TestLogspace(t *testing.T) {
 		if math.Abs(ratio-10) > 1e-6 {
 			t.Errorf("Logspace ratio %g, want 10", ratio)
 		}
-	}
-}
-
-func TestTrapzUniform(t *testing.T) {
-	// Integral of x over [0,1] = 0.5, exact for trapezoid on linear data.
-	xs := Linspace(0, 1, 101)
-	ys := make([]float64, len(xs))
-	copy(ys, xs)
-	if got := TrapzUniform(ys, 0.01); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("TrapzUniform = %g, want 0.5", got)
-	}
-	if TrapzUniform([]float64{1}, 1) != 0 {
-		t.Error("single sample integrates to 0")
 	}
 }
 

@@ -114,29 +114,6 @@ func Brent(f func(float64) float64, a, b, tol float64) (float64, error) {
 	return b, ErrNoConverge
 }
 
-// Newton finds a root of f near x0 using Newton-Raphson with the analytic
-// derivative df. It stops when |step| <= tol. If the derivative vanishes or
-// the iteration limit is reached, it returns ErrNoConverge.
-func Newton(f, df func(float64) float64, x0, tol float64) (float64, error) {
-	x := x0
-	for i := 0; i < 100; i++ {
-		fx := f(x)
-		if fx == 0 {
-			return x, nil
-		}
-		d := df(x)
-		if d == 0 || math.IsNaN(d) {
-			return x, fmt.Errorf("%w: zero derivative at x=%g", ErrNoConverge, x)
-		}
-		step := fx / d
-		x -= step
-		if math.Abs(step) <= tol {
-			return x, nil
-		}
-	}
-	return x, ErrNoConverge
-}
-
 // FixedPoint iterates x <- g(x) from x0 until successive iterates differ by
 // at most tol, with optional under-relaxation factor w in (0, 1]. Used for
 // implicit baseline SSN formulas (e.g. the Song-style linear-bounce model).

@@ -105,9 +105,6 @@ func NewSweeper(grid *pkgmodel.PDNGrid, cfg Config) (*Sweeper, error) {
 	return s, nil
 }
 
-// Obs reports the observation node index of the sweeps.
-func (s *Sweeper) Obs() int { return s.obs }
-
 // acquire pops a pooled engine or compiles a fresh one. Engines compile
 // from the shared netlist snapshot — NewAC only reads it.
 func (s *Sweeper) acquire() (*spice.ACEngine, error) {

@@ -191,12 +191,6 @@ func (pl *Plan) Compile(p Params, axis PlanAxis) error {
 	return nil
 }
 
-// Params returns the compiled base point.
-func (pl *Plan) Params() Params { return pl.base }
-
-// Axis returns the compiled axis kind.
-func (pl *Plan) Axis() PlanAxis { return pl.axis }
-
 // VMax returns the hoisted Table 1 maximum of a PlanFixed plan.
 func (pl *Plan) VMax() float64 { return pl.vmax }
 
@@ -920,27 +914,4 @@ func (pl *Plan) runSlopeBound(dst, values []float64, tp float64) int {
 		dst[i] = beta * (1 - e*(math.Cos(omega*tauR)+sigma/omega*math.Sin(omega*tauR)))
 	}
 	return len(values)
-}
-
-// WaveformInto samples the bounce waveform of a PlanFixed plan at the
-// model times ts, writing dst[i] = V(ts[i]) with LCModel.V's window
-// clamping (0 before turn-on, held at τr past the ramp). dst and ts must
-// have equal length. It allocates nothing and matches LCModel.V bitwise.
-func (pl *Plan) WaveformInto(dst, ts []float64) {
-	if pl.axis != PlanFixed {
-		panic("ssn: WaveformInto needs a PlanFixed plan")
-	}
-	if len(dst) != len(ts) {
-		panic("ssn: Plan batch length mismatch")
-	}
-	for i, tau := range ts {
-		if tau <= 0 {
-			dst[i] = 0
-			continue
-		}
-		if tau > pl.tauR {
-			tau = pl.tauR
-		}
-		dst[i] = vAt(pl.beta, pl.d, tau)
-	}
 }

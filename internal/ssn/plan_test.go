@@ -122,38 +122,6 @@ func TestPlanBitwiseEqualsScalar(t *testing.T) {
 	t.Logf("case coverage over %d points: %v", rounds*batch, caseSeen)
 }
 
-// TestPlanWaveformBitwiseEqualsScalar checks WaveformInto against
-// LCModel.V sample for sample, including the window clamps.
-func TestPlanWaveformBitwiseEqualsScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	const rounds, samples = 200, 32
-	ts := make([]float64, samples)
-	dst := make([]float64, samples)
-	for round := 0; round < rounds; round++ {
-		p := randPlanParams(rng, round)
-		pl, err := CompilePlan(p, PlanFixed)
-		if err != nil {
-			t.Fatalf("round %d: compile: %v", round, err)
-		}
-		m, err := NewLCModel(p)
-		if err != nil {
-			t.Fatalf("round %d: model: %v", round, err)
-		}
-		tauR := p.TauRise()
-		for i := range ts {
-			// span before turn-on through past the ramp end
-			ts[i] = tauR * (2.4*rng.Float64() - 0.2)
-		}
-		pl.WaveformInto(dst, ts)
-		for i, tau := range ts {
-			want := m.V(tau)
-			if math.Float64bits(want) != math.Float64bits(dst[i]) {
-				t.Fatalf("round %d[%d]: WaveformInto %v != V %v at tau=%v", round, i, dst[i], want, tau)
-			}
-		}
-	}
-}
-
 // TestPlanCompileValidation checks the per-axis validation exemption: the
 // axis field may hold any value at compile time, every other field is
 // validated exactly like Params.Validate.
@@ -220,11 +188,6 @@ func TestPlanBatchAllocs(t *testing.T) {
 		}
 	}); got != 0 {
 		t.Errorf("Compile allocates %v/run, want 0", got)
-	}
-	if got := testing.AllocsPerRun(100, func() {
-		pl.WaveformInto(dst, vals)
-	}); got != 0 {
-		t.Errorf("WaveformInto allocates %v/run, want 0", got)
 	}
 }
 

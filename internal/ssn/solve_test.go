@@ -349,57 +349,38 @@ func TestSolveValidation(t *testing.T) {
 	}
 }
 
-// TestSolveBatchMatchesScalarAndAllocs: the batch kernel reproduces the
-// scalar solver per budget and allocates nothing on solvable inputs.
-func TestSolveBatchMatchesScalarAndAllocs(t *testing.T) {
+// TestSolveBracketAllocs: the served inverse solver, MaxDriversForBudget
+// seed included, allocates nothing on solvable budgets.
+func TestSolveBracketAllocs(t *testing.T) {
 	p := refParams()
 	p.C = 10 * p.CriticalCapacitance()
-	pl, err := CompilePlan(p, PlanFixed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	budgets := []float64{0.2, 0.35, 0.5, 0.65, -1, 0.8}
-	dst := make([]float64, len(budgets))
 	lo, hi := SolveN.DefaultBracket(p)
-	solved := pl.SolveBatch(dst, SolveN, budgets, lo, hi)
-	if solved != 5 {
-		t.Fatalf("solved %d of %v, want 5 (one invalid budget)", solved, budgets)
-	}
-	for i, budget := range budgets {
-		if budget <= 0 {
-			if !math.IsNaN(dst[i]) {
-				t.Errorf("budget %g: want NaN, got %g", budget, dst[i])
-			}
-			continue
-		}
-		vm := vmaxAt(t, p, SolveN, dst[i])
-		if vm < budget-1e-9 || vm > budget {
-			t.Errorf("budget %g: batch value %g gives vmax %.17g outside tolerance", budget, dst[i], vm)
-		}
-	}
 	allocs := testing.AllocsPerRun(50, func() {
-		pl.SolveBatch(dst[:4], SolveN, budgets[:4], lo, hi)
+		for _, budget := range []float64{0.2, 0.35, 0.5, 0.65} {
+			if _, err := SolveBracket(p, SolveN, budget, lo, hi); err != nil {
+				t.Fatal(err)
+			}
+		}
 	})
 	if allocs != 0 {
-		t.Errorf("SolveBatch allocated %.1f per run, want 0", allocs)
+		t.Errorf("SolveBracket allocated %.1f per run, want 0", allocs)
 	}
 }
 
+// BenchmarkSolve solves n for four budgets through SolveBracket, the path
+// /v1/solve runs.
 func BenchmarkSolve(b *testing.B) {
 	p := refParams()
 	p.C = 10 * p.CriticalCapacitance()
-	pl, err := CompilePlan(p, PlanFixed)
-	if err != nil {
-		b.Fatal(err)
-	}
 	budgets := []float64{0.2, 0.35, 0.5, 0.65}
-	dst := make([]float64, len(budgets))
 	lo, hi := SolveN.DefaultBracket(p)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if pl.SolveBatch(dst, SolveN, budgets, lo, hi) != len(budgets) {
-			b.Fatal("unsolved budget")
+		for _, budget := range budgets {
+			if _, err := SolveBracket(p, SolveN, budget, lo, hi); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -132,16 +132,6 @@ func isUnitWord(s string) bool {
 	return false
 }
 
-// MustParse is Parse that panics on error; for tests and literals in
-// example programs where the input is a compile-time constant.
-func MustParse(s string) float64 {
-	v, err := Parse(s)
-	if err != nil {
-		panic(err)
-	}
-	return v
-}
-
 // Format renders v with an engineering SI prefix and the given unit symbol,
 // e.g. Format(5e-9, "H") == "5.000nH". Values of exactly zero format as
 // "0.000<unit>".
@@ -184,25 +174,4 @@ func ApproxEqual(a, b, rel, abs float64) bool {
 	}
 	scale := math.Max(math.Abs(a), math.Abs(b))
 	return diff <= rel*scale
-}
-
-// RelErr returns |a-b| / max(|ref|, floor). A floor avoids division blow-up
-// when the reference is near zero.
-func RelErr(a, ref, floor float64) float64 {
-	den := math.Abs(ref)
-	if den < floor {
-		den = floor
-	}
-	return math.Abs(a-ref) / den
-}
-
-// Clamp limits v to the closed interval [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }

@@ -67,15 +67,6 @@ func TestParseUnitWords(t *testing.T) {
 	}
 }
 
-func TestMustParsePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustParse on bad input did not panic")
-		}
-	}()
-	MustParse("not a number")
-}
-
 func TestFormat(t *testing.T) {
 	cases := []struct {
 		v    float64
@@ -134,35 +125,5 @@ func TestApproxEqual(t *testing.T) {
 	}
 	if !ApproxEqual(math.Inf(1), math.Inf(1), 0, 0) {
 		t.Error("equal infinities must compare equal")
-	}
-}
-
-func TestRelErr(t *testing.T) {
-	if got := RelErr(1.1, 1.0, 1e-9); !ApproxEqual(got, 0.1, 1e-9, 1e-12) {
-		t.Errorf("RelErr(1.1,1.0) = %g, want 0.1", got)
-	}
-	// Floor prevents blow-up near zero reference.
-	if got := RelErr(1e-6, 0, 1e-3); got != 1e-3 {
-		t.Errorf("RelErr floor: got %g, want 1e-3", got)
-	}
-}
-
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
-		t.Error("Clamp misbehaves")
-	}
-}
-
-func TestClampProperty(t *testing.T) {
-	f := func(v, a, b float64) bool {
-		if math.IsNaN(v) || math.IsNaN(a) || math.IsNaN(b) {
-			return true
-		}
-		lo, hi := math.Min(a, b), math.Max(a, b)
-		c := Clamp(v, lo, hi)
-		return c >= lo && c <= hi
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

@@ -2,7 +2,6 @@ package waveform
 
 import (
 	"encoding/csv"
-	"fmt"
 	"io"
 	"strconv"
 )
@@ -60,49 +59,4 @@ func (s *Set) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadCSV reads a table in the WriteCSV format back into a Set.
-func ReadCSV(r io.Reader) (*Set, error) {
-	cr := csv.NewReader(r)
-	records, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("waveform: read csv: %w", err)
-	}
-	if len(records) < 2 {
-		return nil, fmt.Errorf("waveform: csv needs a header and at least one row")
-	}
-	header := records[0]
-	if len(header) < 2 || header[0] != "time" {
-		return nil, fmt.Errorf("waveform: csv header must start with 'time', got %v", header)
-	}
-	ncol := len(header) - 1
-	times := make([]float64, 0, len(records)-1)
-	cols := make([][]float64, ncol)
-	for rowIdx, rec := range records[1:] {
-		if len(rec) != len(header) {
-			return nil, fmt.Errorf("waveform: csv row %d has %d fields, want %d", rowIdx+2, len(rec), len(header))
-		}
-		t, err := strconv.ParseFloat(rec[0], 64)
-		if err != nil {
-			return nil, fmt.Errorf("waveform: csv row %d time: %w", rowIdx+2, err)
-		}
-		times = append(times, t)
-		for j := 0; j < ncol; j++ {
-			v, err := strconv.ParseFloat(rec[j+1], 64)
-			if err != nil {
-				return nil, fmt.Errorf("waveform: csv row %d col %d: %w", rowIdx+2, j+1, err)
-			}
-			cols[j] = append(cols[j], v)
-		}
-	}
-	set := &Set{}
-	for j := 0; j < ncol; j++ {
-		wv, err := New(header[j+1], times, cols[j])
-		if err != nil {
-			return nil, err
-		}
-		set.Add(wv)
-	}
-	return set, nil
 }

@@ -270,24 +270,9 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := set.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Waves) != 2 {
-		t.Fatalf("round trip wave count %d", len(back.Waves))
-	}
-	for i, w := range back.Waves {
-		orig := set.Waves[i]
-		if w.Name != orig.Name {
-			t.Errorf("name %q vs %q", w.Name, orig.Name)
-		}
-		for j := range w.Times {
-			if math.Abs(w.Times[j]-orig.Times[j]) > 1e-18 ||
-				math.Abs(w.Values[j]-orig.Values[j]) > 1e-12 {
-				t.Errorf("sample %d mismatch", j)
-			}
-		}
+	const want = "time,v(out),i(l1)\n0,0,0\n1e-09,0.9,0.005\n2e-09,1.8,0.01\n"
+	if got := buf.String(); got != want {
+		t.Errorf("WriteCSV = %q, want %q", got, want)
 	}
 }
 
@@ -296,15 +281,6 @@ func TestCSVErrors(t *testing.T) {
 	var buf bytes.Buffer
 	if err := empty.WriteCSV(&buf); err == nil {
 		t.Error("empty set must error")
-	}
-	if _, err := ReadCSV(bytes.NewBufferString("nottime,a\n1,2\n")); err == nil {
-		t.Error("bad header must error")
-	}
-	if _, err := ReadCSV(bytes.NewBufferString("time,a\n")); err == nil {
-		t.Error("missing rows must error")
-	}
-	if _, err := ReadCSV(bytes.NewBufferString("time,a\nx,2\n")); err == nil {
-		t.Error("bad number must error")
 	}
 }
 
