@@ -431,7 +431,7 @@ func (s *Server) runSweepColumnar(w http.ResponseWriter, r *http.Request, g swee
 }
 
 // DecodeColumnarStream reads every SSNC block of a columnar sweep or batch
-// stream (a convenience for clients and tests; cmd/ssnload uses it).
+// stream (a convenience for clients and tests).
 func DecodeColumnarStream(r io.Reader) ([]*colwire.Block, error) {
 	var blocks []*colwire.Block
 	for {
