@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
@@ -83,7 +82,7 @@ type distSweepRequest struct {
 }
 
 // distSummary is the terminal NDJSON record of a completed distributed
-// sweep.
+// sweep; an aborted one ends with the {"error":…} record instead.
 type distSummary struct {
 	Done    bool    `json:"done"`
 	Shards  int     `json:"shards"`
@@ -144,48 +143,18 @@ func (s *Server) handleDistSweep(w http.ResponseWriter, r *http.Request) {
 	id := s.dist.add(tracker)
 	s.metrics.distSweeps.inc()
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Dist-Run", id)
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	fw := &flushWriter{w: w, f: flusher}
-
+	st := startStream(w, "application/x-ndjson")
 	opts := dist.Options{
 		Workers: req.Workers,
 		APIKey:  req.APIKey,
 		Eval:    s.distEvalConfig(),
 		Tracker: tracker,
 	}
-	summary, err := dist.Run(r.Context(), spec, opts, fw)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	if err != nil {
-		// The 200 status line is long gone; report the abort as a terminal
-		// NDJSON record in the standard error envelope.
-		_ = enc.Encode(map[string]*apiError{"error": toAPIError(err)})
-	} else {
-		_ = enc.Encode(distSummary{Done: true, Shards: summary.Shards,
-			Points: summary.Points, Reused: summary.Reused,
-			Retries: summary.Retries, Elapsed: summary.Duration.Seconds()})
-	}
-	if flusher != nil {
-		flusher.Flush()
-	}
-}
-
-// flushWriter flushes after every write: the coordinator hands over whole
-// shard payloads, and each should reach the client as soon as it is merged.
-type flushWriter struct {
-	w http.ResponseWriter
-	f http.Flusher
-}
-
-func (fw *flushWriter) Write(p []byte) (int, error) {
-	n, err := fw.w.Write(p)
-	if fw.f != nil {
-		fw.f.Flush()
-	}
-	return n, err
+	summary, err := dist.Run(r.Context(), spec, opts, st)
+	st.finish(distSummary{Done: true, Shards: summary.Shards,
+		Points: summary.Points, Reused: summary.Reused,
+		Retries: summary.Retries, Elapsed: summary.Duration.Seconds()}, err)
 }
 
 // distRuns is the bounded registry behind GET /v1/distsweep/status: the

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -39,8 +38,8 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, dst any) *ap
 // refuses (a NaN or an infinity) becomes a 500 internal error envelope
 // rather than a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	buf := jsonBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
+	buf := getReplyBuf()
+	defer putReplyBuf(buf)
 	enc := json.NewEncoder(buf)
 	enc.SetEscapeHTML(false)
 	if err := enc.Encode(v); err != nil {
@@ -51,9 +50,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_, _ = w.Write(buf.Bytes()) // a failed write means the client is gone
-	if buf.Cap() <= jsonBufMaxRetain {
-		jsonBufPool.Put(buf)
-	}
 }
 
 // evalOne resolves and evaluates a single item; errors land in the result

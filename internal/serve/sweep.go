@@ -1,11 +1,8 @@
 package serve
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"net/http"
-	"sync"
 
 	"ssnkit/internal/device"
 	"ssnkit/internal/sweep"
@@ -42,7 +39,8 @@ type sweepStats struct {
 	Workers       int `json:"workers"`
 }
 
-// sweepSummary is the terminal NDJSON record of a completed sweep.
+// sweepSummary is the terminal record of a completed sweep: the last
+// NDJSON line, or the meta of the last SSNC block.
 type sweepSummary struct {
 	Done  bool       `json:"done"`
 	Stats sweepStats `json:"stats"`
@@ -148,83 +146,6 @@ func (s *Server) buildSweep(req sweepRequest) (sweep.Grid, sweep.Config, *apiErr
 	return g, cfg, nil
 }
 
-// sweepFlushEvery bounds how many NDJSON lines may buffer before a flush:
-// clients observe progress incrementally without a per-line syscall.
-const sweepFlushEvery = 64
-
-// jsonBufPool recycles JSON encode buffers across requests. Streamed
-// records are appended to a pooled bytes.Buffer and written to the
-// connection once per sweepFlushEvery lines, so the per-point cost is an
-// append into memory, not a ResponseWriter round trip; writeJSON encodes a
-// whole reply into one before its status line goes out.
-var jsonBufPool = sync.Pool{
-	New: func() any { return new(bytes.Buffer) },
-}
-
-// jsonBufMaxRetain caps the capacity of a buffer returned to the pool; a
-// pathologically wide reply or stream must not pin its high-water mark
-// for the life of the process.
-const jsonBufMaxRetain = 1 << 16
-
-// ndjsonStream is one streamed NDJSON response (/v1/sweep, /v1/impedance):
-// callers put whole lines into buf, and the stream ends with exactly one
-// terminal record — the summary, or {"error":…} once the status line is
-// long gone.
-type ndjsonStream struct {
-	w       http.ResponseWriter
-	flusher http.Flusher
-	buf     *bytes.Buffer
-	enc     *json.Encoder // into buf, HTML unescaped: terminal and rare sub-records
-	lines   int
-}
-
-// startNDJSON sends the 200 status line and takes a pooled buffer.
-func startNDJSON(w http.ResponseWriter) *ndjsonStream {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	st := &ndjsonStream{w: w, buf: jsonBufPool.Get().(*bytes.Buffer)}
-	st.flusher, _ = w.(http.Flusher)
-	st.buf.Reset()
-	st.enc = json.NewEncoder(st.buf)
-	st.enc.SetEscapeHTML(false)
-	return st
-}
-
-// endLine counts one complete line in buf and flushes every
-// sweepFlushEvery lines.
-func (st *ndjsonStream) endLine() error {
-	st.lines++
-	if st.lines%sweepFlushEvery != 0 {
-		return nil
-	}
-	return st.flush()
-}
-
-func (st *ndjsonStream) flush() error {
-	if _, err := st.w.Write(st.buf.Bytes()); err != nil {
-		return err
-	}
-	st.buf.Reset()
-	if st.flusher != nil {
-		st.flusher.Flush()
-	}
-	return nil
-}
-
-// finish ends the stream with summary, or with err's error record when
-// the stream aborted, drains buf and returns it to the pool.
-func (st *ndjsonStream) finish(summary any, err error) {
-	if err != nil {
-		summary = map[string]*apiError{"error": toAPIError(err)}
-	}
-	_ = st.enc.Encode(summary) // ints, strings and floats the records already encoded
-	_ = st.flush()             // a failed write means the client is gone
-	if st.buf.Cap() <= jsonBufMaxRetain {
-		jsonBufPool.Put(st.buf)
-	}
-	st.buf = nil
-}
-
 // handleSweep serves POST /v1/sweep: a chunked multi-axis grid sweep
 // streamed as NDJSON, one record per point, with per-point errors in
 // place, optional adaptive refinement records, and a terminal
@@ -247,7 +168,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	st := startNDJSON(w)
+	st := startStream(w, "application/x-ndjson")
 	enc := sweep.NewPointEncoder(g.Axes, func(err error) any { return toAPIError(err) })
 	stats, err := sweep.Run(r.Context(), g, cfg, func(pt sweep.Point) error {
 		b, err := enc.Append(st.buf.AvailableBuffer(), pt)
@@ -258,12 +179,17 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return st.endLine()
 	})
 	s.countSweep(stats, err)
-	st.finish(sweepSummary{Done: true, Stats: sweepStats{
-		GridPoints: stats.GridPoints, Chunks: stats.Chunks,
-		Evaluated: stats.Evaluated, Errors: stats.Errors,
-		RefinedPoints: stats.RefinedPoints, MaxDepth: stats.MaxDepth,
-		Workers: stats.Workers,
-	}}, err)
+	st.finish(sweepDone(stats), err)
+}
+
+// sweepDone is the terminal summary of a sweep that ran to completion.
+func sweepDone(st sweep.Stats) sweepSummary {
+	return sweepSummary{Done: true, Stats: sweepStats{
+		GridPoints: st.GridPoints, Chunks: st.Chunks,
+		Evaluated: st.Evaluated, Errors: st.Errors,
+		RefinedPoints: st.RefinedPoints, MaxDepth: st.MaxDepth,
+		Workers: st.Workers,
+	}}
 }
 
 // countSweep records one finished (or aborted) sweep run.
