@@ -10,7 +10,8 @@
 //	POST /v1/maxssn      single or batch Params -> {vmax, case, sensitivity}
 //	POST /v1/solve       inverse design (variable for a vmax budget) / yield
 //	POST /v1/waveform    sampled V(t)/I(t) from the L or LC closed form
-//	POST /v1/sweep       multi-axis grid sweep streamed as NDJSON
+//	POST /v1/sweep       multi-axis grid sweep streamed as NDJSON or SSNC
+//	POST /v1/impedance   PDN |Z(f)| point, streamed sweep or decap optimize
 //	POST /v1/shard       one distributed-sweep shard [lo,hi) as NDJSON
 //	POST /v1/montecarlo  asynchronous Monte Carlo job; returns a job ID
 //	POST /v1/distsweep   coordinate a sweep across worker replicas
@@ -25,6 +26,9 @@
 // memoized in one sharded LRU type, while each /v1/maxssn item compiles
 // its own evaluation plan, which is cheaper than a cache lookup; requests
 // are validated against size and time limits with structured JSON errors;
+// every streamed reply (sweep, impedance, distsweep) goes through one
+// stream writer (stream.go) that buffers, flushes and ends it with exactly
+// one terminal record, and every reply encodes into one buffer pool;
 // shutdown drains in-flight jobs before cancelling them.
 package serve
 
