@@ -1,16 +1,9 @@
 package oracle
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
-	"runtime"
-	"sort"
 	"strings"
-	"sync"
 
 	"ssnkit/internal/circuit"
 	"ssnkit/internal/spice"
@@ -117,26 +110,20 @@ type ACSens struct {
 
 // ACResult is the outcome of one differential AC check.
 type ACResult struct {
-	Index    int      `json:"index,omitempty"`
-	Point    ACPoint  `json:"point"`
+	verdict
+	Point    ACPoint  `json:"-"` // a repro file's own "point" field
 	AbsZ     float64  `json:"abs_z"`
 	Sens     []ACSens `json:"sens,omitempty"`
 	WorstRel float64  `json:"worst_rel"`
 	Worst    string   `json:"worst,omitempty"` // element name of the worst entry
-	Pass     bool     `json:"pass"`
-	Err      error    `json:"-"`
 }
 
 func (r ACResult) String() string {
-	status := "PASS"
-	if r.Err != nil {
-		status = "ERROR " + r.Err.Error()
-	} else if !r.Pass {
-		status = "FAIL"
-	}
 	return fmt.Sprintf("%s |Z|=%.6g worst=%s rel=%.3g tol=%.3g %s",
-		status, r.AbsZ, r.Worst, r.WorstRel, acTol, r.Point)
+		r.status(), r.AbsZ, r.Worst, r.WorstRel, acTol, r.Point)
 }
+
+func (r ACResult) tally() (string, float64) { return "", r.WorstRel }
 
 // absZAt evaluates |Z| for the point with element k's value scaled by
 // (1+eps); k < 0 leaves the point untouched.
@@ -381,206 +368,49 @@ func validAC(pt ACPoint) bool {
 	return true
 }
 
-// ShrinkAC greedily reduces a disagreeing AC point: drop elements one at a
-// time, then round the survivors to 3 significant digits, keeping each
-// transformation only if the shrunk point still fails. The returned point
-// always reproduces the disagreement.
-func ShrinkAC(pt ACPoint) ACPoint {
-	return shrinkACWith(pt, func(cand ACPoint) bool {
-		res := CheckAC(cand)
-		return res.Err == nil && !res.Pass
-	})
+// acCampaign is the adjoint vs finite-difference oracle's campaign.
+var acCampaign = campaign[ACPoint, ACResult, *ACResult]{
+	title:    "ac oracle campaign",
+	prefix:   "ac",
+	generate: GenerateAC,
+	checker: func() func(ACPoint) ACResult {
+		return func(pt ACPoint) ACResult {
+			res := CheckAC(pt)
+			res.Sens = nil // per-element detail is noise at campaign scale
+			return res
+		}
+	},
+	schedule: acSchedule,
 }
 
-// shrinkACWith is the generic greedy shrinker behind ShrinkAC (and the
-// sweep-reuse oracle's ShrinkACSweep): any predicate that classifies a
-// point as still-failing drives the same element-dropping and value-
-// rounding schedule. The returned point always satisfies fails.
-func shrinkACWith(pt ACPoint, fails func(ACPoint) bool) ACPoint {
-	if !fails(pt) {
-		return pt
-	}
+// acSchedule is the shrink schedule of both AC oracles: drop elements,
+// last first so the indices of earlier ones stay put, then round each
+// surviving value and the frequency to 3 significant digits.
+func acSchedule(pt ACPoint) []edit[ACPoint] {
+	var sched []edit[ACPoint]
 	for k := len(pt.Elems) - 1; k >= 0; k-- {
-		cand := pt
-		cand.Elems = append(append([]ACElem(nil), pt.Elems[:k]...), pt.Elems[k+1:]...)
-		if fails(cand) {
-			pt = cand
-		}
+		sched = append(sched, func(p ACPoint) (ACPoint, bool) {
+			if k >= len(p.Elems) {
+				return p, false
+			}
+			p.Elems = append(append([]ACElem(nil), p.Elems[:k]...), p.Elems[k+1:]...)
+			return p, true
+		})
 	}
 	for k := range pt.Elems {
-		cand := pt
-		cand.Elems = append([]ACElem(nil), pt.Elems...)
-		cand.Elems[k].Value = roundSig(cand.Elems[k].Value, 3)
-		if fails(cand) {
-			pt = cand
-		}
-	}
-	cand := pt
-	cand.Freq = roundSig(cand.Freq, 3)
-	if fails(cand) {
-		pt = cand
-	}
-	return pt
-}
-
-// acReproFile is the JSON shape of a dumped AC repro.
-type acReproFile struct {
-	Comment string  `json:"comment"`
-	Point   ACPoint `json:"point"`
-	Result  struct {
-		AbsZ     float64 `json:"abs_z"`
-		Worst    string  `json:"worst"`
-		WorstRel float64 `json:"worst_rel"`
-		Tol      float64 `json:"tol"`
-	} `json:"result"`
-}
-
-// DumpACRepro writes the <name>.json AC design point + result into dir,
-// creating it if needed, and returns the basename. The point is fully
-// self-describing: LoadACRepro + CheckAC replays it.
-func DumpACRepro(dir, name string, pt ACPoint) (string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
-	}
-	res := CheckAC(pt)
-	var rf acReproFile
-	if res.Pass {
-		rf.Comment = "ac oracle curated regression point: adjoint and FD agree"
-	} else {
-		rf.Comment = "ac oracle repro: adjoint vs finite-difference disagreement"
-	}
-	rf.Point = pt
-	rf.Result.AbsZ = res.AbsZ
-	rf.Result.Worst = res.Worst
-	rf.Result.WorstRel = res.WorstRel
-	rf.Result.Tol = acTol
-	js, err := json.MarshalIndent(&rf, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	if err := os.WriteFile(filepath.Join(dir, name+".json"), append(js, '\n'), 0o644); err != nil {
-		return "", err
-	}
-	return name, nil
-}
-
-// LoadACRepro reads a dumped AC repro back into its design point.
-func LoadACRepro(path string) (ACPoint, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return ACPoint{}, err
-	}
-	var rf acReproFile
-	if err := json.Unmarshal(data, &rf); err != nil {
-		return ACPoint{}, fmt.Errorf("oracle: parse AC repro %s: %w", path, err)
-	}
-	return rf.Point, nil
-}
-
-// ACConfig parameterizes an AC differential campaign.
-type ACConfig struct {
-	Points   int   // design points to check (default 300)
-	Seed     int64 // generator seed
-	Workers  int   // concurrent checkers (default GOMAXPROCS)
-	ReproDir string
-}
-
-// ACReport summarizes an AC campaign.
-type ACReport struct {
-	Points   int
-	Passed   int
-	Failed   int
-	Errored  int
-	WorstRel float64
-	Worst    ACPoint // point holding WorstRel
-	Failures []ACResult
-	Dumped   []string
-}
-
-// OK reports whether the campaign found no disagreements and no errors.
-func (r *ACReport) OK() bool { return r.Failed == 0 && r.Errored == 0 }
-
-func (r *ACReport) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "ac oracle campaign: %d points, %d pass, %d fail, %d error, worst rel %.3g\n",
-		r.Points, r.Passed, r.Failed, r.Errored, r.WorstRel)
-	for _, f := range r.Failures {
-		fmt.Fprintf(&b, "  #%d %s\n", f.Index, f)
-	}
-	for _, d := range r.Dumped {
-		fmt.Fprintf(&b, "  repro: %s\n", d)
-	}
-	return strings.TrimRight(b.String(), "\n")
-}
-
-// RunAC executes a seeded AC campaign, mirroring Run: deterministic point
-// generation independent of worker count, parallel checking, and shrunk
-// repro dumps for disagreements.
-func RunAC(ctx context.Context, cfg ACConfig) (*ACReport, error) {
-	if cfg.Points <= 0 {
-		cfg.Points = 300
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Workers > cfg.Points {
-		cfg.Workers = cfg.Points
-	}
-	results := make([]ACResult, cfg.Points)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < cfg.Points; i += cfg.Workers {
-				if ctx.Err() != nil {
-					return
-				}
-				pt, ok := GenerateAC(cfg.Seed, i)
-				if !ok {
-					results[i] = ACResult{Index: i, Err: fmt.Errorf("oracle: AC generator exhausted retries at index %d", i)}
-					continue
-				}
-				res := CheckAC(pt)
-				res.Index = i
-				res.Sens = nil // per-element detail is noise at campaign scale
-				results[i] = res
+		sched = append(sched, func(p ACPoint) (ACPoint, bool) {
+			if k >= len(p.Elems) || roundSig(p.Elems[k].Value, 3) == p.Elems[k].Value {
+				return p, false
 			}
-		}(w)
+			p.Elems = append([]ACElem(nil), p.Elems...)
+			p.Elems[k].Value = roundSig(p.Elems[k].Value, 3)
+			return p, true
+		})
 	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	rep := &ACReport{Points: cfg.Points}
-	for _, res := range results {
-		switch {
-		case res.Err != nil:
-			rep.Errored++
-			rep.Failures = append(rep.Failures, res)
-		case res.Pass:
-			rep.Passed++
-		default:
-			rep.Failed++
-			rep.Failures = append(rep.Failures, res)
-		}
-		if res.Err == nil && res.WorstRel > rep.WorstRel {
-			rep.WorstRel, rep.Worst = res.WorstRel, res.Point
-		}
-	}
-	sort.Slice(rep.Failures, func(a, b int) bool { return rep.Failures[a].Index < rep.Failures[b].Index })
-	if cfg.ReproDir != "" {
-		for _, f := range rep.Failures {
-			if len(rep.Dumped) >= maxRepros || f.Err != nil {
-				break
-			}
-			small := ShrinkAC(f.Point)
-			name, err := DumpACRepro(cfg.ReproDir, fmt.Sprintf("ac-seed%d-%d", cfg.Seed, f.Index), small)
-			if err != nil {
-				return rep, fmt.Errorf("oracle: dump AC repro for point %d: %w", f.Index, err)
-			}
-			rep.Dumped = append(rep.Dumped, name)
-		}
-	}
-	return rep, nil
+	return append(sched, func(p ACPoint) (ACPoint, bool) {
+		f := roundSig(p.Freq, 3)
+		ok := f != p.Freq
+		p.Freq = f
+		return p, ok
+	})
 }

@@ -79,32 +79,46 @@ func (pt Rank1Point) grid() (*pkgmodel.PDNGrid, error) {
 	return pkgmodel.DefaultPDN(pkg, pt.Rows, pt.Cols, pt.Pads), nil
 }
 
-// Rank1Result is the outcome of one rank-1 check.
+// Rank1Result is the outcome of one rank-1 check. Skipped marks a point
+// whose Spread is above rank1SpreadMax.
 type Rank1Result struct {
-	Point    Rank1Point `json:"point"`
+	verdict
+	Point    Rank1Point `json:"-"`        // a repro file's own "point" field
 	Unknowns int        `json:"unknowns"` // MNA size before the shunt
 	Update   complex128 `json:"-"`        // Sherman–Morrison prediction
 	Fresh    complex128 `json:"-"`        // fresh engine on the modified grid
 	RelErr   float64    `json:"rel_err"`  // on the scale of rank1Tol
 	Spread   float64    `json:"spread"`   // fresh vs pivoted reference, same scale
-	Skipped  bool       `json:"skipped"`  // Spread above rank1SpreadMax
-	Pass     bool       `json:"pass"`
-	Detail   string     `json:"detail,omitempty"`
-	Err      error      `json:"-"`
 }
 
 func (r Rank1Result) String() string {
-	status := "PASS"
-	switch {
-	case r.Err != nil:
-		status = "ERROR " + r.Err.Error()
-	case r.Skipped:
-		status = "SKIP " + r.Detail
-	case !r.Pass:
-		status = "FAIL " + r.Detail
-	}
 	return fmt.Sprintf("%s rel=%.3g spread=%.3g tol=%.3g n=%d %s",
-		status, r.RelErr, r.Spread, rank1Tol, r.Unknowns, r.Point)
+		r.status(), r.RelErr, r.Spread, rank1Tol, r.Unknowns, r.Point)
+}
+
+// Rank-1 points are tallied on either side of the 40-unknown threshold
+// where production switches from the dense to the symbolic engine.
+const (
+	rank1Small = "below 40 unknowns"
+	rank1Large = "40+ unknowns"
+)
+
+func (r Rank1Result) tally() (string, float64) {
+	if r.Unknowns < 40 {
+		return rank1Small, r.RelErr
+	}
+	return rank1Large, r.RelErr
+}
+
+// rank1Campaign is the rank-1 update oracle's campaign.
+var rank1Campaign = campaign[Rank1Point, Rank1Result, *Rank1Result]{
+	title:  "rank-1 update campaign",
+	prefix: "rank1",
+	generate: func(seed int64, index int) (Rank1Point, bool) {
+		return GenerateRank1(seed, index), true
+	},
+	checker:  func() func(Rank1Point) Rank1Result { return CheckRank1 },
+	schedule: rank1Schedule,
 }
 
 // CheckRank1 compares the rank-1 update against a fresh factorization for
@@ -256,46 +270,18 @@ func peakFreq(pt Rank1Point) (float64, bool) {
 	return math.Exp((la + lb) / 2), true
 }
 
-// ShrinkRank1 greedily simplifies a failing point: Gmin off, a smaller
-// mesh (the node folded back into range), fewer pads, then values rounded
-// to three significant digits. Each step is kept only while the point
-// still fails, so the result always reproduces the failure.
-func ShrinkRank1(pt Rank1Point) Rank1Point {
-	return shrinkRank1With(pt, func(cand Rank1Point) bool {
-		r := CheckRank1(cand)
-		return r.Err == nil && !r.Skipped && !r.Pass
-	})
-}
-
-// shrinkRank1With runs ShrinkRank1's schedule against any predicate that
-// classifies a point as still failing.
-func shrinkRank1With(pt Rank1Point, fails func(Rank1Point) bool) Rank1Point {
-	if !fails(pt) {
-		return pt
+// rank1Schedule is the rank-1 oracle's shrink schedule: Gmin off, a
+// smaller mesh (the node folded back into range), fewer pads, then values
+// rounded to three significant digits.
+func rank1Schedule(Rank1Point) []edit[Rank1Point] {
+	return []edit[Rank1Point]{
+		change(func(p *Rank1Point) { p.Gmin = 0 }),
+		change(func(p *Rank1Point) { p.Rows = max(p.Rows-1, 1); p.Node %= p.Rows * p.Cols }),
+		change(func(p *Rank1Point) { p.Cols = max(p.Cols-1, 1); p.Node %= p.Rows * p.Cols }),
+		change(func(p *Rank1Point) { p.Pads = max(p.Pads-1, 1) }),
+		change(func(p *Rank1Point) { p.R = roundSig(p.R, 3) }),
+		change(func(p *Rank1Point) { p.C = roundSig(p.C, 3) }),
+		change(func(p *Rank1Point) { p.Freq = roundSig(p.Freq, 3) }),
+		change(func(p *Rank1Point) { p.Gmin = roundSig(p.Gmin, 3) }),
 	}
-	try := func(edit func(*Rank1Point)) bool {
-		cand := pt
-		edit(&cand)
-		if cand.Rows < 1 || cand.Cols < 1 || cand.Pads < 1 {
-			return false
-		}
-		cand.Node %= cand.Rows * cand.Cols
-		if cand == pt || !fails(cand) {
-			return false
-		}
-		pt = cand
-		return true
-	}
-	try(func(p *Rank1Point) { p.Gmin = 0 })
-	for try(func(p *Rank1Point) { p.Rows-- }) {
-	}
-	for try(func(p *Rank1Point) { p.Cols-- }) {
-	}
-	for try(func(p *Rank1Point) { p.Pads-- }) {
-	}
-	try(func(p *Rank1Point) { p.R = roundSig(p.R, 3) })
-	try(func(p *Rank1Point) { p.C = roundSig(p.C, 3) })
-	try(func(p *Rank1Point) { p.Freq = roundSig(p.Freq, 3) })
-	try(func(p *Rank1Point) { p.Gmin = roundSig(p.Gmin, 3) })
-	return pt
 }

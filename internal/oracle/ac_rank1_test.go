@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"context"
 	"testing"
 )
 
@@ -13,41 +14,19 @@ func TestRank1UpdateProperty(t *testing.T) {
 	if testing.Short() {
 		n = 40
 	}
-	var worst, worstSkipped Rank1Result
-	small, large, skipped := 0, 0, 0
-	for i := 0; i < n; i++ {
-		res := CheckRank1(GenerateRank1(18, i))
-		if res.Err != nil {
-			t.Fatalf("index %d: infrastructure error: %v", i, res.Err)
-		}
-		if res.Skipped {
-			skipped++
-			if res.RelErr > worstSkipped.RelErr {
-				worstSkipped = res
-			}
-			continue
-		}
-		if res.Unknowns < 40 {
-			small++
-		} else {
-			large++
-		}
-		if !res.Pass {
-			t.Errorf("index %d: %s\nshrunk repro: %+v", i, res, ShrinkRank1(res.Point))
-		}
-		if res.RelErr > worst.RelErr {
-			worst = res
-		}
+	rep, err := rank1Campaign.run(context.Background(), Config{Points: n, Seed: 18})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if small == 0 || large == 0 {
-		t.Errorf("campaign missed a side of the 40-unknown threshold: %d below, %d above", small, large)
+	t.Log(rep)
+	for _, f := range rep.Failures {
+		t.Errorf("index %d: %s\nshrunk repro: %+v", f.Index, f, rank1Campaign.shrink(f.Point))
 	}
-	if skipped > n/10 {
-		t.Errorf("%d of %d points skipped as beyond the reference", skipped, n)
+	if rep.CaseCounts[rank1Small] == 0 || rep.CaseCounts[rank1Large] == 0 {
+		t.Errorf("campaign missed a side of the 40-unknown threshold: %v", rep.CaseCounts)
 	}
-	t.Logf("rank-1 update: %d checked (%d below 40 unknowns), %d skipped; worst %s", small+large, small, skipped, worst)
-	if skipped > 0 {
-		t.Logf("worst skipped: %s", worstSkipped)
+	if rep.Skipped > n/10 {
+		t.Errorf("%d of %d points skipped as beyond the reference", rep.Skipped, n)
 	}
 }
 
@@ -73,7 +52,7 @@ func TestShrinkRank1(t *testing.T) {
 	if res := CheckRank1(pt); !res.Pass {
 		t.Fatalf("seed point does not pass: %s", res)
 	}
-	if got := ShrinkRank1(pt); got != pt {
+	if got := rank1Campaign.shrink(pt); got != pt {
 		t.Errorf("shrinker modified a passing point: %s -> %s", pt, got)
 	}
 	fails := func(p Rank1Point) bool {
@@ -85,7 +64,7 @@ func TestShrinkRank1(t *testing.T) {
 		if !fails(pt) {
 			continue
 		}
-		small := shrinkRank1With(pt, fails)
+		small := shrinkBy(pt, fails, rank1Schedule(pt))
 		if !fails(small) {
 			t.Fatalf("shrunk point %s no longer fails", small)
 		}
@@ -113,7 +92,7 @@ func FuzzRank1Update(f *testing.F) {
 			t.Skip(res.Detail)
 		}
 		if !res.Pass {
-			t.Errorf("%s\nshrunk repro: %+v", res, ShrinkRank1(res.Point))
+			t.Errorf("%s\nshrunk repro: %+v", res, rank1Campaign.shrink(res.Point))
 		}
 	})
 }

@@ -30,28 +30,29 @@ const acSweepDenseTol = 1e-6
 // side of the screened frequency.
 const acSweepPoints = 12
 
-// ACSweepResult is the outcome of one sweep-reuse check.
+// ACSweepResult is the outcome of one sweep-reuse check. Skipped marks a
+// pattern outside the symbolic backend's domain.
 type ACSweepResult struct {
-	Point    ACPoint `json:"point"`
+	verdict
+	Point    ACPoint `json:"-"` // a repro file's own "point" field
 	Freqs    int     `json:"freqs"`
 	WorstRel float64 `json:"worst_rel"` // symbolic vs dense at pt.Freq
-	Skipped  bool    `json:"skipped"`   // pattern outside the symbolic domain
-	Pass     bool    `json:"pass"`
-	Detail   string  `json:"detail,omitempty"`
-	Err      error   `json:"-"`
 }
 
 func (r ACSweepResult) String() string {
-	status := "PASS"
-	switch {
-	case r.Err != nil:
-		status = "ERROR " + r.Err.Error()
-	case r.Skipped:
-		status = "SKIP " + r.Detail
-	case !r.Pass:
-		status = "FAIL " + r.Detail
-	}
-	return fmt.Sprintf("%s rel=%.3g tol=%.3g %s", status, r.WorstRel, acSweepDenseTol, r.Point)
+	return fmt.Sprintf("%s rel=%.3g tol=%.3g %s", r.status(), r.WorstRel, acSweepDenseTol, r.Point)
+}
+
+func (r ACSweepResult) tally() (string, float64) { return "", r.WorstRel }
+
+// sweepCampaign is the sweep-reuse oracle's campaign. It draws the AC
+// oracle's points and shrinks with its schedule.
+var sweepCampaign = campaign[ACPoint, ACSweepResult, *ACSweepResult]{
+	title:    "ac sweep-reuse campaign",
+	prefix:   "ac-sweep",
+	generate: GenerateAC,
+	checker:  func() func(ACPoint) ACSweepResult { return CheckACSweepReuse },
+	schedule: acSchedule,
 }
 
 // acEngineFor compiles the point with a forced backend and resolves its
@@ -157,14 +158,4 @@ func CheckACSweepReuse(pt ACPoint) ACSweepResult {
 	}
 	res.Pass = true
 	return res
-}
-
-// ShrinkACSweep greedily reduces a point that fails the sweep-reuse check,
-// reusing the generic shrinker with the sweep predicate. The returned
-// point always reproduces the failure.
-func ShrinkACSweep(pt ACPoint) ACPoint {
-	return shrinkACWith(pt, func(cand ACPoint) bool {
-		r := CheckACSweepReuse(cand)
-		return r.Err == nil && !r.Skipped && !r.Pass
-	})
 }

@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"context"
 	"testing"
 )
 
@@ -14,30 +15,17 @@ func TestACSweepReuseProperty(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep-reuse property campaign")
 	}
-	checked, skipped := 0, 0
-	for i := 0; i < 40; i++ {
-		pt, ok := GenerateAC(21, i)
-		if !ok {
-			continue
-		}
-		res := CheckACSweepReuse(pt)
-		if res.Err != nil {
-			t.Fatalf("index %d: infrastructure error: %v", i, res.Err)
-		}
-		if res.Skipped {
-			skipped++
-			continue
-		}
-		checked++
-		if !res.Pass {
-			small := ShrinkACSweep(pt)
-			t.Errorf("index %d: %s\nshrunk repro: %+v", i, res, small)
-		}
+	rep, err := sweepCampaign.run(context.Background(), Config{Points: 40, Seed: 21})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if checked == 0 {
-		t.Fatalf("every generated point skipped the symbolic backend (%d skips)", skipped)
+	t.Log(rep)
+	for _, f := range rep.Failures {
+		t.Errorf("index %d: %s\nshrunk repro: %+v", f.Index, f, sweepCampaign.shrink(f.Point))
 	}
-	t.Logf("sweep-reuse property: %d checked, %d outside the symbolic domain", checked, skipped)
+	if rep.Passed+rep.Failed == 0 {
+		t.Fatalf("every generated point skipped the symbolic backend (%d skips)", rep.Skipped)
+	}
 }
 
 // TestACSweepReuseMalformed: malformed points must error, never panic.
@@ -59,7 +47,7 @@ func TestShrinkACSweepKeepsFailureInvariant(t *testing.T) {
 	if res.Err != nil || res.Skipped || !res.Pass {
 		t.Skipf("point not a passing symbolic point: %s", res)
 	}
-	small := ShrinkACSweep(pt)
+	small := sweepCampaign.shrink(pt)
 	if small.Nodes != pt.Nodes || len(small.Elems) != len(pt.Elems) {
 		t.Errorf("shrinker modified a passing point: %+v -> %+v", pt, small)
 	}

@@ -14,12 +14,22 @@
 // repro (Shrink) and dumped as a .cir deck plus JSON design point
 // (DumpRepro) for regression.
 //
-// Three layers consume the check:
+// The package runs four such differential checks: closed form vs
+// transient (Check), AC adjoint vs finite differences (CheckAC), AC sweep
+// reuse (CheckACSweepReuse) and the rank-1 update (CheckRank1). Each plugs
+// its generator, per-worker checker and shrink schedule into one campaign
+// (campaign.go), which checks seeded points in parallel, tallies them in
+// index order into one report type, shrinks disagreements with one shrink
+// driver and dumps them in one JSON repro format (shrink.go).
+//
+// Three layers consume the checks:
 //
 //   - native Go fuzz targets (FuzzMaxSSNvsSpice, FuzzLCLimitToL,
-//     FuzzCaseBoundaryContinuity) plus metamorphic invariants;
-//   - a deterministic seeded campaign (Run) behind cmd/ssnoracle and the
-//     tier-1 TestCampaign;
+//     FuzzCaseBoundaryContinuity, FuzzACAdjointVsFD, FuzzACSweepReuse,
+//     FuzzRank1Update) plus metamorphic invariants;
+//   - seeded campaigns: Run behind cmd/ssnoracle and the tier-1
+//     TestCampaign, and the AC, sweep-reuse and rank-1 campaigns behind
+//     their tier-1 tests;
 //   - curated hard points under testdata/repros replayed as table-driven
 //     regression tests.
 package oracle
@@ -101,29 +111,23 @@ const vmaxFloor = 1e-3
 
 // Result is the outcome of one differential check.
 type Result struct {
-	Index    int         `json:"index,omitempty"` // campaign position, when applicable
-	Point    DesignPoint `json:"point"`
+	verdict
+	Point    DesignPoint `json:"-"` // a repro file's own "point" field
 	Case     ssn.Case    `json:"case"`
 	CaseName string      `json:"case_name"`
 	Analytic float64     `json:"analytic"` // Table 1 closed form, V
 	Sim      float64     `json:"sim"`      // transient-engine maximum in the ramp window, V
 	RelErr   float64     `json:"rel_err"`  // |sim-analytic| / max(analytic, floor)
 	Tol      float64     `json:"tol"`      // band the point was judged against
-	Pass     bool        `json:"pass"`
 	SimSteps int         `json:"sim_steps,omitempty"`
-	Err      error       `json:"-"` // infrastructure failure (build/convergence), not a disagreement
 }
 
 func (r Result) String() string {
-	status := "PASS"
-	if r.Err != nil {
-		status = "ERROR " + r.Err.Error()
-	} else if !r.Pass {
-		status = "FAIL"
-	}
 	return fmt.Sprintf("%s [%s] analytic=%.6g sim=%.6g rel=%.3g tol=%.3g %s",
-		status, r.CaseName, r.Analytic, r.Sim, r.RelErr, r.Tol, r.Point)
+		r.status(), r.CaseName, r.Analytic, r.Sim, r.RelErr, r.Tol, r.Point)
 }
+
+func (r Result) tally() (string, float64) { return r.CaseName, r.RelErr }
 
 // Check runs the full differential comparison for one design point:
 // classify and evaluate the closed form, synthesize the equivalent

@@ -26,7 +26,7 @@ func TestCuratedRepros(t *testing.T) {
 	for _, path := range paths {
 		name := strings.TrimSuffix(filepath.Base(path), ".json")
 		t.Run(name, func(t *testing.T) {
-			pt, err := LoadRepro(path)
+			pt, err := LoadRepro[DesignPoint](path)
 			if err != nil {
 				t.Fatalf("LoadRepro: %v", err)
 			}
@@ -82,7 +82,7 @@ func TestCuratedReproDecksRoundTrip(t *testing.T) {
 			}
 			_, fromDeck := w.Max()
 
-			pt, err := LoadRepro(strings.TrimSuffix(path, ".cir") + ".json")
+			pt, err := LoadRepro[DesignPoint](strings.TrimSuffix(path, ".cir") + ".json")
 			if err != nil {
 				t.Fatalf("LoadRepro: %v", err)
 			}
