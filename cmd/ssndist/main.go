@@ -37,7 +37,6 @@ import (
 	"ssnkit/internal/dist/store"
 	"ssnkit/internal/serve"
 	"ssnkit/internal/sweep"
-	"ssnkit/internal/units"
 )
 
 func main() {
@@ -47,47 +46,16 @@ func main() {
 	}
 }
 
-// parseAxis decodes one -axis flag: name=from:to:points[:log].
-func parseAxis(s string) (dist.Axis, error) {
-	var a dist.Axis
-	name, rest, ok := strings.Cut(s, "=")
-	if !ok {
-		return a, fmt.Errorf("axis %q: want name=from:to:points[:log]", s)
-	}
-	parts := strings.Split(rest, ":")
-	if len(parts) < 3 || len(parts) > 4 {
-		return a, fmt.Errorf("axis %q: want name=from:to:points[:log]", s)
-	}
-	var err error
-	if a.From, err = units.Parse(parts[0]); err != nil {
-		return a, fmt.Errorf("axis %s: from: %w", name, err)
-	}
-	if a.To, err = units.Parse(parts[1]); err != nil {
-		return a, fmt.Errorf("axis %s: to: %w", name, err)
-	}
-	if _, err = fmt.Sscanf(parts[2], "%d", &a.Points); err != nil {
-		return a, fmt.Errorf("axis %s: points: %w", name, err)
-	}
-	if len(parts) == 4 {
-		if parts[3] != "log" {
-			return a, fmt.Errorf("axis %s: unknown option %q (only \"log\")", name, parts[3])
-		}
-		a.Log = true
-	}
-	a.Name = name
-	return a, nil
-}
-
 func run(args []string, out, errw io.Writer) error {
 	fs := flag.NewFlagSet("ssndist", flag.ContinueOnError)
 	var axes []dist.Axis
 	fs.Func("axis", "swept axis name=from:to:points[:log] (repeatable; n, l, c, slope, tr, size)",
 		func(s string) error {
-			a, err := parseAxis(s)
+			a, err := cliflags.ParseAxis(s)
 			if err != nil {
 				return err
 			}
-			axes = append(axes, a)
+			axes = append(axes, dist.Axis(a))
 			return nil
 		})
 	var (

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -90,6 +89,8 @@ func TestRunErrors(t *testing.T) {
 		{"positional args", distArgs("stray")},
 		{"bad axis syntax", []string{"-axis", "n=1:64", "-q"}},
 		{"bad axis points", []string{"-axis", "n=1:64:many", "-q"}},
+		{"fractional axis points", []string{"-axis", "n=1:64:8.5", "-q"}},
+		{"trailing junk in axis points", []string{"-axis", "n=1:64:8x", "-q"}},
 		{"unknown axis option", []string{"-axis", "n=1:64:8:banana", "-q"}},
 		{"domain violation", []string{"-axis", "l=0:4n:8", "-q"}},
 		{"unknown axis name", []string{"-axis", "zz=1:2:3", "-q"}},
@@ -99,19 +100,5 @@ func TestRunErrors(t *testing.T) {
 		if err := run(tc.args, &buf, &buf); err == nil {
 			t.Errorf("%s: run succeeded, want error", tc.name)
 		}
-	}
-}
-
-func TestParseAxis(t *testing.T) {
-	a, err := parseAxis("l=1n:12n:64:log")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Name != "l" || a.Points != 64 || !a.Log ||
-		math.Abs(a.From-1e-9) > 1e-15 || math.Abs(a.To-12e-9) > 1e-15 {
-		t.Errorf("parsed %+v", a)
-	}
-	if a, err := parseAxis("n=1:512:512"); err != nil || a.Log {
-		t.Errorf("linear axis: %+v, %v", a, err)
 	}
 }

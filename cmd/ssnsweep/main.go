@@ -59,37 +59,6 @@ type row struct {
 	depth  int
 }
 
-// parseAxis decodes one -axis flag: name=from:to:points[:log].
-func parseAxis(s string) (sweep.Axis, error) {
-	var a sweep.Axis
-	name, rest, ok := strings.Cut(s, "=")
-	if !ok {
-		return a, fmt.Errorf("axis %q: want name=from:to:points[:log]", s)
-	}
-	parts := strings.Split(rest, ":")
-	if len(parts) < 3 || len(parts) > 4 {
-		return a, fmt.Errorf("axis %q: want name=from:to:points[:log]", s)
-	}
-	var err error
-	if a.From, err = units.Parse(parts[0]); err != nil {
-		return a, fmt.Errorf("axis %s: from: %w", name, err)
-	}
-	if a.To, err = units.Parse(parts[1]); err != nil {
-		return a, fmt.Errorf("axis %s: to: %w", name, err)
-	}
-	if a.Points, err = strconv.Atoi(parts[2]); err != nil {
-		return a, fmt.Errorf("axis %s: points: %w", name, err)
-	}
-	if len(parts) == 4 {
-		if parts[3] != "log" {
-			return a, fmt.Errorf("axis %s: unknown option %q (only \"log\")", name, parts[3])
-		}
-		a.Log = true
-	}
-	a.Name = name
-	return a, nil
-}
-
 // legacyAxis reproduces the single-variable flag set of earlier releases:
 // -var/-from/-to with -points (-log) or -step.
 func legacyAxis(varName, fromStr, toStr, stepStr string, points int, logScale bool) (sweep.Axis, error) {
@@ -139,7 +108,7 @@ func run(args []string, out io.Writer) error {
 	var axes []sweep.Axis
 	fs.Func("axis", "swept axis name=from:to:points[:log] (repeatable; n, l, c, slope, tr, size)",
 		func(s string) error {
-			a, err := parseAxis(s)
+			a, err := cliflags.ParseAxis(s)
 			if err != nil {
 				return err
 			}

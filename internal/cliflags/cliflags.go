@@ -3,15 +3,19 @@
 // size, the package ground net (with explicit L/C overrides), the driver
 // count and the input rise time. ssncalc and ssnsweep parse the same
 // physical design point; keeping one definition means one help text, one
-// unit parser and one validation path.
+// unit parser and one validation path. ParseAxis is the one parser of the
+// swept -axis flag that ssnsweep and ssndist share.
 package cliflags
 
 import (
 	"flag"
 	"fmt"
+	"strconv"
+	"strings"
 
 	"ssnkit/internal/device"
 	"ssnkit/internal/pkgmodel"
+	"ssnkit/internal/sweep"
 	"ssnkit/internal/units"
 )
 
@@ -94,4 +98,36 @@ func (f *Fixed) Resolve() (Resolved, error) {
 	r.Size = f.Size
 	r.Pads = f.Pads
 	return r, nil
+}
+
+// ParseAxis decodes one -axis flag: name=from:to:points[:log]. The point
+// count must be a whole decimal integer.
+func ParseAxis(s string) (sweep.Axis, error) {
+	var a sweep.Axis
+	name, rest, ok := strings.Cut(s, "=")
+	if !ok {
+		return a, fmt.Errorf("axis %q: want name=from:to:points[:log]", s)
+	}
+	parts := strings.Split(rest, ":")
+	if len(parts) < 3 || len(parts) > 4 {
+		return a, fmt.Errorf("axis %q: want name=from:to:points[:log]", s)
+	}
+	var err error
+	if a.From, err = units.Parse(parts[0]); err != nil {
+		return a, fmt.Errorf("axis %s: from: %w", name, err)
+	}
+	if a.To, err = units.Parse(parts[1]); err != nil {
+		return a, fmt.Errorf("axis %s: to: %w", name, err)
+	}
+	if a.Points, err = strconv.Atoi(parts[2]); err != nil {
+		return a, fmt.Errorf("axis %s: points: %w", name, err)
+	}
+	if len(parts) == 4 {
+		if parts[3] != "log" {
+			return a, fmt.Errorf("axis %s: unknown option %q (only \"log\")", name, parts[3])
+		}
+		a.Log = true
+	}
+	a.Name = name
+	return a, nil
 }
