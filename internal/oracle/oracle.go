@@ -169,8 +169,9 @@ func checkWith(pl *ssn.Plan, pt DesignPoint, opts spice.Options) Result {
 
 // Simulate synthesizes the netlist for the point and runs the transient
 // engine, returning the peak bounce voltage inside the ramp window (the
-// quantity Table 1 models) and the number of samples in the waveform: the
-// accepted time steps plus the initial point.
+// quantity Table 1 models) and the number of samples the run took: the
+// accepted time steps plus the initial point. Only the peak is kept, not
+// the waveforms.
 func Simulate(pt DesignPoint, opts spice.Options) (vmax float64, steps int, err error) {
 	ckt, tran, err := BuildDeck(pt)
 	if err != nil {
@@ -180,14 +181,6 @@ func Simulate(pt DesignPoint, opts spice.Options) (vmax float64, steps int, err 
 	if err != nil {
 		return 0, 0, err
 	}
-	set, err := eng.Transient(tran)
-	if err != nil {
-		return 0, 0, err
-	}
-	w := set.Get("v(" + driver.BounceNode + ")")
-	if w == nil {
-		return 0, 0, fmt.Errorf("oracle: missing v(%s) in simulation output", driver.BounceNode)
-	}
-	_, vmax = w.Max()
-	return vmax, w.Len(), nil
+	_, vmax, steps, err = eng.TransientPeak(tran, driver.BounceNode)
+	return vmax, steps, err
 }

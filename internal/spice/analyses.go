@@ -134,8 +134,95 @@ func (e *Engine) recordInto(out map[string][]float64) {
 // voltage and per inductor/source branch current, named "v(node)" and
 // "i(elem)".
 func (e *Engine) Transient(spec circuit.TranSpec) (*waveform.Set, error) {
-	if spec.Step <= 0 || spec.Stop <= spec.Start {
-		return nil, fmt.Errorf("spice: bad .TRAN spec step=%g stop=%g start=%g", spec.Step, spec.Stop, spec.Start)
+	rec := fullRecorder{arena: sampleArena{per: e.nUnknown}}
+	if err := e.transient(spec, &rec); err != nil {
+		return nil, err
+	}
+	return e.wavesFrom(rec.times, rec.samples)
+}
+
+// TransientPeak runs the same transient analysis as Transient but keeps
+// only the running maximum of one node voltage. It returns the time and
+// value of the first sample at which v(node) peaks and the sample count
+// (the accepted steps plus the initial point): bit for bit what
+// Transient(spec).Get("v(node)").Max() and Len() report, without recording
+// a waveform, so its allocations do not grow with the step count.
+func (e *Engine) TransientPeak(spec circuit.TranSpec, node string) (tmax, vmax float64, samples int, err error) {
+	idx := e.ckt.LookupNode(node)
+	switch {
+	case idx < 0:
+		return 0, 0, 0, fmt.Errorf("spice: unknown node %q", node)
+	case idx == 0:
+		return 0, 0, 0, fmt.Errorf("spice: node %q is ground and has no waveform", node)
+	}
+	rec := peakRecorder{slot: e.slot[idx], vmax: math.Inf(-1)}
+	if rec.slot < 0 {
+		rec.known = e.knowns[-2-rec.slot]
+	}
+	if err := e.transient(spec, &rec); err != nil {
+		return 0, 0, 0, err
+	}
+	return rec.tmax, rec.vmax, rec.n, nil
+}
+
+// tranRecorder receives the samples of a transient run: grow once with an
+// estimate of the sample count, then record for the initial point and for
+// every accepted step, in increasing time. x is the engine's live solution
+// vector, so a recorder that keeps it must copy it.
+type tranRecorder interface {
+	grow(est int)
+	record(t float64, x []float64)
+}
+
+// fullRecorder keeps every sample for wavesFrom. The result slices are
+// presized from the step grid and the per-step snapshots are carved out of
+// a chunked arena, so recording a step does not allocate.
+type fullRecorder struct {
+	arena   sampleArena
+	times   []float64
+	samples [][]float64
+}
+
+func (r *fullRecorder) grow(est int) {
+	r.times = make([]float64, 0, est)
+	r.samples = make([][]float64, 0, est)
+}
+
+func (r *fullRecorder) record(t float64, x []float64) {
+	r.times = append(r.times, t)
+	r.samples = append(r.samples, r.arena.take(x))
+}
+
+// peakRecorder keeps one node voltage's running maximum and the sample
+// count, with Waveform.Max's first-maximum rule.
+type peakRecorder struct {
+	slot       int        // the node's unknown slot, when known is nil
+	known      *knownNode // the source pinning the node, if any
+	tmax, vmax float64
+	n          int
+}
+
+func (r *peakRecorder) grow(int) {}
+
+func (r *peakRecorder) record(t float64, x []float64) {
+	var v float64
+	if r.known != nil {
+		v = r.known.sign * r.known.wave.At(t) // as wavesFrom reports a pinned node
+	} else {
+		v = x[r.slot]
+	}
+	if v > r.vmax {
+		r.tmax, r.vmax = t, v
+	}
+	r.n++
+}
+
+// transient is the one stepping loop behind Transient and TransientPeak:
+// it sets up the initial state, integrates from spec.Start to spec.Stop
+// and hands each accepted sample to rec.
+func (e *Engine) transient(spec circuit.TranSpec, rec tranRecorder) error {
+	if !(spec.Step > 0) || !(spec.Stop > spec.Start) {
+		return fmt.Errorf("spice: bad .TRAN spec step=%g stop=%g start=%g", spec.Step, spec.Stop, spec.Start)
 	}
 	// Initial state.
 	if spec.UseIC {
@@ -174,7 +261,7 @@ func (e *Engine) Transient(spec circuit.TranSpec) (*waveform.Set, error) {
 		err := e.solve(spec.Start, spec.Step*1e-3, modeBE)
 		e.pinICs = false
 		if err != nil {
-			return nil, fmt.Errorf("spice: UIC consistency solve: %w", err)
+			return fmt.Errorf("spice: UIC consistency solve: %w", err)
 		}
 		// Re-sync the reactive history with the consistent solution so
 		// element ICs and .IC node pins agree at the first real step.
@@ -188,7 +275,7 @@ func (e *Engine) Transient(spec circuit.TranSpec) (*waveform.Set, error) {
 		}
 	} else {
 		if err := e.OperatingPoint(spec.Start); err != nil {
-			return nil, err
+			return err
 		}
 		for _, c := range e.caps {
 			c.vOld = e.nodeV(e.x, c.n1) - e.nodeV(e.x, c.n2)
@@ -206,9 +293,8 @@ func (e *Engine) Transient(spec circuit.TranSpec) (*waveform.Set, error) {
 	// Breakpoints from all sources, restricted to the run window.
 	bps := e.breakpoints(spec.Start, spec.Stop)
 
-	// Pre-size the result slices from the step grid (plus breakpoints and
-	// slack for halvings) and carve the per-step snapshots out of a chunked
-	// arena, so the accept path of the loop does not allocate.
+	// Estimate the sample count from the step grid, plus breakpoints and
+	// slack for halvings, so a recorder can presize.
 	est := int((spec.Stop-spec.Start)/spec.Step) + len(bps) + 8
 	if est < 16 {
 		est = 16
@@ -216,11 +302,8 @@ func (e *Engine) Transient(spec circuit.TranSpec) (*waveform.Set, error) {
 	if est > 1<<20 {
 		est = 1 << 20
 	}
-	arena := sampleArena{per: e.nUnknown}
-	times := make([]float64, 1, est)
-	times[0] = spec.Start
-	samples := make([][]float64, 1, est)
-	samples[0] = arena.take(e.x)
+	rec.grow(est)
+	rec.record(spec.Start, e.x)
 
 	t := spec.Start
 	h := spec.Step
@@ -278,16 +361,20 @@ func (e *Engine) Transient(spec circuit.TranSpec) (*waveform.Set, error) {
 					hTry /= 2
 				}
 				if !recovered {
-					return nil, fmt.Errorf("spice: transient stalled at t=%g: %w", t, stepErr)
+					return fmt.Errorf("spice: transient stalled at t=%g: %w", t, stepErr)
 				}
 			}
 			e.updateStates(t+hEff, hEff, useBE)
 		} else if stepErr != nil {
-			return nil, fmt.Errorf("spice: transient stalled at t=%g: %w", t, stepErr)
+			return fmt.Errorf("spice: transient stalled at t=%g: %w", t, stepErr)
+		}
+		// A step below the ULP of t would record the same time again, and
+		// the loop would never reach Stop.
+		if t+hEff == t {
+			return fmt.Errorf("spice: transient step h=%g does not advance t=%g", hEff, t)
 		}
 		t += hEff
-		times = append(times, t)
-		samples = append(samples, arena.take(e.x))
+		rec.record(t, e.x)
 
 		// Breakpoint handling: if we landed exactly on one, consume it and
 		// restart integration with BE.
@@ -305,7 +392,7 @@ func (e *Engine) Transient(spec circuit.TranSpec) (*waveform.Set, error) {
 		}
 	}
 
-	return e.wavesFrom(times, samples)
+	return nil
 }
 
 // reactiveSnapshot captures everything a step mutates, so a trial step can
