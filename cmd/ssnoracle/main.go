@@ -57,24 +57,14 @@ func run(args []string, out io.Writer) error {
 		Workers:  *workers,
 		ReproDir: *repros,
 	}
-	if *verbose {
-		for i := 0; i < cfg.Points; i++ {
-			pt, ok := oracle.Generate(cfg.Seed, i)
-			if !ok {
-				fmt.Fprintf(out, "#%d GENERATOR EXHAUSTED\n", i)
-				continue
-			}
-			res := oracle.Check(pt, cfg.Opts)
-			res.Index = i
-			fmt.Fprintf(out, "#%d %s\n", i, res)
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-	}
 	rep, err := oracle.Run(ctx, cfg)
 	if err != nil {
 		return err
+	}
+	if *verbose {
+		for _, res := range rep.Results {
+			fmt.Fprintf(out, "#%d %s\n", res.Index, res)
+		}
 	}
 	fmt.Fprintln(out, rep)
 	if !rep.OK() {

@@ -125,6 +125,7 @@ func (c campaign[P, R, PR]) run(ctx context.Context, cfg Config) (*report[R, PR]
 		Points:     cfg.Points,
 		CaseCounts: map[string]int{},
 		WorstRel:   map[string]float64{},
+		Results:    results,
 	}
 	for i := range results {
 		v := PR(&results[i]).base()
@@ -204,6 +205,7 @@ type report[R any, PR outcome[R]] struct {
 	Skipped    int                // outside the reference's domain, neither pass nor fail
 	CaseCounts map[string]int     // passed and failed points per class (transient: Table 1 case)
 	WorstRel   map[string]float64 // worst relative error per class
+	Results    []R                // every point's outcome, index order
 	Failures   []R                // the disagreements and errors, index order
 	Dumped     []string           // repro basenames written to Config.ReproDir
 }
