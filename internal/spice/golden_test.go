@@ -32,7 +32,7 @@ func goldenDecks(t *testing.T) []string {
 	return paths
 }
 
-func runGoldenDeck(t *testing.T, path string, opts Options, ref bool) *waveform.Set {
+func parseDeckFile(t *testing.T, path string) *circuit.Deck {
 	t.Helper()
 	f, err := os.Open(path)
 	if err != nil {
@@ -46,14 +46,26 @@ func runGoldenDeck(t *testing.T, path string, opts Options, ref bool) *waveform.
 	if deck.Tran == nil {
 		t.Fatalf("%s: deck has no .tran", path)
 	}
+	return deck
+}
+
+func newDeckEngine(t *testing.T, deck *circuit.Deck, opts Options) *Engine {
+	t.Helper()
 	eng, err := New(deck.Circuit, opts)
 	if err != nil {
-		t.Fatalf("%s: %v", path, err)
+		t.Fatal(err)
 	}
-	eng.refMode = ref
 	if err := eng.SetNodeICs(deck.NodeICs); err != nil {
-		t.Fatalf("%s: %v", path, err)
+		t.Fatal(err)
 	}
+	return eng
+}
+
+func runGoldenDeck(t *testing.T, path string, opts Options, ref bool) *waveform.Set {
+	t.Helper()
+	deck := parseDeckFile(t, path)
+	eng := newDeckEngine(t, deck, opts)
+	eng.refMode = ref
 	set, err := eng.Transient(*deck.Tran)
 	if err != nil {
 		t.Fatalf("%s: transient (ref=%v): %v", path, ref, err)
