@@ -340,6 +340,31 @@ func BenchmarkACSweep(b *testing.B) {
 	}
 }
 
+// BenchmarkACCompile measures compiling a PGA power-delivery mesh for AC
+// analysis: stamp-plan construction and the symbolic analysis (ordering,
+// fill, update map) that every fresh engine, and so every accepted decap
+// trial, pays once. 64x64 is the largest mesh the service admits.
+// max_allocs_per_op in BENCH_spice.json caps the analysis allocations.
+func BenchmarkACCompile(b *testing.B) {
+	for _, rc := range []int{8, 16, 64} {
+		b.Run(meshName(rc), func(b *testing.B) {
+			ckt, _, err := pkgmodel.DefaultPDN(pkgmodel.PGA, rc, rc, 4).Build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				eng, err := spice.NewAC(ckt, spice.ACOptions{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchResult = eng
+			}
+		})
+	}
+}
+
 // BenchmarkOptimizeDecaps measures greedy decap placement on three members
 // of the optimize benchmark suite (60 log-spaced points, 1 MHz-10 GHz,
 // 5 mΩ unit decaps) at one worker: the 5x8 QFP retires many trial sites

@@ -2,6 +2,7 @@ package pkgmodel
 
 import (
 	"fmt"
+	"strconv"
 
 	"ssnkit/internal/circuit"
 )
@@ -114,7 +115,19 @@ func perimeterSites(rows, cols, n int) []int {
 
 // NodeName returns the canonical mesh node name for node id (r*Cols+c).
 func (g *PDNGrid) NodeName(id int) string {
-	return fmt.Sprintf("n_%d_%d", id/g.Cols, id%g.Cols)
+	return pairName("n_", id/g.Cols, id%g.Cols)
+}
+
+// pairName returns prefix followed by r, '_' and c in decimal, the name
+// fmt.Sprintf(prefix+"%d_%d", r, c) gives, built without fmt: a grid
+// names several elements and nodes per mesh node.
+func pairName(prefix string, r, c int) string {
+	var buf [32]byte
+	b := append(buf[:0], prefix...)
+	b = strconv.AppendInt(b, int64(r), 10)
+	b = append(b, '_')
+	b = strconv.AppendInt(b, int64(c), 10)
+	return string(b)
 }
 
 // Validate checks the grid is well-formed.
@@ -165,29 +178,33 @@ func (g *PDNGrid) Build() (*circuit.Circuit, int, error) {
 	if err := g.Validate(); err != nil {
 		return nil, 0, err
 	}
-	ckt := circuit.New(fmt.Sprintf("pdn-%dx%d", g.Rows, g.Cols))
+	ckt := circuit.New("pdn-" + strconv.Itoa(g.Rows) + "x" + strconv.Itoa(g.Cols))
+	nodes := make([]string, g.Rows*g.Cols)
+	for id := range nodes {
+		nodes[id] = g.NodeName(id)
+	}
 	// Rail mesh: horizontal then vertical R+L segments, each with an
 	// internal mid node so R and L are separately addressable parameters.
 	for r := 0; r < g.Rows; r++ {
 		for c := 0; c < g.Cols; c++ {
-			n := g.NodeName(r*g.Cols + c)
+			n := nodes[r*g.Cols+c]
 			if c+1 < g.Cols {
-				mid := fmt.Sprintf("mh_%d_%d", r, c)
-				ckt.AddR(fmt.Sprintf("segrh_%d_%d", r, c), n, mid, g.SegR)
-				ckt.AddL(fmt.Sprintf("seglh_%d_%d", r, c), mid, g.NodeName(r*g.Cols+c+1), g.SegL)
+				mid := pairName("mh_", r, c)
+				ckt.AddR(pairName("segrh_", r, c), n, mid, g.SegR)
+				ckt.AddL(pairName("seglh_", r, c), mid, nodes[r*g.Cols+c+1], g.SegL)
 			}
 			if r+1 < g.Rows {
-				mid := fmt.Sprintf("mv_%d_%d", r, c)
-				ckt.AddR(fmt.Sprintf("segrv_%d_%d", r, c), n, mid, g.SegR)
-				ckt.AddL(fmt.Sprintf("seglv_%d_%d", r, c), mid, g.NodeName((r+1)*g.Cols+c), g.SegL)
+				mid := pairName("mv_", r, c)
+				ckt.AddR(pairName("segrv_", r, c), n, mid, g.SegR)
+				ckt.AddL(pairName("seglv_", r, c), mid, nodes[(r+1)*g.Cols+c], g.SegL)
 			}
 			if g.DieC > 0 {
 				if g.DieR > 0 {
-					mid := fmt.Sprintf("md_%d_%d", r, c)
-					ckt.AddR(fmt.Sprintf("rdie_%d_%d", r, c), n, mid, g.DieR)
-					ckt.AddC(fmt.Sprintf("cdie_%d_%d", r, c), mid, "0", g.DieC)
+					mid := pairName("md_", r, c)
+					ckt.AddR(pairName("rdie_", r, c), n, mid, g.DieR)
+					ckt.AddC(pairName("cdie_", r, c), mid, "0", g.DieC)
 				} else {
-					ckt.AddC(fmt.Sprintf("cdie_%d_%d", r, c), n, "0", g.DieC)
+					ckt.AddC(pairName("cdie_", r, c), n, "0", g.DieC)
 				}
 			}
 		}
@@ -195,29 +212,29 @@ func (g *PDNGrid) Build() (*circuit.Circuit, int, error) {
 	// Package pins: bond-wire R+L from the pad site to board ground, pad
 	// capacitance at the site.
 	for i, site := range g.PadSites {
-		n := g.NodeName(site)
-		mid := fmt.Sprintf("mp_%d", i)
-		ckt.AddR(fmt.Sprintf("rpin_%d", i), n, mid, g.Pin.R)
-		ckt.AddL(fmt.Sprintf("lpin_%d", i), mid, "0", g.Pin.L)
+		n, k := nodes[site], strconv.Itoa(i)
+		mid := "mp_" + k
+		ckt.AddR("rpin_"+k, n, mid, g.Pin.R)
+		ckt.AddL("lpin_"+k, mid, "0", g.Pin.L)
 		if g.Pin.C > 0 {
-			ckt.AddC(fmt.Sprintf("cpad_%d", i), n, "0", g.Pin.C)
+			ckt.AddC("cpad_"+k, n, "0", g.Pin.C)
 		}
 	}
 	// Decap sites: ESR in series with C. Zero-C candidate sites add no
 	// elements — their placement gradient is evaluated virtually from the
 	// adjoint solution.
-	for k, d := range g.DecapSites {
+	for i, d := range g.DecapSites {
 		if d.C <= 0 {
 			continue
 		}
-		n := g.NodeName(d.Node)
-		mid := fmt.Sprintf("mc_%d", k)
-		ckt.AddR(fmt.Sprintf("resr_%d", k), n, mid, d.ESR)
-		ckt.AddC(fmt.Sprintf("cdec_%d", k), mid, "0", d.C)
+		n, k := nodes[d.Node], strconv.Itoa(i)
+		mid := "mc_" + k
+		ckt.AddR("resr_"+k, n, mid, d.ESR)
+		ckt.AddC("cdec_"+k, mid, "0", d.C)
 	}
-	obs := ckt.LookupNode(g.NodeName(g.Obs))
+	obs := ckt.LookupNode(nodes[g.Obs])
 	if obs < 0 {
-		return nil, 0, fmt.Errorf("pkgmodel: observation node %q missing from netlist", g.NodeName(g.Obs))
+		return nil, 0, fmt.Errorf("pkgmodel: observation node %q missing from netlist", nodes[g.Obs])
 	}
 	return ckt, obs, nil
 }

@@ -1,6 +1,8 @@
 package pkgmodel
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -152,5 +154,91 @@ func TestPDNGrid1x1ReducesToLumped(t *testing.T) {
 	// rpin, lpin, cpad, cdie
 	if count != 4 {
 		t.Errorf("1x1 grid has %d elements, want 4", count)
+	}
+}
+
+// fmtBuild is the netlist Build synthesized when it named every node and
+// element with fmt.Sprintf, kept as the reference for its names.
+func fmtBuild(g *PDNGrid) *circuit.Circuit {
+	name := func(id int) string { return fmt.Sprintf("n_%d_%d", id/g.Cols, id%g.Cols) }
+	ckt := circuit.New(fmt.Sprintf("pdn-%dx%d", g.Rows, g.Cols))
+	for r := 0; r < g.Rows; r++ {
+		for c := 0; c < g.Cols; c++ {
+			n := name(r*g.Cols + c)
+			if c+1 < g.Cols {
+				mid := fmt.Sprintf("mh_%d_%d", r, c)
+				ckt.AddR(fmt.Sprintf("segrh_%d_%d", r, c), n, mid, g.SegR)
+				ckt.AddL(fmt.Sprintf("seglh_%d_%d", r, c), mid, name(r*g.Cols+c+1), g.SegL)
+			}
+			if r+1 < g.Rows {
+				mid := fmt.Sprintf("mv_%d_%d", r, c)
+				ckt.AddR(fmt.Sprintf("segrv_%d_%d", r, c), n, mid, g.SegR)
+				ckt.AddL(fmt.Sprintf("seglv_%d_%d", r, c), mid, name((r+1)*g.Cols+c), g.SegL)
+			}
+			if g.DieC > 0 {
+				if g.DieR > 0 {
+					mid := fmt.Sprintf("md_%d_%d", r, c)
+					ckt.AddR(fmt.Sprintf("rdie_%d_%d", r, c), n, mid, g.DieR)
+					ckt.AddC(fmt.Sprintf("cdie_%d_%d", r, c), mid, "0", g.DieC)
+				} else {
+					ckt.AddC(fmt.Sprintf("cdie_%d_%d", r, c), n, "0", g.DieC)
+				}
+			}
+		}
+	}
+	for i, site := range g.PadSites {
+		n := name(site)
+		mid := fmt.Sprintf("mp_%d", i)
+		ckt.AddR(fmt.Sprintf("rpin_%d", i), n, mid, g.Pin.R)
+		ckt.AddL(fmt.Sprintf("lpin_%d", i), mid, "0", g.Pin.L)
+		if g.Pin.C > 0 {
+			ckt.AddC(fmt.Sprintf("cpad_%d", i), n, "0", g.Pin.C)
+		}
+	}
+	for k, d := range g.DecapSites {
+		if d.C <= 0 {
+			continue
+		}
+		n := name(d.Node)
+		mid := fmt.Sprintf("mc_%d", k)
+		ckt.AddR(fmt.Sprintf("resr_%d", k), n, mid, d.ESR)
+		ckt.AddC(fmt.Sprintf("cdec_%d", k), mid, "0", d.C)
+	}
+	return ckt
+}
+
+// TestPDNGridNamesMatchFmt: on the catalog meshes, with and without an
+// ideal die capacitance and with placed and zero-C decap sites, Build
+// yields the netlist of the fmt-named reference — every node name, in
+// order, and every element with its name, nodes and value — and NodeName
+// gives the fmt form of every mesh node.
+func TestPDNGridNamesMatchFmt(t *testing.T) {
+	for _, pkg := range Catalog() {
+		for _, rc := range [][2]int{{1, 1}, {1, 6}, {4, 4}, {5, 8}, {12, 12}, {13, 101}} {
+			for _, dieR := range []float64{1e-3, 0} {
+				g := DefaultPDN(pkg, rc[0], rc[1], 6)
+				g.DieR = dieR
+				n := g.Rows * g.Cols
+				for k := 0; k < 12; k++ {
+					g.DecapSites = append(g.DecapSites, DecapSite{Node: (k * 37) % n, C: float64(k%3) * 1e-9, ESR: 5e-3})
+				}
+				got, obs, err := g.Build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := fmtBuild(g)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s %dx%d dieR=%g: netlist differs from the fmt-named reference", pkg.Name, g.Rows, g.Cols, dieR)
+				}
+				if name := fmt.Sprintf("n_%d_%d", g.Obs/g.Cols, g.Obs%g.Cols); obs != want.LookupNode(name) {
+					t.Fatalf("%s %dx%d: observation node %d, want %d", pkg.Name, g.Rows, g.Cols, obs, want.LookupNode(name))
+				}
+				for id := 0; id < n; id++ {
+					if got, want := g.NodeName(id), fmt.Sprintf("n_%d_%d", id/g.Cols, id%g.Cols); got != want {
+						t.Fatalf("NodeName(%d) = %q, want %q", id, got, want)
+					}
+				}
+			}
+		}
 	}
 }
