@@ -288,6 +288,34 @@ func BenchmarkACSolve(b *testing.B) {
 	}
 }
 
+// BenchmarkACSolvePivoted measures one factor+solve per iteration on the
+// pivoted sparse backend (forced ACSparse), the path an engine takes for
+// voltage-source patterns and after a cancelled static pivot.
+func BenchmarkACSolvePivoted(b *testing.B) {
+	for _, rc := range []int{16} {
+		b.Run(meshName(rc), func(b *testing.B) {
+			ckt, obs, err := pkgmodel.DefaultPDN(pkgmodel.PGA, rc, rc, 4).Build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			eng, err := spice.NewAC(ckt, spice.ACOptions{Backend: spice.ACSparse})
+			if err != nil {
+				b.Fatal(err)
+			}
+			freqs := benchACFreqs(b)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				omega := 2 * math.Pi * freqs[i%len(freqs)]
+				z, err := eng.Impedance(omega, obs)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchResult = real(z)
+			}
+		})
+	}
+}
+
 // BenchmarkAdjoint measures the full adjoint sensitivity pass: forward
 // solve, transpose solve, and the per-element gradient accumulation.
 func BenchmarkAdjoint(b *testing.B) {
