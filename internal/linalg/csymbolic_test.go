@@ -12,15 +12,15 @@ import (
 // symmetric pattern, every diagonal structurally present, and mild
 // diagonal dominance (static pivoting stays well conditioned). It returns
 // the dense matrix plus its CSR pattern and value array.
-func randSymPattern(rng *rand.Rand, n int, density float64) (*CMatrix, []int, []int, []complex128) {
-	a := NewCMatrix(n, n)
+func randSymPattern(rng *rand.Rand, n int, density float64) ([]complex128, []int, []int, []complex128) {
+	a := make([]complex128, n*n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if rng.Float64() < density {
 				v := complex(rng.NormFloat64(), rng.NormFloat64())
 				w := complex(rng.NormFloat64(), rng.NormFloat64())
-				a.Add(i, j, v)
-				a.Add(j, i, w)
+				a[i*n+j] += v
+				a[j*n+i] += w
 			}
 		}
 	}
@@ -28,20 +28,20 @@ func randSymPattern(rng *rand.Rand, n int, density float64) (*CMatrix, []int, []
 		sum := 1.0
 		for j := 0; j < n; j++ {
 			if j != i {
-				v := a.Data[i*n+j]
+				v := a[i*n+j]
 				sum += absC(v)
-				v = a.Data[j*n+i]
+				v = a[j*n+i]
 				sum += absC(v)
 			}
 		}
-		a.Add(i, i, complex(sum, rng.NormFloat64()))
+		a[i*n+i] += complex(sum, rng.NormFloat64())
 	}
 	rowPtr := make([]int, n+1)
 	var cols []int
 	var vals []complex128
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			if v := a.Data[i*n+j]; v != 0 {
+			if v := a[i*n+j]; v != 0 {
 				cols = append(cols, j)
 				vals = append(vals, v)
 			}
@@ -90,7 +90,7 @@ func TestCSymbolicVsDense(t *testing.T) {
 			t.Fatalf("trial %d (n=%d): Refactor: %v", trial, n, err)
 		}
 		dense := NewDenseLU[complex128](n)
-		if err := dense.Factor(a.Data); err != nil {
+		if err := dense.Factor(a); err != nil {
 			t.Fatalf("trial %d: dense Factor: %v", trial, err)
 		}
 		b := make([]complex128, n)
@@ -358,7 +358,7 @@ func TestCSymbolicSymInvDiag(t *testing.T) {
 	var vals []complex128
 	for i := 0; i < n; i++ {
 		for t := rowPtr[i]; t < rowPtr[i+1]; t++ {
-			vals = append(vals, a.Data[min(i, cols[t])*n+max(i, cols[t])])
+			vals = append(vals, a[min(i, cols[t])*n+max(i, cols[t])])
 		}
 	}
 	s, err := NewCSymbolicLU(rowPtr, cols)

@@ -18,11 +18,13 @@ var ErrSingular = errors.New("linalg: matrix is singular to working precision")
 type Scalar interface{ float64 | complex128 }
 
 // Solver is the factor-then-solve contract the MNA engines program
-// against. Factor captures the row-major n x n matrix a; Solve
-// back-substitutes one right-hand side; SolveT solves the transposed
-// system Aᵀx = b from the same factorization (the adjoint method needs
-// exactly one per frequency). DenseLU and SparseLU both satisfy it, so an
-// engine picks a backend by system size while the call sites stay the same.
+// against. Factor captures the matrix from its value array — the
+// row-major n x n array for DenseLU, the values of the CSR pattern given
+// at construction for SparseLU; Solve back-substitutes one right-hand
+// side; SolveT solves the transposed system Aᵀx = b from the same
+// factorization (the adjoint method needs exactly one per frequency).
+// Both layouts satisfy it, so an engine picks a backend by system size
+// while the call sites stay the same.
 type Solver[T Scalar] interface {
 	Factor(a []T) error
 	Solve(b, x []T) error

@@ -25,7 +25,7 @@ type backend[T Scalar] struct {
 }
 
 func backends[T Scalar](n int) []backend[T] {
-	return []backend[T]{{"dense", NewDenseLU[T](n)}, {"sparse", NewSparseLU[T](n)}}
+	return []backend[T]{{"dense", NewDenseLU[T](n)}, {"sparse", NewSparseLU[T](DensePattern(n))}}
 }
 
 // of converts a complex literal to T; float64 keeps the real part.
@@ -327,7 +327,7 @@ func testSparseMatchesDense[T Scalar](t *testing.T) {
 func solveBoth[T Scalar](t *testing.T, a, b []T) {
 	t.Helper()
 	n := len(b)
-	dense, sparse := NewDenseLU[T](n), NewSparseLU[T](n)
+	dense, sparse := NewDenseLU[T](n), NewSparseLU[T](DensePattern(n))
 	if err := dense.Factor(a); err != nil {
 		t.Fatalf("dense Factor: %v", err)
 	}
@@ -360,7 +360,7 @@ func TestCSparseLUSolveReuse(t *testing.T) {
 func testSparseSolveReuse[T Scalar](t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	n := 23
-	sparse := NewSparseLU[T](n)
+	sparse := NewSparseLU[T](DensePattern(n))
 	for trial := 0; trial < 20; trial++ {
 		a := randSystem[T](rng, n, 0.25)
 		b := randVec[T](rng, n)
@@ -521,12 +521,12 @@ func TestSparseSingular(t *testing.T) {
 func testSparseSingular[T Scalar](t *testing.T) {
 	// Row 1 = 2 * row 0.
 	a := rows[T]([][]complex128{{1, 2, 0}, {2, 4, 0}, {0, 0, 1}})
-	if err := NewSparseLU[T](3).Factor(a); !errors.Is(err, ErrSingular) {
+	if err := NewSparseLU[T](DensePattern(3)).Factor(a); !errors.Is(err, ErrSingular) {
 		t.Fatalf("Factor(singular) = %v, want ErrSingular", err)
 	}
 	// An all-zero column must also report singular, not index out of range.
 	z := rows[T]([][]complex128{{1, 0}, {1, 0}})
-	if err := NewSparseLU[T](2).Factor(z); !errors.Is(err, ErrSingular) {
+	if err := NewSparseLU[T](DensePattern(2)).Factor(z); !errors.Is(err, ErrSingular) {
 		t.Fatalf("Factor(zero column) = %v, want ErrSingular", err)
 	}
 }
@@ -540,7 +540,7 @@ func testSparseSolveAliasing[T Scalar](t *testing.T) {
 	n := 12
 	a := randSystem[T](rng, n, 0.25)
 	b := randVec[T](rng, n)
-	s := NewSparseLU[T](n)
+	s := NewSparseLU[T](DensePattern(n))
 	want, err := factorSolve[T](s, a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -566,7 +566,7 @@ func testSparseReuseNoAllocs[T Scalar](t *testing.T) {
 	a := randSystem[T](rng, n, 0.1)
 	b := randVec[T](rng, n)
 	x := make([]T, n)
-	s := NewSparseLU[T](n)
+	s := NewSparseLU[T](DensePattern(n))
 	// Warm up to size internal buffers.
 	if err := s.Factor(a); err != nil {
 		t.Fatal(err)
@@ -616,6 +616,68 @@ func testDenseSolveNoAllocs[T Scalar](t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("dense Factor+Solve+SolveT+FactorSolveScratch allocates %v times per run, want 0", allocs)
+	}
+}
+
+// TestSparseCSRPattern: a sparse pattern factors to the same bits as
+// the full pattern of the same matrix, whether the pattern holds only the
+// nonzeros or also explicit zeros (dropped on ingest); a value array of
+// the wrong length is refused and a malformed pattern panics.
+func TestSparseCSRPattern(t *testing.T) {
+	bothTypes(t, testSparseCSRPattern[float64], testSparseCSRPattern[complex128])
+}
+
+func testSparseCSRPattern[T Scalar](t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	n := 30
+	a := randSystem[T](rng, n, 0.1)
+	b := randVec[T](rng, n)
+	want, err := factorSolve[T](NewSparseLU[T](DensePattern(n)), a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, withZeros := range []bool{false, true} {
+		rowPtr := make([]int, n+1)
+		var cols []int
+		var vals []T
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if v := a[i*n+j]; v != 0 || (withZeros && rng.Intn(4) == 0) {
+					cols = append(cols, j)
+					vals = append(vals, v)
+				}
+			}
+			rowPtr[i+1] = len(cols)
+		}
+		s := NewSparseLU[T](rowPtr, cols)
+		got, err := factorSolve[T](s, vals, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("zeros=%v: x[%d] = %v from the sparse pattern, %v from the full one", withZeros, i, got[i], want[i])
+			}
+		}
+		if err := s.Factor(vals[1:]); err == nil {
+			t.Fatalf("zeros=%v: Factor accepted %d values for a %d-entry pattern", withZeros, len(vals)-1, len(vals))
+		}
+	}
+	for name, p := range map[string][2][]int{
+		"descending":     {{0, 2, 3}, {1, 0, 1}},
+		"duplicate":      {{0, 2, 3}, {0, 0, 1}},
+		"out of range":   {{0, 1, 2}, {0, 2}},
+		"short colIdx":   {{0, 1, 3}, {0, 1}},
+		"row ends early": {{0, 1, 0, 1}, {0}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s pattern accepted", name)
+				}
+			}()
+			NewSparseLU[T](p[0], p[1])
+		}()
 	}
 }
 

@@ -1,10 +1,11 @@
-// Package linalg implements the linear algebra ssnkit needs: real and
-// complex matrices, one pivoted LU per storage layout (DenseLU and
-// SparseLU, generic over float64 and complex128 — the MNA solver core),
-// the complex symbolic/numeric split CSymbolicLU for AC sweeps, and
-// Householder QR for least-squares fitting. It is deliberately small and
-// dependency-free; MNA systems in this repository are of modest size
-// (tens to a few thousand unknowns).
+// Package linalg implements the linear algebra ssnkit needs: a dense real
+// matrix, one pivoted LU per storage layout (DenseLU on a row-major n x n
+// array and SparseLU on a CSR pattern fixed at construction, whose values
+// it ingests at every Factor; both generic over float64 and complex128 —
+// the MNA solver core), the complex symbolic/numeric split CSymbolicLU
+// for AC sweeps, and Householder QR for least-squares fitting. It is
+// deliberately small and dependency-free; MNA systems in this repository
+// are of modest size (tens to tens of thousands of unknowns).
 package linalg
 
 import (
@@ -119,37 +120,6 @@ func (m *Matrix) String() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// CMatrix is a dense row-major matrix of complex128, the AC-analysis
-// counterpart of Matrix. AC MNA systems are complex because capacitor and
-// inductor admittances carry a jω factor; everything else about assembly and
-// factorization mirrors the real path.
-type CMatrix struct {
-	Rows, Cols int
-	Data       []complex128 // len == Rows*Cols, row-major
-}
-
-// NewCMatrix allocates a zero Rows x Cols complex matrix.
-func NewCMatrix(rows, cols int) *CMatrix {
-	if rows < 0 || cols < 0 {
-		panic("linalg: negative matrix dimension")
-	}
-	return &CMatrix{Rows: rows, Cols: cols, Data: make([]complex128, rows*cols)}
-}
-
-// At returns element (i, j).
-func (m *CMatrix) At(i, j int) complex128 { return m.Data[i*m.Cols+j] }
-
-// Add accumulates v into element (i, j); the fundamental MNA stamp
-// operation.
-func (m *CMatrix) Add(i, j int, v complex128) { m.Data[i*m.Cols+j] += v }
-
-// Zero clears the matrix in place so a stamp pass can rebuild it.
-func (m *CMatrix) Zero() {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
 }
 
 // VecNormInf returns max |x_i|, or 0 for empty x.

@@ -10,13 +10,18 @@ import (
 // pivoting. MNA matrices have O(1) nonzeros per row — in the AC system too,
 // where the jω factors change values, not sparsity — so elimination that
 // touches only stored entries stays near-linear in n where the dense
-// factorization is O(n^3). The factors are packed into flat CSR-style
-// arrays — U rows by pivot step, L multipliers grouped per step — so Solve
-// is a pair of cache-friendly sweeps with no per-call allocation, and all
-// Factor workspace is retained across calls for reuse inside Newton loops
-// and frequency sweeps.
+// factorization is O(n^3), up to the fill of the natural elimination
+// order. The matrix arrives in CSR form: the pattern once at construction,
+// its values at every Factor, so no n x n array is ever built or scanned.
+// The factors are packed into flat CSR-style arrays — U rows by pivot
+// step, L multipliers grouped per step — so Solve is a pair of
+// cache-friendly sweeps with no per-call allocation, and all Factor
+// workspace is retained across calls for reuse inside Newton loops and
+// frequency sweeps.
 type SparseLU[T Scalar] struct {
 	n      int
+	rowPtr []int // input pattern: row i holds colIdx[rowPtr[i]:rowPtr[i+1]]
+	colIdx []int
 	pivRow []int // original row chosen as pivot at each elimination step
 
 	uDiag []T   // U diagonal, one entry per step
@@ -37,10 +42,26 @@ type SparseLU[T Scalar] struct {
 	byLead    [][]int // active rows bucketed by leading column
 }
 
-// NewSparseLU prepares a sparse factorization workspace for n x n systems.
-func NewSparseLU[T Scalar](n int) *SparseLU[T] {
+// NewSparseLU prepares a sparse factorization workspace for the n x n
+// pattern given in CSR form, n = len(rowPtr)-1: row i stores columns
+// colIdx[rowPtr[i]:rowPtr[i+1]], strictly ascending. The slices are kept,
+// not copied. It panics on a malformed pattern.
+func NewSparseLU[T Scalar](rowPtr, colIdx []int) *SparseLU[T] {
+	n := len(rowPtr) - 1
+	bad := n < 0 || rowPtr[0] != 0 || rowPtr[n] != len(colIdx)
+	for i := 0; i < n && !bad; i++ {
+		bad = rowPtr[i+1] < rowPtr[i]
+		for p := rowPtr[i]; p < rowPtr[i+1] && !bad; p++ {
+			bad = colIdx[p] < 0 || colIdx[p] >= n || p > rowPtr[i] && colIdx[p] <= colIdx[p-1]
+		}
+	}
+	if bad {
+		panic("linalg: malformed CSR pattern (row pointers must rise from 0 to len(colIdx), columns ascend strictly in each row)")
+	}
 	return &SparseLU[T]{
 		n:       n,
+		rowPtr:  rowPtr,
+		colIdx:  colIdx,
 		pivRow:  make([]int, n),
 		uDiag:   make([]T, n),
 		uPtr:    make([]int, n+1),
@@ -52,15 +73,29 @@ func NewSparseLU[T Scalar](n int) *SparseLU[T] {
 	}
 }
 
-// Factor computes PA = LU from the stored nonzeros of the row-major n x n
-// matrix a. a is not modified. Structural zeros are dropped on ingest;
-// zeros produced by cancellation during elimination are kept, so pivot
-// selection sees the same candidates as the dense code. Returns
-// ErrSingular when no usable pivot remains.
-func (s *SparseLU[T]) Factor(a []T) error {
+// DensePattern returns the CSR pattern of a full n x n matrix. Its CSR
+// value order is row-major order, so a dense matrix's Data is already the
+// value array SparseLU.Factor reads.
+func DensePattern(n int) (rowPtr, colIdx []int) {
+	rowPtr, colIdx = make([]int, n+1), make([]int, n*n)
+	for k := range colIdx {
+		colIdx[k] = k % n
+	}
+	for i := range rowPtr {
+		rowPtr[i] = i * n
+	}
+	return rowPtr, colIdx
+}
+
+// Factor computes PA = LU from vals, the values of the pattern's entries
+// in CSR order. vals is not modified. Entries that are numerically zero
+// are dropped on ingest; zeros produced by cancellation during
+// elimination are kept, so pivot selection sees the same candidates as
+// the dense code. Returns ErrSingular when no usable pivot remains.
+func (s *SparseLU[T]) Factor(vals []T) error {
 	n := s.n
-	if err := checkSquare(len(a), n); err != nil {
-		return err
+	if len(vals) != len(s.colIdx) {
+		return fmt.Errorf("linalg: Factor got %d values, pattern has %d entries", len(vals), len(s.colIdx))
 	}
 	s.uCols = s.uCols[:0]
 	s.uVals = s.uVals[:0]
@@ -71,15 +106,14 @@ func (s *SparseLU[T]) Factor(a []T) error {
 	}
 	for i := 0; i < n; i++ {
 		cols := s.rowCols[i][:0]
-		vals := s.rowVals[i][:0]
-		row := a[i*n : i*n+n]
-		for j, v := range row {
-			if v != 0 {
-				cols = append(cols, j)
-				vals = append(vals, v)
+		row := s.rowVals[i][:0]
+		for p := s.rowPtr[i]; p < s.rowPtr[i+1]; p++ {
+			if v := vals[p]; v != 0 {
+				cols = append(cols, s.colIdx[p])
+				row = append(row, v)
 			}
 		}
-		s.rowCols[i], s.rowVals[i] = cols, vals
+		s.rowCols[i], s.rowVals[i] = cols, row
 		if len(cols) > 0 {
 			s.byLead[cols[0]] = append(s.byLead[cols[0]], i)
 		}

@@ -171,12 +171,14 @@ func (s *Sweeper) run(ctx context.Context, freqs []float64, order []int, bound f
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(freqs) {
-		workers = len(freqs)
-	}
 	chunk := cfg.ChunkSize
 	if chunk <= 0 {
 		chunk = 16
+	}
+	// A worker beyond the chunk count would compile an engine and find no
+	// chunk to sweep with it.
+	if n := (len(freqs) + chunk - 1) / chunk; workers > n {
+		workers = n
 	}
 	bounded := bound < math.Inf(1)
 	var stopped atomic.Bool

@@ -187,6 +187,31 @@ func TestRunUnboundedMatchesRunProfile(t *testing.T) {
 	}
 }
 
+// TestRunProfileWorkersCapAtChunks: eight points at the default chunk
+// size are one chunk, so a profile asked for four workers runs on one
+// engine. The pool then holds only the engine NewSweeper compiled, and
+// the profile matches one worker's bit for bit.
+func TestRunProfileWorkersCapAtChunks(t *testing.T) {
+	grid := pkgmodel.DefaultPDN(pkgmodel.PGA, 4, 4, 4)
+	fs := testFreqs(t, 8)
+	ref, err := RunProfile(context.Background(), grid, fs, Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, err := NewSweeper(grid, Config{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := sw.RunProfile(context.Background(), fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(sw.idle); n != 1 {
+		t.Errorf("idle pool holds %d engines after a one-chunk profile, want 1", n)
+	}
+	sameProfile(t, "workers=4", prof, ref)
+}
+
 // TestRunBound: a bound at or just below the peak stops the sweep with
 // exceeded and no profile; a bound just above it returns the whole
 // profile.

@@ -1,6 +1,7 @@
 package spice
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -114,23 +115,25 @@ func (p *acPlan) load(lu *linalg.CSymbolicLU, omega float64) {
 	}
 }
 
-// acTriplet is one matrix contribution during plan construction.
+// acTriplet is one element's contribution to the MNA matrix G + jωC:
+// g to the real part of entry (i, j) and c·ω to its imaginary part.
 type acTriplet struct {
 	i, j int32
 	g, c float64
 }
 
-// buildPlan compiles the engine's element records into a stamp plan: the
-// triplets mirror factorAt's stamp enumeration exactly (including the
-// zero-capacitance skip), are merged by coordinate after a stable sort so
-// accumulation order is deterministic, the resulting CSR pattern is
-// handed to the symbolic analysis, and the merged operands are laid out
-// in its factor slots. Returns linalg.ErrNeedsPivoting (via
-// the analysis) for patterns with structurally zero diagonals, e.g. any
-// circuit containing voltage sources.
-func (e *ACEngine) buildPlan() (*acPlan, error) {
+// stamps enumerates every element's matrix contributions in stamp order:
+// Gmin, resistors, capacitors (zero capacitance stamps nothing),
+// inductors, mutuals, voltage sources. It is the one place AC elements
+// become matrix entries; the stamp plan merges the list and the pivoted
+// backends replay it (factorAt), so every backend loads the same matrix.
+func (e *ACEngine) stamps() []acTriplet {
 	// At most one triplet per stamp entry below.
-	tr := make([]acTriplet, 0, e.nNodes-1+4*(len(e.res)+len(e.caps)+len(e.vsrc))+5*len(e.inds)+2*len(e.muts))
+	size := 4*(len(e.res)+len(e.caps)+len(e.vsrc)) + 5*len(e.inds) + 2*len(e.muts)
+	if e.opts.Gmin > 0 {
+		size += e.nNodes - 1
+	}
+	tr := make([]acTriplet, 0, size)
 	addG := func(i, j int, g float64) {
 		if i >= 0 && j >= 0 {
 			tr = append(tr, acTriplet{i: int32(i), j: int32(j), g: g})
@@ -201,31 +204,49 @@ func (e *ACEngine) buildPlan() (*acPlan, error) {
 			addG(v.br, j, -1)
 		}
 	}
-	tr = sortTriplets(tr, e.n)
-	rowPtr := make([]int, e.n+1)
-	colIdx := make([]int, 0, len(tr))
-	g := make([]float64, 0, len(tr))
-	c := make([]float64, 0, len(tr))
-	for t := 0; t < len(tr); {
-		u := t + 1
-		gs, cs := tr[t].g, tr[t].c
-		for u < len(tr) && tr[u].i == tr[t].i && tr[u].j == tr[t].j {
-			gs += tr[u].g
-			cs += tr[u].c
-			u++
+	return tr
+}
+
+// mergeStamps merges a stamp list into the CSR pattern of an n x n
+// matrix, columns ascending in each row, and returns for each stamp the
+// pattern entry it adds into. Stamps that share an entry keep their stamp
+// order within it, so summing them in list order accumulates every entry
+// in the same sequence every build.
+func mergeStamps(tr []acTriplet, n int) (rowPtr, colIdx []int, slot []int32) {
+	ord := stampOrder(tr, n)
+	rowPtr = make([]int, n+1)
+	colIdx = make([]int, 0, len(tr))
+	slot = make([]int32, len(tr))
+	for t, k := range ord {
+		if x := tr[k]; t == 0 || x.i != tr[ord[t-1]].i || x.j != tr[ord[t-1]].j {
+			colIdx = append(colIdx, int(x.j))
+			rowPtr[x.i+1]++
 		}
-		colIdx = append(colIdx, int(tr[t].j))
-		g = append(g, gs)
-		c = append(c, cs)
-		rowPtr[tr[t].i+1]++
-		t = u
+		slot[k] = int32(len(colIdx) - 1)
 	}
-	for i := 0; i < e.n; i++ {
+	for i := 0; i < n; i++ {
 		rowPtr[i+1] += rowPtr[i]
 	}
+	return rowPtr, colIdx, slot
+}
+
+// buildPlan compiles the engine's stamp list into a stamp plan: the
+// merged CSR pattern is handed to the symbolic analysis, and the merged
+// operands are laid out in its factor slots. Returns
+// linalg.ErrNeedsPivoting (via the analysis) for patterns with
+// structurally zero diagonals, e.g. any circuit containing voltage
+// sources.
+func (e *ACEngine) buildPlan() (*acPlan, error) {
+	tr := e.stamps()
+	rowPtr, colIdx, slot := mergeStamps(tr, e.n)
 	lu, err := linalg.NewCSymbolicLU(rowPtr, colIdx)
 	if err != nil {
 		return nil, err
+	}
+	g, c := make([]float64, len(colIdx)), make([]float64, len(colIdx))
+	for k, t := range tr {
+		g[slot[k]] += t.g
+		c[slot[k]] += t.c
 	}
 	p := &acPlan{lu: lu}
 	if p.g, err = lu.Layout(g); err != nil {
@@ -237,52 +258,53 @@ func (e *ACEngine) buildPlan() (*acPlan, error) {
 	return p, nil
 }
 
-// sortTriplets orders tr by (row, column) with a stable two-pass counting
-// sort, by column and then by row, so duplicate contributions keep their
-// stamp order and the merged g/c sums accumulate in the same sequence
-// every build. n bounds every index.
-func sortTriplets(tr []acTriplet, n int) []acTriplet {
-	tmp := make([]acTriplet, len(tr))
-	at := make([]int, n+1)
+// stampOrder returns the indices of tr ordered by (row, column): a
+// counting sort by row, then a stable sort of each row's few stamps by
+// column, so duplicate contributions keep their stamp order.
+func stampOrder(tr []acTriplet, n int) []int32 {
+	at := make([]int, n+1) // next free place of each row; its end once filled
 	for _, x := range tr {
-		at[x.j+1]++
-	}
-	for k := 0; k < n; k++ {
-		at[k+1] += at[k]
-	}
-	for _, x := range tr {
-		tmp[at[x.j]] = x
-		at[x.j]++
-	}
-	clear(at)
-	for _, x := range tmp {
 		at[x.i+1]++
 	}
-	for k := 0; k < n; k++ {
-		at[k+1] += at[k]
+	for i := 0; i < n; i++ {
+		at[i+1] += at[i]
 	}
-	for _, x := range tmp {
-		tr[at[x.i]] = x
+	ord := make([]int32, len(tr))
+	for k, x := range tr {
+		ord[at[x.i]] = int32(k)
 		at[x.i]++
 	}
-	return tr
+	for i, lo := 0, 0; i < n; i++ {
+		slices.SortStableFunc(ord[lo:at[i]], func(a, b int32) int { return cmp.Compare(tr[a].j, tr[b].j) })
+		lo = at[i]
+	}
+	return ord
 }
 
-// ensureLegacy lazily allocates the dense stamp matrix and a pivoted
-// factorization for engines that normally run on the stamp plan, so a
-// numeric fallback (cancelled pivot under the static ordering) still has
-// somewhere to go without paying the dense-matrix footprint up front.
-func (e *ACEngine) ensureLegacy() {
-	if e.mat == nil {
-		e.mat = linalg.NewCMatrix(e.n, e.n)
+// ensureLegacy sets up the pivoted backend on first need: the stamp list
+// and, for each stamp, the slot of the value array it adds into — entry
+// i·n+j of the row-major array DenseLU factors, or the entry's place in
+// the merged CSR pattern SparseLU is built on. Engines that run on the
+// stamp plan call it only when a static pivot cancels, so they keep no
+// stamp list until then.
+func (e *ACEngine) ensureLegacy(dense bool) {
+	if e.legacy != nil {
+		return
 	}
-	if e.legacy == nil {
-		if e.n >= acSparseThreshold {
-			e.legacy = linalg.NewSparseLU[complex128](e.n)
-		} else {
-			e.legacy = linalg.NewDenseLU[complex128](e.n)
+	e.replay = e.stamps()
+	if dense {
+		e.vals = make([]complex128, e.n*e.n)
+		e.pos = make([]int32, len(e.replay))
+		for k, t := range e.replay {
+			e.pos[k] = t.i*int32(e.n) + t.j
 		}
+		e.legacy = linalg.NewDenseLU[complex128](e.n)
+		return
 	}
+	rowPtr, colIdx, slot := mergeStamps(e.replay, e.n)
+	e.pos = slot
+	e.vals = make([]complex128, len(colIdx))
+	e.legacy = linalg.NewSparseLU[complex128](rowPtr, colIdx)
 }
 
 // SensKind labels which parameter a sensitivity entry differentiates by.
@@ -331,11 +353,13 @@ type ACEngine struct {
 	vsrc []acVsrc
 	muts []acMut
 
-	mat    *linalg.CMatrix // legacy stamp target; nil until a legacy factorization is needed
 	rhs    []complex128
 	x      []complex128              // forward solution of the last solve
 	lam    []complex128              // adjoint solution of the last ImpedanceSens
-	legacy linalg.Solver[complex128] // pivoted LU on mat; nil until needed
+	legacy linalg.Solver[complex128] // pivoted LU on vals; nil until needed (ensureLegacy)
+	replay []acTriplet               // stamp list the pivoted backend loads at each ω
+	pos    []int32                   // slot in vals of each replay stamp
+	vals   []complex128              // the pivoted backend's matrix values
 	plan   *acPlan                   // two-phase stamp plan; nil when the backend is legacy-only
 	active acActive                  // backend holding the current factorization
 
@@ -357,6 +381,23 @@ func NewAC(ckt *circuit.Circuit, opts ACOptions) (*ACEngine, error) {
 		return nil, fmt.Errorf("spice: negative Gmin %g", opts.Gmin)
 	}
 	e := &ACEngine{ckt: ckt, opts: opts, nNodes: ckt.NumNodes()}
+	// Size the element records up front; appending would allocate each
+	// list several times over on a large mesh.
+	var nRes, nCap, nInd, nV int
+	for _, el := range ckt.Elements {
+		switch el.(type) {
+		case *circuit.Resistor:
+			nRes++
+		case *circuit.Capacitor:
+			nCap++
+		case *circuit.Inductor:
+			nInd++
+		case *circuit.VSource:
+			nV++
+		}
+	}
+	e.res, e.caps = make([]acRes, 0, nRes), make([]acCap, 0, nCap)
+	e.inds, e.vsrc = make([]acInd, 0, nInd), make([]acVsrc, 0, nV)
 	br := e.nNodes - 1 // branch unknowns appended after node voltages
 	for _, el := range ckt.Elements {
 		switch c := el.(type) {
@@ -417,11 +458,9 @@ func NewAC(ckt *circuit.Circuit, opts ACOptions) (*ACEngine, error) {
 	e.lam = make([]complex128, e.n)
 	switch opts.Backend {
 	case ACDense:
-		e.mat = linalg.NewCMatrix(e.n, e.n)
-		e.legacy = linalg.NewDenseLU[complex128](e.n)
+		e.ensureLegacy(true)
 	case ACSparse:
-		e.mat = linalg.NewCMatrix(e.n, e.n)
-		e.legacy = linalg.NewSparseLU[complex128](e.n)
+		e.ensureLegacy(false)
 	case ACSymbolic:
 		plan, err := e.buildPlan()
 		if err != nil {
@@ -432,8 +471,7 @@ func NewAC(ckt *circuit.Circuit, opts ACOptions) (*ACEngine, error) {
 		if e.n < acSparseThreshold {
 			// Small systems stay on the dense bit-reference; the
 			// single-frequency stampOmega cache is the degenerate reuse.
-			e.mat = linalg.NewCMatrix(e.n, e.n)
-			e.legacy = linalg.NewDenseLU[complex128](e.n)
+			e.ensureLegacy(true)
 			break
 		}
 		plan, err := e.buildPlan()
@@ -443,8 +481,7 @@ func NewAC(ckt *circuit.Circuit, opts ACOptions) (*ACEngine, error) {
 		case errors.Is(err, linalg.ErrNeedsPivoting):
 			// Voltage sources (or other structurally zero diagonals):
 			// keep the pivoted sparse path.
-			e.mat = linalg.NewCMatrix(e.n, e.n)
-			e.legacy = linalg.NewSparseLU[complex128](e.n)
+			e.ensureLegacy(false)
 		default:
 			return nil, fmt.Errorf("spice: AC symbolic analysis for %q: %w", ckt.Title, err)
 		}
@@ -463,23 +500,6 @@ func (e *ACEngine) NodeIndex(name string) int { return e.ckt.LookupNode(name) }
 // slotOf maps a circuit node to its unknown index, or -1 for ground.
 func slotOf(node int) int { return node - 1 }
 
-// cstampG adds admittance y between nodes n1 and n2.
-func (e *ACEngine) cstampG(n1, n2 int, y complex128) {
-	i, j := slotOf(n1), slotOf(n2)
-	if i >= 0 {
-		e.mat.Add(i, i, y)
-		if j >= 0 {
-			e.mat.Add(i, j, -y)
-		}
-	}
-	if j >= 0 {
-		e.mat.Add(j, j, y)
-		if i >= 0 {
-			e.mat.Add(j, i, -y)
-		}
-	}
-}
-
 // factorAt assembles and factors the complex MNA matrix at angular
 // frequency omega, reusing the existing factorization when omega is
 // unchanged since the last call.
@@ -490,6 +510,11 @@ func (e *ACEngine) cstampG(n1, n2 int, y complex128) {
 // static ordering falls back to the pivoted legacy path for that
 // frequency (allocated on first need); the plan is retried at the next
 // frequency, where the cancellation generically disappears.
+//
+// Off the plan the stamp list is replayed, unmerged and in stamp order,
+// into the pivoted backend's cleared value array: each stamp adds
+// complex(g, ω·c) into its slot, so every entry holds the bits of
+// accumulating each element's admittance into a zeroed matrix.
 func (e *ACEngine) factorAt(omega float64) error {
 	if e.stampOK && omega == e.stampOmega {
 		return nil
@@ -511,52 +536,14 @@ func (e *ACEngine) factorAt(omega float64) error {
 		if !errors.Is(err, linalg.ErrSingular) || e.opts.Backend == ACSymbolic {
 			return fmt.Errorf("spice: AC refactor at omega=%g: %w", omega, err)
 		}
-		e.ensureLegacy()
+		e.ensureLegacy(false)
 	}
-	m := e.mat
-	m.Zero()
-	if g := e.opts.Gmin; g > 0 {
-		for node := 1; node < e.nNodes; node++ {
-			m.Add(slotOf(node), slotOf(node), complex(g, 0))
-		}
-	}
-	for _, r := range e.res {
-		e.cstampG(r.n1, r.n2, complex(1/r.r, 0))
-	}
-	jw := complex(0, omega)
-	for _, c := range e.caps {
-		if c.c != 0 {
-			e.cstampG(c.n1, c.n2, jw*complex(c.c, 0))
-		}
-	}
-	for _, l := range e.inds {
-		if i := slotOf(l.n1); i >= 0 {
-			m.Add(i, l.br, 1)
-			m.Add(l.br, i, 1)
-		}
-		if j := slotOf(l.n2); j >= 0 {
-			m.Add(j, l.br, -1)
-			m.Add(l.br, j, -1)
-		}
-		m.Add(l.br, l.br, -jw*complex(l.l, 0))
-	}
-	for _, mu := range e.muts {
-		jm := jw * complex(mu.m, 0)
-		m.Add(mu.a, mu.b, -jm)
-		m.Add(mu.b, mu.a, -jm)
-	}
-	for _, v := range e.vsrc {
-		if i := slotOf(v.np); i >= 0 {
-			m.Add(i, v.br, 1)
-			m.Add(v.br, i, 1)
-		}
-		if j := slotOf(v.nn); j >= 0 {
-			m.Add(j, v.br, -1)
-			m.Add(v.br, j, -1)
-		}
+	clear(e.vals)
+	for k, t := range e.replay {
+		e.vals[e.pos[k]] += complex(t.g, omega*t.c)
 	}
 	e.active = acViaLegacy
-	if err := e.legacy.Factor(m.Data); err != nil {
+	if err := e.legacy.Factor(e.vals); err != nil {
 		e.active = acViaNone
 		return fmt.Errorf("spice: AC factorization at omega=%g: %w", omega, err)
 	}

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -362,9 +363,9 @@ func TestACPlanSignedZeroLoad(t *testing.T) {
 	}
 }
 
-// TestSortTripletsStable: the counting sort orders triplets by (row,
-// column) exactly as a stable comparison sort does, so duplicates keep
-// their stamp order.
+// TestSortTripletsStable: the counting sort in stampOrder orders
+// triplets by (row, column) exactly as a stable comparison sort does, so
+// duplicates keep their stamp order.
 func TestSortTripletsStable(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 50; trial++ {
@@ -380,7 +381,11 @@ func TestSortTripletsStable(t *testing.T) {
 			}
 			return cmp.Compare(a.j, b.j)
 		})
-		if got := sortTriplets(tr, n); !slices.Equal(got, want) {
+		got := make([]acTriplet, len(tr))
+		for t, k := range stampOrder(tr, n) {
+			got[t] = tr[k]
+		}
+		if !slices.Equal(got, want) {
 			t.Fatalf("trial %d (n=%d): counting sort %v, stable sort %v", trial, n, got, want)
 		}
 	}
@@ -402,5 +407,43 @@ func TestACPlanMergesInStampOrder(t *testing.T) {
 	}
 	if g := eng.plan.g; len(g) != 1 || g[0] != 1 {
 		t.Fatalf("plan diagonal %v, want exactly 1 (the sum in stamp order)", g)
+	}
+}
+
+// TestACPivotedFootprint: the pivoted sparse backend loads its matrix
+// from the stamp list into the merged pattern, never into an n×n array.
+// On a 24x24 PGA mesh (n = 3,368) compiling must allocate under 1% of
+// the 16·n² bytes a dense complex matrix takes, and compiling plus one
+// factor and solve under 16·n² in total.
+func TestACPivotedFootprint(t *testing.T) {
+	ckt, obs, err := pkgmodel.DefaultPDN(pkgmodel.PGA, 24, 24, 4).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ms runtime.MemStats
+	allocated := func() uint64 {
+		runtime.ReadMemStats(&ms)
+		return ms.TotalAlloc
+	}
+	start := allocated()
+	eng, err := NewAC(ckt, ACOptions{Backend: ACSparse})
+	if err != nil {
+		t.Fatal(err)
+	}
+	compiled := allocated()
+	if _, err := eng.Impedance(2*math.Pi*1e8, obs); err != nil {
+		t.Fatal(err)
+	}
+	solved := allocated()
+	n := uint64(eng.NumUnknowns())
+	if n != 3368 {
+		t.Fatalf("24x24 PGA mesh has %d unknowns, want 3368", n)
+	}
+	dense := 16 * n * n
+	if got := compiled - start; got >= dense/100 {
+		t.Errorf("NewAC allocated %d B, want under 1%% of 16·n² = %d B", got, dense/100)
+	}
+	if got := solved - start; got >= dense {
+		t.Errorf("NewAC plus one Impedance allocated %d B, want under 16·n² = %d B", got, dense)
 	}
 }

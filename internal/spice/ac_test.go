@@ -1,8 +1,10 @@
 package spice
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
+	"slices"
 	"testing"
 
 	"ssnkit/internal/circuit"
@@ -282,7 +284,10 @@ func TestACVSourceShort(t *testing.T) {
 
 // TestACMatrixSymmetry: the assembled AC MNA matrix must be complex-
 // symmetric (A^T == A), the property that makes the adjoint solve equal a
-// plain solve. Verified indirectly: SolveT and Solve must agree on the same
+// plain solve and that ShuntRC and SymInvDiag rely on. Checked directly on
+// the merged stamp list — the same g and c bits at (i,j) and (j,i) — for
+// the deck below and every catalog package's 4x4 and 8x8 mesh, and
+// indirectly on the deck: SolveT and Solve must agree on the same
 // right-hand side.
 func TestACMatrixSymmetry(t *testing.T) {
 	ckt := circuit.New("sym")
@@ -296,6 +301,20 @@ func TestACMatrixSymmetry(t *testing.T) {
 	eng, err := NewAC(ckt, ACOptions{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	checkStampSymmetry(t, "deck", eng)
+	for _, pkg := range pkgmodel.Catalog() {
+		for _, rc := range []int{4, 8} {
+			mesh, _, err := pkgmodel.DefaultPDN(pkg, rc, rc, 4).Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			meshEng, err := NewAC(mesh, ACOptions{Gmin: 1e-9})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkStampSymmetry(t, fmt.Sprintf("%s %dx%d", pkg.Name, rc, rc), meshEng)
+		}
 	}
 	obs := ckt.LookupNode("a")
 	w := 2 * math.Pi * 5e8
@@ -313,6 +332,33 @@ func TestACMatrixSymmetry(t *testing.T) {
 		}
 	}
 	_ = z
+}
+
+// checkStampSymmetry fails t unless every entry of eng's merged stamp
+// list has a transpose entry with the same g and c bits.
+func checkStampSymmetry(t *testing.T, name string, eng *ACEngine) {
+	t.Helper()
+	tr := eng.stamps()
+	rowPtr, colIdx, slot := mergeStamps(tr, eng.n)
+	g, c := make([]float64, len(colIdx)), make([]float64, len(colIdx))
+	for k, x := range tr {
+		g[slot[k]] += x.g
+		c[slot[k]] += x.c
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for i := 0; i < eng.n; i++ {
+		for p := rowPtr[i]; p < rowPtr[i+1]; p++ {
+			j := colIdx[p]
+			q, ok := slices.BinarySearch(colIdx[rowPtr[j]:rowPtr[j+1]], i)
+			if !ok {
+				t.Fatalf("%s: entry (%d,%d) has no transpose entry", name, i, j)
+			}
+			q += rowPtr[j]
+			if !same(g[p], g[q]) || !same(c[p], c[q]) {
+				t.Fatalf("%s: (%d,%d) = %g%+gω, (%d,%d) = %g%+gω", name, i, j, g[p], c[p], j, i, g[q], c[q])
+			}
+		}
+	}
 }
 
 // TestACAdjointVsFDSpot: spot-check adjoint d|Z|/dp against central finite

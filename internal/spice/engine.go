@@ -406,7 +406,7 @@ func New(ckt *circuit.Circuit, opts Options) (*Engine, error) {
 	e.rhs = make([]float64, br)
 	e.rhsLin = make([]float64, br)
 	if br >= sparseThreshold {
-		e.solver = linalg.NewSparseLU[float64](br)
+		e.solver = linalg.NewSparseLU[float64](linalg.DensePattern(br))
 	} else {
 		e.denseLU = linalg.NewDenseLU[float64](br)
 		e.solver = e.denseLU
