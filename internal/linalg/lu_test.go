@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -25,7 +26,21 @@ type backend[T Scalar] struct {
 }
 
 func backends[T Scalar](n int) []backend[T] {
-	return []backend[T]{{"dense", NewDenseLU[T](n)}, {"sparse", NewSparseLU[T](DensePattern(n))}}
+	return []backend[T]{{"dense", NewDenseLU[T](n)}, {"sparse", NewSparseLU[T](densePattern(n))}}
+}
+
+// densePattern returns the CSR pattern of a full n x n matrix. Its value
+// order is row-major order, so a row-major array is already the value
+// array SparseLU.Factor reads for it.
+func densePattern(n int) (rowPtr, colIdx []int) {
+	rowPtr, colIdx = make([]int, n+1), make([]int, n*n)
+	for k := range colIdx {
+		colIdx[k] = k % n
+	}
+	for i := range rowPtr {
+		rowPtr[i] = i * n
+	}
+	return rowPtr, colIdx
 }
 
 // of converts a complex literal to T; float64 keeps the real part.
@@ -327,7 +342,7 @@ func testSparseMatchesDense[T Scalar](t *testing.T) {
 func solveBoth[T Scalar](t *testing.T, a, b []T) {
 	t.Helper()
 	n := len(b)
-	dense, sparse := NewDenseLU[T](n), NewSparseLU[T](DensePattern(n))
+	dense, sparse := NewDenseLU[T](n), NewSparseLU[T](densePattern(n))
 	if err := dense.Factor(a); err != nil {
 		t.Fatalf("dense Factor: %v", err)
 	}
@@ -352,7 +367,7 @@ func solveBoth[T Scalar](t *testing.T, a, b []T) {
 }
 
 // TestCSparseLUSolveReuse: repeated Factor/Solve on the same sparse
-// workspace must not contaminate results (buffer-swap and bucket reuse).
+// workspace must not contaminate results (row-buffer and bucket reuse).
 func TestCSparseLUSolveReuse(t *testing.T) {
 	bothTypes(t, testSparseSolveReuse[float64], testSparseSolveReuse[complex128])
 }
@@ -360,7 +375,7 @@ func TestCSparseLUSolveReuse(t *testing.T) {
 func testSparseSolveReuse[T Scalar](t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	n := 23
-	sparse := NewSparseLU[T](DensePattern(n))
+	sparse := NewSparseLU[T](densePattern(n))
 	for trial := 0; trial < 20; trial++ {
 		a := randSystem[T](rng, n, 0.25)
 		b := randVec[T](rng, n)
@@ -521,12 +536,12 @@ func TestSparseSingular(t *testing.T) {
 func testSparseSingular[T Scalar](t *testing.T) {
 	// Row 1 = 2 * row 0.
 	a := rows[T]([][]complex128{{1, 2, 0}, {2, 4, 0}, {0, 0, 1}})
-	if err := NewSparseLU[T](DensePattern(3)).Factor(a); !errors.Is(err, ErrSingular) {
+	if err := NewSparseLU[T](densePattern(3)).Factor(a); !errors.Is(err, ErrSingular) {
 		t.Fatalf("Factor(singular) = %v, want ErrSingular", err)
 	}
 	// An all-zero column must also report singular, not index out of range.
 	z := rows[T]([][]complex128{{1, 0}, {1, 0}})
-	if err := NewSparseLU[T](DensePattern(2)).Factor(z); !errors.Is(err, ErrSingular) {
+	if err := NewSparseLU[T](densePattern(2)).Factor(z); !errors.Is(err, ErrSingular) {
 		t.Fatalf("Factor(zero column) = %v, want ErrSingular", err)
 	}
 }
@@ -540,7 +555,7 @@ func testSparseSolveAliasing[T Scalar](t *testing.T) {
 	n := 12
 	a := randSystem[T](rng, n, 0.25)
 	b := randVec[T](rng, n)
-	s := NewSparseLU[T](DensePattern(n))
+	s := NewSparseLU[T](densePattern(n))
 	want, err := factorSolve[T](s, a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -566,7 +581,7 @@ func testSparseReuseNoAllocs[T Scalar](t *testing.T) {
 	a := randSystem[T](rng, n, 0.1)
 	b := randVec[T](rng, n)
 	x := make([]T, n)
-	s := NewSparseLU[T](DensePattern(n))
+	s := NewSparseLU[T](densePattern(n))
 	// Warm up to size internal buffers.
 	if err := s.Factor(a); err != nil {
 		t.Fatal(err)
@@ -632,7 +647,7 @@ func testSparseCSRPattern[T Scalar](t *testing.T) {
 	n := 30
 	a := randSystem[T](rng, n, 0.1)
 	b := randVec[T](rng, n)
-	want, err := factorSolve[T](NewSparseLU[T](DensePattern(n)), a, b)
+	want, err := factorSolve[T](NewSparseLU[T](densePattern(n)), a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -688,3 +703,57 @@ var (
 	_ Solver[complex128] = (*DenseLU[complex128])(nil)
 	_ Solver[complex128] = (*SparseLU[complex128])(nil)
 )
+
+// TestSparseSweepNoAllocs alternates two value arrays on one pattern whose
+// pivot sequences differ, as a frequency sweep or a Newton loop does: once
+// one pass over both has sized every buffer, refactoring allocates nothing.
+func TestSparseSweepNoAllocs(t *testing.T) {
+	bothTypes(t, testSparseSweepNoAllocs[float64], testSparseSweepNoAllocs[complex128])
+}
+
+func testSparseSweepNoAllocs[T Scalar](t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	n := 60
+	a := randSystem[T](rng, n, 0.05)
+	// b shares a's pattern but not its diagonal dominance, so partial
+	// pivoting picks other rows and the fill lands in other rows too.
+	b := make([]T, len(a))
+	for k, v := range a {
+		if v != 0 {
+			b[k] = randT[T](rng)
+		}
+	}
+	rowPtr := make([]int, n+1)
+	var cols []int
+	var va, vb []T
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if a[i*n+j] != 0 {
+				cols = append(cols, j)
+				va, vb = append(va, a[i*n+j]), append(vb, b[i*n+j])
+			}
+		}
+		rowPtr[i+1] = len(cols)
+	}
+	factor := func(s *SparseLU[T], vals []T) {
+		if err := s.Factor(vals); err != nil {
+			t.Fatal(err)
+		}
+	}
+	probe := NewSparseLU[T](rowPtr, cols)
+	factor(probe, va)
+	pa := slices.Clone(probe.pivRow)
+	factor(probe, vb)
+	if slices.Equal(pa, probe.pivRow) {
+		t.Fatal("both value arrays pivot alike; the test needs two pivot sequences")
+	}
+	// AllocsPerRun's own first call is the one warm-up pass.
+	s := NewSparseLU[T](rowPtr, cols)
+	allocs := testing.AllocsPerRun(3, func() {
+		factor(s, va)
+		factor(s, vb)
+	})
+	if allocs != 0 {
+		t.Fatalf("alternating refactors allocate %v times per pass after a warm-up pass, want 0", allocs)
+	}
+}

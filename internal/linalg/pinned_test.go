@@ -118,7 +118,7 @@ func pinDense(a *Matrix, b []float64) (solve, fused []float64, err error) {
 
 // pinSparse solves a·x = b with the real sparse LU.
 func pinSparse(a *Matrix, b []float64) ([]float64, error) {
-	s := NewSparseLU[float64](DensePattern(a.Rows))
+	s := NewSparseLU[float64](densePattern(a.Rows))
 	if err := s.Factor(a.Data); err != nil {
 		return nil, err
 	}

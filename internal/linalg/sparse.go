@@ -37,7 +37,7 @@ type SparseLU[T Scalar] struct {
 
 	rowCols   [][]int // active row storage during Factor
 	rowVals   [][]T
-	mergeCols []int // merge scratch, swapped with the eliminated row's buffers
+	mergeCols []int // merge scratch, copied back into the eliminated row's buffers
 	mergeVals []T
 	byLead    [][]int // active rows bucketed by leading column
 }
@@ -71,20 +71,6 @@ func NewSparseLU[T Scalar](rowPtr, colIdx []int) *SparseLU[T] {
 		rowVals: make([][]T, n),
 		byLead:  make([][]int, n),
 	}
-}
-
-// DensePattern returns the CSR pattern of a full n x n matrix. Its CSR
-// value order is row-major order, so a dense matrix's Data is already the
-// value array SparseLU.Factor reads.
-func DensePattern(n int) (rowPtr, colIdx []int) {
-	rowPtr, colIdx = make([]int, n+1), make([]int, n*n)
-	for k := range colIdx {
-		colIdx[k] = k % n
-	}
-	for i := range rowPtr {
-		rowPtr[i] = i * n
-	}
-	return rowPtr, colIdx
 }
 
 // Factor computes PA = LU from vals, the values of the pattern's entries
@@ -170,10 +156,11 @@ func (s *SparseLU[T]) Factor(vals []T) error {
 				mc = append(mc, pc[j])
 				mv = append(mv, -m*pv[j])
 			}
-			// The eliminated row adopts the merged buffers; its old ones
-			// become the next merge scratch, so no allocation in reuse.
-			s.mergeCols, s.rowCols[r] = rc, mc
-			s.mergeVals, s.rowVals[r] = rv, mv
+			// The merge is copied back into r's own buffers, so each row
+			// grows only to its own high-water mark and a sweep whose pivot
+			// sequence changes still refactors without allocating.
+			s.mergeCols, s.rowCols[r] = mc, append(rc[:0], mc...)
+			s.mergeVals, s.rowVals[r] = mv, append(rv[:0], mv...)
 			if len(mc) > 0 {
 				s.byLead[mc[0]] = append(s.byLead[mc[0]], r)
 			}
@@ -182,6 +169,10 @@ func (s *SparseLU[T]) Factor(vals []T) error {
 	}
 	return nil
 }
+
+// Fill reports the stored nonzeros of L+U from the last Factor, fill
+// included: the diagonal, the U rows and the L multipliers.
+func (s *SparseLU[T]) Fill() int { return s.n + len(s.uCols) + len(s.lRows) }
 
 // pivotRow returns the candidate row whose leading entry has the largest
 // magnitude (-1 when none is nonzero), and that magnitude. It is the only

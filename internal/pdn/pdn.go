@@ -36,8 +36,6 @@ type Config struct {
 	// WithSens requests adjoint d|Z|/d(param) sensitivities at every
 	// frequency (one extra transposed solve each).
 	WithSens bool
-	// Gmin is passed to the AC engine (see spice.ACOptions).
-	Gmin float64
 }
 
 // Point is the impedance at one frequency, with optional sensitivities.
@@ -97,7 +95,7 @@ func NewSweeper(grid *pkgmodel.PDNGrid, cfg Config) (*Sweeper, error) {
 		return nil, err
 	}
 	s := &Sweeper{cfg: cfg, ckt: ckt, obs: obs}
-	eng, err := spice.NewAC(ckt, spice.ACOptions{Gmin: cfg.Gmin})
+	eng, err := spice.NewAC(ckt, spice.ACOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -116,7 +114,7 @@ func (s *Sweeper) acquire() (*spice.ACEngine, error) {
 		return eng, nil
 	}
 	s.mu.Unlock()
-	return spice.NewAC(s.ckt, spice.ACOptions{Gmin: s.cfg.Gmin})
+	return spice.NewAC(s.ckt, spice.ACOptions{})
 }
 
 // release returns an engine to the pool with its warm buffers intact.

@@ -1,7 +1,6 @@
 package spice
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -12,16 +11,11 @@ import (
 	"ssnkit/internal/linalg"
 )
 
-// acSparseThreshold is the unknown count at or above which the AC engine
-// leaves the dense backend for a sparse one (symbolic when the pattern
-// allows it, pivoted otherwise). A var so tests can force either path.
-var acSparseThreshold = 40
-
 // ACBackend selects the factorization strategy of an ACEngine.
 type ACBackend int
 
 // Backend choices. The zero value picks automatically: dense below
-// acSparseThreshold (the bit-reference), the symbolic/numeric split above
+// sparseThreshold (the bit-reference), the symbolic/numeric split above
 // it when the pattern permits static pivoting, and the pivoted sparse
 // path otherwise.
 const (
@@ -115,119 +109,43 @@ func (p *acPlan) load(lu *linalg.CSymbolicLU, omega float64) {
 	}
 }
 
-// acTriplet is one element's contribution to the MNA matrix G + jωC:
-// g to the real part of entry (i, j) and c·ω to its imaginary part.
-type acTriplet struct {
-	i, j int32
-	g, c float64
-}
-
 // stamps enumerates every element's matrix contributions in stamp order:
 // Gmin, resistors, capacitors (zero capacitance stamps nothing),
 // inductors, mutuals, voltage sources. It is the one place AC elements
 // become matrix entries; the stamp plan merges the list and the pivoted
 // backends replay it (factorAt), so every backend loads the same matrix.
-func (e *ACEngine) stamps() []acTriplet {
+func (e *ACEngine) stamps() []triplet {
 	// At most one triplet per stamp entry below.
 	size := 4*(len(e.res)+len(e.caps)+len(e.vsrc)) + 5*len(e.inds) + 2*len(e.muts)
 	if e.opts.Gmin > 0 {
 		size += e.nNodes - 1
 	}
-	tr := make([]acTriplet, 0, size)
-	addG := func(i, j int, g float64) {
-		if i >= 0 && j >= 0 {
-			tr = append(tr, acTriplet{i: int32(i), j: int32(j), g: g})
-		}
-	}
-	addC := func(i, j int, c float64) {
-		if i >= 0 && j >= 0 {
-			tr = append(tr, acTriplet{i: int32(i), j: int32(j), c: c})
-		}
-	}
-	stampPairG := func(n1, n2 int, g float64) {
-		i, j := slotOf(n1), slotOf(n2)
-		addG(i, i, g)
-		if i >= 0 {
-			addG(i, j, -g)
-		}
-		addG(j, j, g)
-		if j >= 0 {
-			addG(j, i, -g)
-		}
-	}
-	stampPairC := func(n1, n2 int, c float64) {
-		i, j := slotOf(n1), slotOf(n2)
-		addC(i, i, c)
-		if i >= 0 {
-			addC(i, j, -c)
-		}
-		addC(j, j, c)
-		if j >= 0 {
-			addC(j, i, -c)
-		}
-	}
+	tr := make(triplets, 0, size)
 	if g := e.opts.Gmin; g > 0 {
 		for node := 1; node < e.nNodes; node++ {
-			addG(slotOf(node), slotOf(node), g)
+			tr.add(slotOf(node), slotOf(node), g, 0)
 		}
 	}
 	for _, r := range e.res {
-		stampPairG(r.n1, r.n2, 1/r.r)
+		tr.pair(slotOf(r.n1), slotOf(r.n2), 1/r.r, 0)
 	}
 	for _, c := range e.caps {
 		if c.c != 0 {
-			stampPairC(c.n1, c.n2, c.c)
+			tr.pair(slotOf(c.n1), slotOf(c.n2), 0, c.c)
 		}
 	}
 	for _, l := range e.inds {
-		if i := slotOf(l.n1); i >= 0 {
-			addG(i, l.br, 1)
-			addG(l.br, i, 1)
-		}
-		if j := slotOf(l.n2); j >= 0 {
-			addG(j, l.br, -1)
-			addG(l.br, j, -1)
-		}
-		addC(l.br, l.br, -l.l)
+		tr.branch(slotOf(l.n1), slotOf(l.n2), l.br)
+		tr.add(l.br, l.br, 0, -l.l)
 	}
 	for _, mu := range e.muts {
-		addC(mu.a, mu.b, -mu.m)
-		addC(mu.b, mu.a, -mu.m)
+		tr.add(mu.a, mu.b, 0, -mu.m)
+		tr.add(mu.b, mu.a, 0, -mu.m)
 	}
 	for _, v := range e.vsrc {
-		if i := slotOf(v.np); i >= 0 {
-			addG(i, v.br, 1)
-			addG(v.br, i, 1)
-		}
-		if j := slotOf(v.nn); j >= 0 {
-			addG(j, v.br, -1)
-			addG(v.br, j, -1)
-		}
+		tr.branch(slotOf(v.np), slotOf(v.nn), v.br)
 	}
 	return tr
-}
-
-// mergeStamps merges a stamp list into the CSR pattern of an n x n
-// matrix, columns ascending in each row, and returns for each stamp the
-// pattern entry it adds into. Stamps that share an entry keep their stamp
-// order within it, so summing them in list order accumulates every entry
-// in the same sequence every build.
-func mergeStamps(tr []acTriplet, n int) (rowPtr, colIdx []int, slot []int32) {
-	ord := stampOrder(tr, n)
-	rowPtr = make([]int, n+1)
-	colIdx = make([]int, 0, len(tr))
-	slot = make([]int32, len(tr))
-	for t, k := range ord {
-		if x := tr[k]; t == 0 || x.i != tr[ord[t-1]].i || x.j != tr[ord[t-1]].j {
-			colIdx = append(colIdx, int(x.j))
-			rowPtr[x.i+1]++
-		}
-		slot[k] = int32(len(colIdx) - 1)
-	}
-	for i := 0; i < n; i++ {
-		rowPtr[i+1] += rowPtr[i]
-	}
-	return rowPtr, colIdx, slot
 }
 
 // buildPlan compiles the engine's stamp list into a stamp plan: the
@@ -258,53 +176,18 @@ func (e *ACEngine) buildPlan() (*acPlan, error) {
 	return p, nil
 }
 
-// stampOrder returns the indices of tr ordered by (row, column): a
-// counting sort by row, then a stable sort of each row's few stamps by
-// column, so duplicate contributions keep their stamp order.
-func stampOrder(tr []acTriplet, n int) []int32 {
-	at := make([]int, n+1) // next free place of each row; its end once filled
-	for _, x := range tr {
-		at[x.i+1]++
-	}
-	for i := 0; i < n; i++ {
-		at[i+1] += at[i]
-	}
-	ord := make([]int32, len(tr))
-	for k, x := range tr {
-		ord[at[x.i]] = int32(k)
-		at[x.i]++
-	}
-	for i, lo := 0, 0; i < n; i++ {
-		slices.SortStableFunc(ord[lo:at[i]], func(a, b int32) int { return cmp.Compare(tr[a].j, tr[b].j) })
-		lo = at[i]
-	}
-	return ord
-}
-
-// ensureLegacy sets up the pivoted backend on first need: the stamp list
-// and, for each stamp, the slot of the value array it adds into — entry
-// i·n+j of the row-major array DenseLU factors, or the entry's place in
-// the merged CSR pattern SparseLU is built on. Engines that run on the
-// stamp plan call it only when a static pivot cancels, so they keep no
-// stamp list until then.
+// ensureLegacy sets up the pivoted backend on first need: the stamp list,
+// the backend pivoted builds for it, and the value array the stamps add
+// into. Engines that run on the stamp plan call it only when a static
+// pivot cancels, so they keep no stamp list until then.
 func (e *ACEngine) ensureLegacy(dense bool) {
 	if e.legacy != nil {
 		return
 	}
 	e.replay = e.stamps()
-	if dense {
-		e.vals = make([]complex128, e.n*e.n)
-		e.pos = make([]int32, len(e.replay))
-		for k, t := range e.replay {
-			e.pos[k] = t.i*int32(e.n) + t.j
-		}
-		e.legacy = linalg.NewDenseLU[complex128](e.n)
-		return
-	}
-	rowPtr, colIdx, slot := mergeStamps(e.replay, e.n)
-	e.pos = slot
-	e.vals = make([]complex128, len(colIdx))
-	e.legacy = linalg.NewSparseLU[complex128](rowPtr, colIdx)
+	var size int
+	e.legacy, size, e.pos = pivoted[complex128](e.replay, e.n, dense)
+	e.vals = make([]complex128, size)
 }
 
 // SensKind labels which parameter a sensitivity entry differentiates by.
@@ -357,7 +240,7 @@ type ACEngine struct {
 	x      []complex128              // forward solution of the last solve
 	lam    []complex128              // adjoint solution of the last ImpedanceSens
 	legacy linalg.Solver[complex128] // pivoted LU on vals; nil until needed (ensureLegacy)
-	replay []acTriplet               // stamp list the pivoted backend loads at each ω
+	replay []triplet                 // stamp list the pivoted backend loads at each ω
 	pos    []int32                   // slot in vals of each replay stamp
 	vals   []complex128              // the pivoted backend's matrix values
 	plan   *acPlan                   // two-phase stamp plan; nil when the backend is legacy-only
@@ -468,7 +351,7 @@ func NewAC(ckt *circuit.Circuit, opts ACOptions) (*ACEngine, error) {
 		}
 		e.plan = plan
 	case ACAuto:
-		if e.n < acSparseThreshold {
+		if e.n < sparseThreshold {
 			// Small systems stay on the dense bit-reference; the
 			// single-frequency stampOmega cache is the degenerate reuse.
 			e.ensureLegacy(true)

@@ -193,7 +193,7 @@ func TestACPivotedDigest(t *testing.T) {
 	ckt.AddV("vsense", "sense", "0", circuit.DC(0))
 	ckt.AddR("rsense", "sense", grid.NodeName(0), 0.5)
 	eng := sweep("pga 6x6 + vsource", ckt, obs, ACOptions{})
-	if _, sparse := eng.legacy.(*linalg.SparseLU[complex128]); eng.plan != nil || !sparse || eng.n < acSparseThreshold {
+	if _, sparse := eng.legacy.(*linalg.SparseLU[complex128]); eng.plan != nil || !sparse || eng.n < sparseThreshold {
 		t.Fatalf("pga 6x6 + vsource: n=%d plan=%v legacy=%T, want the pivoted sparse path", eng.n, eng.plan != nil, eng.legacy)
 	}
 

@@ -178,9 +178,9 @@ func TestACSweepZeroAlloc(t *testing.T) {
 // run on the pivoted path, and still match the dense reference; forcing
 // ACSymbolic must fail loudly.
 func TestACPlanVsrcFallback(t *testing.T) {
-	old := acSparseThreshold
-	defer func() { acSparseThreshold = old }()
-	acSparseThreshold = 1
+	old := sparseThreshold
+	defer func() { sparseThreshold = old }()
+	sparseThreshold = 1
 
 	build := func() *circuit.Circuit {
 		ckt := circuit.New("vsrc-fallback")
@@ -205,7 +205,7 @@ func TestACPlanVsrcFallback(t *testing.T) {
 	if _, sparse := eng.legacy.(*linalg.SparseLU[complex128]); eng.plan != nil || !sparse {
 		t.Fatal("auto selection did not fall back to the pivoted sparse path")
 	}
-	acSparseThreshold = 1 << 30
+	sparseThreshold = 1 << 30
 	cktD := build()
 	engD, err := NewAC(cktD, ACOptions{})
 	if err != nil {
@@ -370,18 +370,18 @@ func TestSortTripletsStable(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 50; trial++ {
 		n := 1 + rng.Intn(30)
-		tr := make([]acTriplet, rng.Intn(8*n))
+		tr := make([]triplet, rng.Intn(8*n))
 		for k := range tr {
-			tr[k] = acTriplet{i: int32(rng.Intn(n)), j: int32(rng.Intn(n)), g: float64(k)}
+			tr[k] = triplet{i: int32(rng.Intn(n)), j: int32(rng.Intn(n)), g: float64(k)}
 		}
 		want := slices.Clone(tr)
-		slices.SortStableFunc(want, func(a, b acTriplet) int {
+		slices.SortStableFunc(want, func(a, b triplet) int {
 			if a.i != b.i {
 				return cmp.Compare(a.i, b.i)
 			}
 			return cmp.Compare(a.j, b.j)
 		})
-		got := make([]acTriplet, len(tr))
+		got := make([]triplet, len(tr))
 		for t, k := range stampOrder(tr, n) {
 			got[t] = tr[k]
 		}

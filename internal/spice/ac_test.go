@@ -431,8 +431,8 @@ func TestACAdjointVsFDSpot(t *testing.T) {
 // both), and the auto selection must pick the symbolic plan above the
 // threshold and dense below it.
 func TestACSparseMatchesDense(t *testing.T) {
-	old := acSparseThreshold
-	defer func() { acSparseThreshold = old }()
+	old := sparseThreshold
+	defer func() { sparseThreshold = old }()
 
 	build := func() *circuit.Circuit {
 		ckt := circuit.New("backend")
@@ -448,7 +448,7 @@ func TestACSparseMatchesDense(t *testing.T) {
 	}
 	w := 2 * math.Pi * 7e8
 
-	acSparseThreshold = 1 << 30 // force dense
+	sparseThreshold = 1 << 30 // force dense
 	cktD := build()
 	engD, err := NewAC(cktD, ACOptions{})
 	if err != nil {
@@ -490,11 +490,11 @@ func TestACSparseMatchesDense(t *testing.T) {
 			}
 		}
 	}
-	acSparseThreshold = 1 // auto now prefers the symbolic plan
+	sparseThreshold = 1 // auto now prefers the symbolic plan
 	compare("auto/symbolic", ACOptions{}, true)
 	compare("forced sparse", ACOptions{Backend: ACSparse}, false)
 	compare("forced symbolic", ACOptions{Backend: ACSymbolic}, true)
-	acSparseThreshold = old
+	sparseThreshold = old
 	compare("forced dense large", ACOptions{Backend: ACDense}, false)
 }
 

@@ -86,12 +86,6 @@ const (
 // conductance the micro-step produces.
 const gPin = 1e8
 
-// sparseThreshold is the unknown count at/above which the engine factors
-// with the CSR sparse solver instead of dense LU. MNA rows hold O(1)
-// nonzeros, so the sparse elimination wins early; tests override this to
-// force one path or the other.
-var sparseThreshold = 40
-
 // compiled element states ---------------------------------------------------
 
 type resStamp struct {
@@ -148,10 +142,13 @@ type fetStamp struct {
 
 	// Stamp geometry, fixed at New: the unknown slots of the drain and
 	// source rows and of the terminals in stamp order g, d, b, s (-1 where
-	// the node carries no unknown), and the knownNode pinning a terminal.
+	// the node carries no unknown), the knownNode pinning a terminal, and
+	// the value slot of each (row, terminal) matrix entry (-1 where either
+	// carries no unknown).
 	row   [2]int
 	col   [4]int
 	known [4]*knownNode
+	slot  [2][4]int32
 
 	// Linearization at the current iterate, refreshed by linearizeFET on
 	// every assemble and read by the matrix and rhs stamps. v and jac run in
@@ -198,12 +195,19 @@ type Engine struct {
 	muts   []*mutualStamp
 	tlines []*tlineStamp
 
-	g       *linalg.Matrix // working matrix: base copy plus FET companions
-	base    *linalg.Matrix // cached linear stamps for the current (h, mode) key
-	rhs     []float64
-	solver  linalg.Solver[float64]
-	denseLU *linalg.DenseLU[float64] // non-nil when solver is the dense backend (devirtualized hot path)
-	x       []float64                // current solution [v1..v_{n-1}, branch currents]
+	// The linear part of the matrix is one stamp list, built in New and
+	// replayed by ensureBase into base, the value array of solver (dense
+	// row-major below sparseThreshold, the list's CSR pattern above it):
+	// stamp k adds into base[pos[k]], and diag[i] is the slot of diagonal
+	// entry (i, i). work is base plus the FET companion stamps; nil
+	// without FETs, whose base is factored directly.
+	stamps     []triplet
+	pos, diag  []int32
+	base, work []float64
+	solver     linalg.Solver[float64]
+	fused      *linalg.DenseLU[float64] // the dense solver when work exists, for FactorSolveScratch
+	rhs        []float64
+	x          []float64 // current solution [v1..v_{n-1}, branch currents]
 
 	// rhsLin caches the iterate-independent rhs contributions (reactive
 	// state and sources) for the duration of one Newton solve; rhsLinOK is
@@ -229,9 +233,8 @@ type Engine struct {
 	// matrix rebuild and solve skips Factor. The ASDM's Jacobian is
 	// piecewise constant, so its decks factor once per (h, mode,
 	// conduction state); linear circuits factor once per (h, mode). The
-	// working matrix g is written only in an iteration that refactors it,
-	// so the LU FactorSolveScratch leaves in g.Data stays valid for every
-	// reuse.
+	// working array is written only in an iteration that refactors it, so
+	// the LU FactorSolveScratch leaves there stays valid for every reuse.
 	matEpoch uint64
 	facEpoch uint64
 	facValid bool
@@ -401,16 +404,9 @@ func New(ckt *circuit.Circuit, opts Options) (*Engine, error) {
 		e.muts = append(e.muts, &mutualStamp{a: a, b: b, m: mu.K * math.Sqrt(a.l*b.l)})
 	}
 	e.nUnknown = br
-	e.g = linalg.NewMatrix(br, br)
-	e.base = linalg.NewMatrix(br, br)
+	e.buildStamps()
 	e.rhs = make([]float64, br)
 	e.rhsLin = make([]float64, br)
-	if br >= sparseThreshold {
-		e.solver = linalg.NewSparseLU[float64](linalg.DensePattern(br))
-	} else {
-		e.denseLU = linalg.NewDenseLU[float64](br)
-		e.solver = e.denseLU
-	}
 	e.x = make([]float64, br)
 	e.xOld = make([]float64, br)
 	e.xNew = make([]float64, br)
@@ -455,19 +451,72 @@ func (e *Engine) nodeV(x []float64, node int) float64 {
 	return e.knowns[-2-e.slot[node]].val
 }
 
-// stampG adds conductance g between nodes n1 and n2 into matrix m.
-func (e *Engine) stampG(m *linalg.Matrix, n1, n2 int, g float64) {
-	if i := e.vIdx(n1); i >= 0 {
-		m.Add(i, i, g)
-		if j := e.vIdx(n2); j >= 0 {
-			m.Add(i, j, -g)
+// buildStamps compiles the matrix into one stamp list and its pivoted
+// backend. The list holds every diagonal first (gshunt, the DC inductor
+// short and the .IC pins add there), then the linear elements in stamp
+// order — resistors, capacitors, inductors, mutuals, voltage sources,
+// transmission-line ports — and last the FET entries. A capacitance,
+// inductance or mutual stamps c, which ensureBase turns into the
+// companion conductance k·c/h of the integration step.
+func (e *Engine) buildStamps() {
+	n := e.nUnknown
+	tr := make(triplets, 0, n+4*(len(e.res)+len(e.caps)+len(e.vsrc)+2*len(e.tlines))+
+		5*len(e.inds)+2*len(e.muts)+8*len(e.fets))
+	for i := 0; i < n; i++ {
+		tr.add(i, i, 0, 0)
+	}
+	for _, r := range e.res {
+		tr.pair(e.vIdx(r.n1), e.vIdx(r.n2), r.g, 0)
+	}
+	for _, c := range e.caps {
+		tr.pair(e.vIdx(c.n1), e.vIdx(c.n2), 0, c.c)
+	}
+	for _, l := range e.inds {
+		tr.branch(e.vIdx(l.n1), e.vIdx(l.n2), l.br)
+		tr.add(l.br, l.br, 0, -l.l)
+	}
+	for _, mu := range e.muts {
+		tr.add(mu.a.br, mu.b.br, 0, -mu.m)
+		tr.add(mu.b.br, mu.a.br, 0, -mu.m)
+	}
+	for _, v := range e.vsrc {
+		tr.branch(e.vIdx(v.np), e.vIdx(v.nn), v.br)
+	}
+	// Branin's method stamps a constant 1/Z0 across each port; only the
+	// injected currents vary with time, and those live in the RHS.
+	for _, tl := range e.tlines {
+		tr.pair(e.vIdx(tl.n1p), e.vIdx(tl.n1n), 1/tl.z0, 0)
+		tr.pair(e.vIdx(tl.n2p), e.vIdx(tl.n2n), 1/tl.z0, 0)
+	}
+	lin := len(tr)
+	for _, f := range e.fets {
+		for r, i := range f.row {
+			for k, j := range f.col {
+				f.slot[r][k] = -1
+				if i >= 0 && j >= 0 {
+					f.slot[r][k] = int32(len(tr))
+					tr.add(i, j, 0, 0)
+				}
+			}
 		}
 	}
-	if j := e.vIdx(n2); j >= 0 {
-		m.Add(j, j, g)
-		if i := e.vIdx(n1); i >= 0 {
-			m.Add(j, i, -g)
+	var size int
+	var pos []int32
+	e.solver, size, pos = pivoted[float64](tr, n, n < sparseThreshold)
+	for _, f := range e.fets {
+		for r := range f.slot {
+			for k, t := range f.slot[r] {
+				if t >= 0 {
+					f.slot[r][k] = pos[t]
+				}
+			}
 		}
+	}
+	e.diag, e.stamps, e.pos = pos[:n], tr[n:lin], pos[n:lin]
+	e.base = make([]float64, size)
+	if len(e.fets) > 0 {
+		e.work = make([]float64, size)
+		e.fused, _ = e.solver.(*linalg.DenseLU[float64])
 	}
 }
 
@@ -494,92 +543,39 @@ func (e *Engine) ensureBase(h float64, mode integMode) {
 		return
 	}
 	b := e.base
-	b.Zero()
+	clear(b)
 	// Shunt conductance to ground on every node: keeps floating nodes (gate
 	// networks, open capacitors in DC) nonsingular.
-	for n := 1; n < e.nNodes; n++ {
-		if i := e.vIdx(n); i >= 0 {
-			b.Add(i, i, e.gshunt)
-		}
+	for _, d := range e.diag[:e.nodeUnknowns] {
+		b[d] = e.gshunt
 	}
-	for _, r := range e.res {
-		e.stampG(b, r.n1, r.n2, r.g)
+	// Each stamp adds g + k·c/h: k = 1 for backward Euler, 2 for the
+	// trapezoidal rule. DC keeps g alone: capacitors open, no coupling.
+	k := 0.0
+	switch mode {
+	case modeBE:
+		k = 1
+	case modeTR:
+		k = 2
 	}
-	for _, c := range e.caps {
-		switch mode {
-		case modeDC:
-			// open circuit: nothing to stamp
-		case modeBE:
-			e.stampG(b, c.n1, c.n2, c.c/h)
-		case modeTR:
-			e.stampG(b, c.n1, c.n2, 2*c.c/h)
+	for t, st := range e.stamps {
+		v := st.g
+		if k != 0 {
+			v += k * st.c / h
 		}
+		b[e.pos[t]] += v
 	}
-	for _, l := range e.inds {
-		// Branch current column: current leaves n1, enters n2.
-		if i := e.vIdx(l.n1); i >= 0 {
-			b.Add(i, l.br, 1)
+	if mode == modeDC {
+		// Inductors are shorts, v1 - v2 = 0; a tiny series resistance
+		// avoids singular loops of shorts and sources.
+		for _, l := range e.inds {
+			b[e.diag[l.br]] -= 1e-6
 		}
-		if j := e.vIdx(l.n2); j >= 0 {
-			b.Add(j, l.br, -1)
-		}
-		// Branch voltage row.
-		if i := e.vIdx(l.n1); i >= 0 {
-			b.Add(l.br, i, 1)
-		}
-		if j := e.vIdx(l.n2); j >= 0 {
-			b.Add(l.br, j, -1)
-		}
-		switch mode {
-		case modeDC:
-			// Short circuit: v1 - v2 = 0; keep a tiny series resistance to
-			// avoid singular loops of shorts and sources.
-			b.Add(l.br, l.br, -1e-6)
-		case modeBE:
-			b.Add(l.br, l.br, -l.l/h)
-		case modeTR:
-			b.Add(l.br, l.br, -2*l.l/h)
-		}
-	}
-	// Mutual coupling cross-terms between inductor branch rows. In DC the
-	// inductors are shorts and the coupling vanishes with di/dt.
-	for _, mu := range e.muts {
-		switch mode {
-		case modeBE:
-			mh := mu.m / h
-			b.Add(mu.a.br, mu.b.br, -mh)
-			b.Add(mu.b.br, mu.a.br, -mh)
-		case modeTR:
-			mh := 2 * mu.m / h
-			b.Add(mu.a.br, mu.b.br, -mh)
-			b.Add(mu.b.br, mu.a.br, -mh)
-		}
-	}
-	for _, v := range e.vsrc {
-		if i := e.vIdx(v.np); i >= 0 {
-			b.Add(i, v.br, 1)
-		}
-		if j := e.vIdx(v.nn); j >= 0 {
-			b.Add(j, v.br, -1)
-		}
-		if i := e.vIdx(v.np); i >= 0 {
-			b.Add(v.br, i, 1)
-		}
-		if j := e.vIdx(v.nn); j >= 0 {
-			b.Add(v.br, j, -1)
-		}
-	}
-	// Branin's method stamps a constant 1/Z0 across each port; only the
-	// injected currents vary with time, and those live in the RHS.
-	for _, tl := range e.tlines {
-		g0 := 1 / tl.z0
-		e.stampG(b, tl.n1p, tl.n1n, g0)
-		e.stampG(b, tl.n2p, tl.n2n, g0)
 	}
 	if e.pinICs {
 		for node := range e.nodeICs {
 			if i := e.vIdx(node); i >= 0 {
-				b.Add(i, i, gPin)
+				b[e.diag[i]] += gPin
 			}
 		}
 	}
@@ -589,15 +585,15 @@ func (e *Engine) ensureBase(h float64, mode integMode) {
 }
 
 // assemble builds the MNA system for the given time, step and mode,
-// linearized around the iterate x. It returns the matrix to solve with and
-// whether the solver must factor it; when refactor is false the matrix is
-// bit-identical to the one the solver already holds. The linear part is
-// served from the base cache. The working matrix (base plus the FET
-// companion stamps) is rebuilt only when it is about to be refactored,
+// linearized around the iterate x. It returns the value array to solve
+// with and whether the solver must factor it; when refactor is false the
+// array is bit-identical to the one the solver already holds. The linear
+// part is served from the base cache. The working array (base plus the
+// FET companion stamps) is rebuilt only when it is about to be refactored,
 // since a FactorSolveScratch may have left its LU there. The right-hand
 // side is rebuilt on every call (it carries the time-varying sources and
 // the companion-model history terms).
-func (e *Engine) assemble(t, h float64, mode integMode, x []float64) (a *linalg.Matrix, refactor bool) {
+func (e *Engine) assemble(t, h float64, mode integMode, x []float64) (a []float64, refactor bool) {
 	e.ensureBase(h, mode)
 	rhs := e.rhs
 	if e.rhsLinOK && !e.refMode {
@@ -656,10 +652,10 @@ func (e *Engine) assemble(t, h float64, mode integMode, x []float64) (a *linalg.
 	}
 	refactor = e.refMode || !e.facValid || e.facEpoch != e.matEpoch
 	a = e.base
-	if len(e.fets) > 0 {
-		a = e.g
+	if e.work != nil {
+		a = e.work
 		if refactor {
-			copy(e.g.Data, e.base.Data)
+			copy(e.work, e.base)
 			for _, f := range e.fets {
 				e.stampFETMatrix(f)
 			}
@@ -744,17 +740,14 @@ func (e *Engine) linearizeFET(f *fetStamp, x []float64) {
 	f.jac = [4]float64{jg, jd, jb, -(jg + jd + jb)}
 }
 
-// stampFETMatrix adds a FET's conductance stamps to the working matrix:
+// stampFETMatrix adds a FET's conductance stamps to the working array:
 // the drain row gets +partials and the source row -partials, in the
 // unknown columns.
 func (e *Engine) stampFETMatrix(f *fetStamp) {
-	for r, i := range f.row {
-		if i < 0 {
-			continue
-		}
-		for k, j := range f.col {
-			if j >= 0 {
-				e.g.Add(i, j, fetRowSign[r]*f.jac[k])
+	for r := range f.slot {
+		for k, t := range f.slot[r] {
+			if t >= 0 {
+				e.work[t] += fetRowSign[r] * f.jac[k]
 			}
 		}
 	}
@@ -830,27 +823,13 @@ func (e *Engine) solve(t, h float64, mode integMode) error {
 		if refactor {
 			e.factors++
 			var err error
-			if e.denseLU != nil && a == e.g {
-				// assemble rebuilt the working matrix for this factorization
+			if e.fused != nil {
+				// assemble rebuilt the working array for this factorization
 				// and writes it again only before the next one, so the fused
 				// factor+solve may leave its LU in place for reuse.
-				err = e.denseLU.FactorSolveScratch(a.Data, e.rhs, xNew)
-			} else {
-				if e.denseLU != nil {
-					err = e.denseLU.Factor(a.Data)
-				} else {
-					err = e.solver.Factor(a.Data)
-				}
-				if err == nil {
-					if e.denseLU != nil {
-						err = e.denseLU.Solve(e.rhs, xNew)
-					} else {
-						err = e.solver.Solve(e.rhs, xNew)
-					}
-					if err != nil {
-						return err
-					}
-				}
+				err = e.fused.FactorSolveScratch(a, e.rhs, xNew)
+			} else if err = e.solver.Factor(a); err == nil {
+				err = e.solver.Solve(e.rhs, xNew)
 			}
 			if err != nil {
 				e.facValid = false
@@ -858,16 +837,8 @@ func (e *Engine) solve(t, h float64, mode integMode) error {
 			}
 			e.facValid = !e.refMode
 			e.facEpoch = e.matEpoch
-		} else {
-			var err error
-			if e.denseLU != nil {
-				err = e.denseLU.Solve(e.rhs, xNew)
-			} else {
-				err = e.solver.Solve(e.rhs, xNew)
-			}
-			if err != nil {
-				return err
-			}
+		} else if err := e.solver.Solve(e.rhs, xNew); err != nil {
+			return err
 		}
 		if fastLinear {
 			copy(e.x, xNew)
