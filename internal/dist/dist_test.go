@@ -7,8 +7,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // testSpec is a 3-axis grid with deliberately awkward numbers: 5*7*11 =
@@ -146,16 +148,30 @@ func shardHandler(t *testing.T) http.HandlerFunc {
 	}
 }
 
+// TestCoordinatorTwoWorkers runs the grid over two replicas. Each replica
+// holds its requests until the other has received one, so a fast replica
+// cannot drain all 13 shards before the other's first request arrives,
+// and both must complete shards.
 func TestCoordinatorTwoWorkers(t *testing.T) {
 	spec := testSpec()
 	full := baseline(t, spec)
-	w1 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		shardHandler(t)(w, r)
-	}))
+	got := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+	var once [2]sync.Once
+	replica := func(me int) *httptest.Server {
+		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			once[me].Do(func() { close(got[me]) })
+			select {
+			case <-got[1-me]:
+			case <-time.After(10 * time.Second):
+				t.Errorf("replica %d: the other replica received no request in 10s", me+1)
+				http.Error(w, "no peer request", http.StatusServiceUnavailable)
+				return
+			}
+			shardHandler(t)(w, r)
+		}))
+	}
+	w1, w2 := replica(0), replica(1)
 	defer w1.Close()
-	w2 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		shardHandler(t)(w, r)
-	}))
 	defer w2.Close()
 
 	tracker := NewTracker()
