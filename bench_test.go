@@ -561,6 +561,38 @@ func BenchmarkOracleCheck(b *testing.B) {
 	}
 }
 
+// BenchmarkOracleCheckStiff runs the differential oracle over the
+// pole-bound points among the first 64 of campaign seed 1 (the
+// points64-seed1 campaign): the points whose fixed step the fastest
+// natural pole would set, which oracle.Simulate steps under LTE control
+// from the window/cycle step instead.
+func BenchmarkOracleCheckStiff(b *testing.B) {
+	var pts []oracle.DesignPoint
+	for i := 0; i < 64; i++ {
+		pt, ok := oracle.Generate(1, i)
+		if !ok {
+			b.Fatalf("generator exhausted at index %d", i)
+		}
+		if oracle.PoleBound(pt) {
+			pts = append(pts, pt)
+		}
+	}
+	if len(pts) == 0 {
+		b.Fatal("no pole-bound point among the first 64 of seed 1")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, pt := range pts {
+			res := oracle.Check(pt, spice.Options{})
+			if res.Err != nil || !res.Pass {
+				b.Fatal(res)
+			}
+			benchResult = res.Sim
+		}
+	}
+}
+
 // BenchmarkMonteCarlo measures the statistical sign-off loop (1000 corners
 // through the four-case closed form).
 func BenchmarkMonteCarlo(b *testing.B) {
