@@ -6,76 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestBisectSimple(t *testing.T) {
-	f := func(x float64) float64 { return x*x - 2 }
-	r, err := Bisect(f, 0, 2, 1e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(r-math.Sqrt2) > 1e-10 {
-		t.Errorf("Bisect sqrt2 = %.15g, want %.15g", r, math.Sqrt2)
-	}
-}
-
-func TestBisectEndpointRoot(t *testing.T) {
-	f := func(x float64) float64 { return x }
-	if r, err := Bisect(f, 0, 1, 1e-12); err != nil || r != 0 {
-		t.Errorf("exact endpoint root: got %g, %v", r, err)
-	}
-	if r, err := Bisect(f, -1, 0, 1e-12); err != nil || r != 0 {
-		t.Errorf("exact right endpoint root: got %g, %v", r, err)
-	}
-}
-
-func TestBisectNoBracket(t *testing.T) {
-	f := func(x float64) float64 { return x*x + 1 }
-	if _, err := Bisect(f, -1, 1, 1e-9); err == nil {
-		t.Error("expected ErrNoBracket")
-	}
-}
-
-func TestBrentAgainstKnownRoots(t *testing.T) {
-	cases := []struct {
-		f    func(float64) float64
-		a, b float64
-		want float64
-	}{
-		{func(x float64) float64 { return x*x*x - x - 2 }, 1, 2, 1.5213797068045676},
-		{func(x float64) float64 { return math.Cos(x) - x }, 0, 1, 0.7390851332151607},
-		{func(x float64) float64 { return math.Exp(x) - 3 }, 0, 2, math.Log(3)},
-	}
-	for i, c := range cases {
-		r, err := Brent(c.f, c.a, c.b, 1e-13)
-		if err != nil {
-			t.Fatalf("case %d: %v", i, err)
-		}
-		if math.Abs(r-c.want) > 1e-9 {
-			t.Errorf("case %d: Brent = %.15g, want %.15g", i, r, c.want)
-		}
-	}
-}
-
-func TestBrentMatchesBisect(t *testing.T) {
-	// Property: on any bracketed monotone cubic, Brent and Bisect agree.
-	f := func(shift float64) bool {
-		if math.IsNaN(shift) || math.Abs(shift) > 10 {
-			return true
-		}
-		g := func(x float64) float64 { return x*x*x + x - shift }
-		// g is strictly increasing; bracket generously.
-		a, b := -20.0, 20.0
-		rb, err1 := Brent(g, a, b, 1e-12)
-		ri, err2 := Bisect(g, a, b, 1e-12)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		return math.Abs(rb-ri) < 1e-8
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestFixedPoint(t *testing.T) {
 	// x = cos(x) has the Dottie number as fixed point.
 	r, err := FixedPoint(math.Cos, 1, 1e-12, 1)

@@ -2,6 +2,7 @@ package ssn
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -80,5 +81,48 @@ func TestDelayPushoutValidation(t *testing.T) {
 	bad.N = 0
 	if _, err := DelayPushout(bad); err == nil {
 		t.Error("invalid params must error")
+	}
+}
+
+// TestBudgetHelpersWithinBudget holds MinRiseTimeForBudget and
+// InductanceBudget to their contract over seeded design points: the
+// returned rise time or inductance keeps the maximum SSN at or below the
+// budget, never a rounding step above it.
+func TestBudgetHelpersWithinBudget(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261018))
+	const draws = 2000
+	var trOK, lOK, trOver, lOver int
+	for round := 0; round < draws; round++ {
+		p := randPlanParams(rng, round)
+		nominal, _, err := MaxSSN(p)
+		if err != nil {
+			t.Fatalf("draw %d: %v", round, err)
+		}
+		budget := nominal * (0.5 + rng.Float64())
+		tr0 := p.Vdd / p.Slope
+		if tr, err := MinRiseTimeForBudget(p, budget, tr0/100, tr0*100); err == nil {
+			trOK++
+			if v, _, err := MaxSSN(p.WithRiseTime(tr)); err != nil || v > budget {
+				if trOver++; trOver <= 3 {
+					t.Errorf("draw %d: tr %g gives vmax %g over budget %g (err %v)", round, tr, v, budget, err)
+				}
+			}
+		}
+		if l, err := InductanceBudget(p, budget, p.L/100, p.L*100); err == nil {
+			lOK++
+			if v, _, err := MaxSSN(p.WithGround(l, p.C)); err != nil || v > budget {
+				if lOver++; lOver <= 3 {
+					t.Errorf("draw %d: L %g gives vmax %g over budget %g (err %v)", round, l, v, budget, err)
+				}
+			}
+		}
+	}
+	t.Logf("%d draws: %d rise times (%d over budget), %d inductances (%d over budget)",
+		draws, trOK, trOver, lOK, lOver)
+	if trOver+lOver > 0 {
+		t.Errorf("%d rise times and %d inductances exceed the budget", trOver, lOver)
+	}
+	if trOK < draws/2 || lOK < draws/2 {
+		t.Errorf("only %d rise times and %d inductances of %d draws returned", trOK, lOK, draws)
 	}
 }
