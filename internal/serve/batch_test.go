@@ -184,13 +184,13 @@ func TestMaxSSNBatchDeadline(t *testing.T) {
 
 	// Every pool slot held: no item can start before the deadline.
 	for i := 0; i < s.cfg.Workers; i++ {
-		if err := s.pool.acquire(context.Background()); err != nil {
+		if err := s.pool.Acquire(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
 	resp, raw := postJSON(t, ts.URL+"/v1/maxssn", string(body))
 	for i := 0; i < s.cfg.Workers; i++ {
-		s.pool.release()
+		s.pool.Release()
 	}
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, raw)
@@ -228,20 +228,20 @@ func TestMaxSSNBatchDeadline(t *testing.T) {
 	defer one.Shutdown(context.Background())
 	mixed := false
 	for attempt := 0; attempt < 20 && !mixed; attempt++ {
-		if err := one.pool.acquire(context.Background()); err != nil {
+		if err := one.pool.Acquire(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan []EvalResult)
 		go func() { done <- one.evalItems(ctx, items) }()
 		time.Sleep(5 * time.Millisecond) // let the worker block on item 0's slot
-		one.pool.release()
-		if err := one.pool.acquire(context.Background()); err != nil {
+		one.pool.Release()
+		if err := one.pool.Acquire(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		cancel()
 		got := <-done
-		one.pool.release()
+		one.pool.Release()
 		ran := 0
 		for ran < len(got) && (got[ran].Error == nil || got[ran].Error.Code != CodeTimeout) {
 			if want := one.evalOne(ran, items[ran]); !equalResults(got[ran], want) {

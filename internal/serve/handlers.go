@@ -172,14 +172,14 @@ func (s *Server) evalItems(ctx context.Context, items []EvalItem) []EvalResult {
 func (s *Server) runBatch(ctx context.Context, n int, run func(i int), abort func(i int, err error)) {
 	var next atomic.Int64
 	item := func(i int) {
-		defer s.pool.release()
+		defer s.pool.Release()
 		run(i)
 	}
 	work := func() {
 		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
 			err := ctx.Err()
 			if err == nil {
-				err = s.pool.acquire(ctx)
+				err = s.pool.Acquire(ctx)
 			}
 			if err != nil {
 				abort(i, err)

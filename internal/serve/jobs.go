@@ -24,8 +24,11 @@ func newPool(workers int) *pool {
 	return &pool{sem: make(chan struct{}, workers)}
 }
 
-// acquire blocks until a slot frees or the context ends.
-func (p *pool) acquire(ctx context.Context) error {
+// Acquire blocks until a slot frees or the context ends. Acquire and
+// Release let the pool satisfy sweep.Gate, so sweep chunks share the same
+// slots as batch items and Monte Carlo jobs — the one-pool invariant
+// survives the streaming endpoint.
+func (p *pool) Acquire(ctx context.Context) error {
 	select {
 	case p.sem <- struct{}{}:
 		return nil
@@ -34,15 +37,8 @@ func (p *pool) acquire(ctx context.Context) error {
 	}
 }
 
-func (p *pool) release() { <-p.sem }
-
-// Acquire and Release let the pool satisfy sweep.Gate, so sweep chunks
-// share the same slots as batch items and Monte Carlo jobs — the one-pool
-// invariant survives the streaming endpoint.
-func (p *pool) Acquire(ctx context.Context) error { return p.acquire(ctx) }
-
 // Release frees the slot taken by Acquire.
-func (p *pool) Release() { p.release() }
+func (p *pool) Release() { <-p.sem }
 
 // JobState is the lifecycle state of an asynchronous job.
 type JobState string
@@ -134,11 +130,11 @@ func (s *jobStore) submit(fn func(ctx context.Context) (any, error)) Job {
 	go func() {
 		defer s.wg.Done()
 		defer cancel()
-		if err := s.pool.acquire(ctx); err != nil {
+		if err := s.pool.Acquire(ctx); err != nil {
 			s.finish(j, nil, err)
 			return
 		}
-		defer s.pool.release()
+		defer s.pool.Release()
 		s.start(j)
 		res, err := fn(ctx)
 		s.finish(j, res, err)

@@ -110,19 +110,19 @@ func TestJobStoreEvictionKeepsActive(t *testing.T) {
 
 func TestPoolAcquireRespectsContext(t *testing.T) {
 	p := newPool(1)
-	if err := p.acquire(context.Background()); err != nil {
+	if err := p.Acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if err := p.acquire(ctx); !errors.Is(err, context.DeadlineExceeded) {
+	if err := p.Acquire(ctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("full pool acquire: %v, want deadline", err)
 	}
-	p.release()
-	if err := p.acquire(context.Background()); err != nil {
+	p.Release()
+	if err := p.Acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	p.release()
+	p.Release()
 }
 
 func TestJobIDsUnique(t *testing.T) {
