@@ -36,7 +36,12 @@ type Options struct {
 	// never above TranSpec.Step. The sample history restarts at every
 	// source breakpoint, and the two steps after one run uncontrolled.
 	Adaptive bool
-	LTETol   float64 // relative LTE target per step (default 1e-3)
+	// LTETol is the per-step LTE target (default 1e-3). Each component's
+	// error is scaled by max(|x|, 1), so the target is relative only where
+	// |x| > 1; below that it is an absolute bound in the component's unit
+	// (volts for a node voltage), and a millivolt-scale signal needs a
+	// proportionally smaller LTETol.
+	LTETol float64
 }
 
 func (o Options) withDefaults() Options {

@@ -154,11 +154,12 @@ func tableCase(d dampState, tauR float64) Case {
 }
 
 // vAtOver, vAtCrit and vAtUnder evaluate the per-regime closed forms on
-// scalar arguments. They are the single source of the Table 1 waveform
-// expressions: the scalar path reaches them through the vAt dispatcher,
-// and the batch kernels call them directly from branches that already know
-// the regime — which is what keeps the two paths bitwise identical while
-// sparing the kernels a dampState copy and a second kind dispatch.
+// scalar arguments; the scalar path reaches them through the vAt
+// dispatcher. The batch run kernels in plan.go do not call them: each
+// kernel spells its regime's expression out again, term for term with the
+// same operands in the same order, so the two paths stay bitwise
+// identical. TestPlanBitwiseEqualsScalar and FuzzPlanBatch hold them to
+// it; an edit here must be mirrored there.
 func vAtOver(beta, l1, l2, tau float64) float64 {
 	if math.IsInf(l2, -1) {
 		// L-only limit.
