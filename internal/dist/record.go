@@ -54,7 +54,9 @@ func EvalRange(ctx context.Context, spec SweepSpec, lo, hi int, cfg EvalConfig) 
 	if err != nil {
 		return nil, err
 	}
-	buf := make([]byte, 0, 64*(hi-lo))
+	// Sweep records run 120-140 bytes over log axes, so 160 per point holds
+	// a two- or three-axis payload in one allocation.
+	buf := make([]byte, 0, 160*(hi-lo))
 	enc := sweep.NewPointEncoder(g.Axes, func(err error) any { return toRecordError(err) })
 	sink := func(pt sweep.Point) (err error) {
 		buf, err = enc.Append(buf, pt)

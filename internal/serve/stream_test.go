@@ -55,11 +55,14 @@ var streamSummary = map[string]any{"done": true, "note": "<a&b>"}
 
 var streamErr = &apiError{Code: CodeInternal, Message: "x <y> & z"}
 
-// TestStreamNDJSON pins the NDJSON cadence — a flush after every
-// sweepFlushEvery-th line and one at the end — and the terminal rule:
-// exactly one last line, the error record when finish gets an error.
+// TestStreamNDJSON pins the NDJSON cadence — nothing goes out before
+// 64 KiB of lines are buffered, then every write holds at least 64 KiB of
+// whole lines, and the rest goes out with the terminal line — and the
+// terminal rule: exactly one last line, the error record when finish gets
+// an error.
 func TestStreamNDJSON(t *testing.T) {
-	const lines = 2*sweepFlushEvery + 2
+	const flushBytes = 64 << 10
+	line := func(i int) string { return fmt.Sprintf("{\"i\":%d,\"pad\":%q}\n", i, strings.Repeat("x", i%150)) }
 	for _, tc := range []struct {
 		err  error
 		last string
@@ -69,10 +72,27 @@ func TestStreamNDJSON(t *testing.T) {
 	} {
 		rw := newRecordingWriter()
 		st := startStream(rw, "application/x-ndjson")
-		for i := 0; i < lines; i++ {
-			fmt.Fprintf(st.buf, "{\"i\":%d}\n", i)
+		var lines, sent, buffered int
+		for sent < 3*flushBytes {
+			l := line(lines)
+			lines++
+			st.buf.WriteString(l)
+			buffered += len(l)
+			before := len(rw.chunks)
 			if err := st.endLine(); err != nil {
 				t.Fatal(err)
+			}
+			switch {
+			case len(rw.chunks) == before && buffered >= flushBytes:
+				t.Fatalf("line %d: %d bytes buffered and not written", lines, buffered)
+			case len(rw.chunks) > before+1:
+				t.Fatalf("line %d: %d writes", lines, len(rw.chunks)-before)
+			case len(rw.chunks) == before+1:
+				if got := len(rw.chunks[before]); got != buffered {
+					t.Fatalf("line %d: wrote %d bytes of the %d buffered", lines, got, buffered)
+				}
+				sent += buffered
+				buffered = 0
 			}
 		}
 		st.finish(streamSummary, tc.err)
@@ -80,15 +100,21 @@ func TestStreamNDJSON(t *testing.T) {
 		if rw.status != http.StatusOK || rw.header.Get("Content-Type") != "application/x-ndjson" {
 			t.Fatalf("status %d, content type %q", rw.status, rw.header.Get("Content-Type"))
 		}
-		checkFlushedChunks(t, rw, 3)
-		for i, want := range []int{sweepFlushEvery, sweepFlushEvery, 3} {
-			if got := bytes.Count(rw.chunks[i], []byte("\n")); got != want {
-				t.Errorf("write %d holds %d lines, want %d", i, got, want)
+		n := len(rw.chunks)
+		checkFlushedChunks(t, rw, n)
+		for i, c := range rw.chunks[:n-1] {
+			if len(c) < flushBytes || c[len(c)-1] != '\n' {
+				t.Errorf("write %d: %d bytes ending in %q, want >= %d ending in a newline", i, len(c), c[len(c)-1], flushBytes)
 			}
 		}
 		got := strings.Split(strings.TrimSuffix(string(rw.body()), "\n"), "\n")
 		if len(got) != lines+1 || got[lines] != tc.last {
 			t.Fatalf("%d lines ending in %q, want %d ending in %q", len(got), got[len(got)-1], lines+1, tc.last)
+		}
+		for i, l := range got[:lines] {
+			if l+"\n" != line(i) {
+				t.Fatalf("line %d is %q, want %q", i, l, line(i))
+			}
 		}
 	}
 }

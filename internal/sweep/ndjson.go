@@ -36,6 +36,15 @@ import (
 // no allocation. The per-point error sub-record, rare and caller-shaped,
 // stays on encoding/json.
 //
+// A base-grid point (Index != nil) repeats its axis values across the
+// grid, so the encoder keeps their spelled bytes in a memo keyed by grid
+// index: one slot per axis, except the last (fastest) axis, which gets
+// one slot per index up to memoSlots and wraps above that. A slot is
+// reused only when it holds the same float64 bits, so a failed point's
+// raw n beside a valid point's resolved N, or -0 beside 0, is spelled
+// afresh; a non-finite value is refused and leaves the slot as it was.
+// Refined points (Index == nil) are always spelled afresh.
+//
 // A PointEncoder is not safe for concurrent use; sweep sinks are serial.
 type PointEncoder struct {
 	values    []valueField // in sorted-name order
@@ -46,9 +55,23 @@ type PointEncoder struct {
 
 // valueField is one key of the values object.
 type valueField struct {
-	axis int    // index into Grid.Axes and Point.Values
-	key  []byte // `"name":`, comma-led after the first key
-	isN  bool   // the n axis: a valid point reports its resolved N
+	axis int        // index into Grid.Axes, Point.Index and Point.Values
+	key  []byte     // `"name":`, comma-led after the first key
+	isN  bool       // the n axis: a valid point reports its resolved N
+	memo []memoSlot // spelled values by grid index; a power-of-two length
+}
+
+// memoSlots bounds the memo of the fastest axis, so an axis of a million
+// points costs the same 40 KiB as one of a thousand.
+const memoSlots = 1024
+
+// memoSlot holds the spelling of one axis value. The longest spelling
+// AppendJSONFloat writes is 25 bytes (-0.0000012345678901234567), so b
+// fills the slot out to 40 bytes.
+type memoSlot struct {
+	bits uint64
+	n    uint8 // len of the spelling in b; 0 marks an empty slot
+	b    [31]byte
 }
 
 // caseFields holds the pre-quoted case and case_code fields of the
@@ -70,7 +93,13 @@ func NewPointEncoder(axes []Axis, errRecord func(error) any) *PointEncoder {
 	e.enc = json.NewEncoder(&e.buf)
 	e.enc.SetEscapeHTML(false)
 	for k, ax := range axes {
-		e.values = append(e.values, valueField{axis: k, isN: ax.Name == AxisN})
+		slots := 1 // an outer axis holds one value for a whole row
+		if k == len(axes)-1 {
+			for slots < min(ax.Points, memoSlots) {
+				slots *= 2
+			}
+		}
+		e.values = append(e.values, valueField{axis: k, isN: ax.Name == AxisN, memo: make([]memoSlot, slots)})
 	}
 	slices.SortFunc(e.values, func(a, b valueField) int {
 		return strings.Compare(axes[a.axis].Name, axes[b.axis].Name)
@@ -93,13 +122,19 @@ func (e *PointEncoder) Append(dst []byte, pt Point) ([]byte, error) {
 	start := len(dst)
 	dst = append(dst, `{"values":{`...)
 	var err error
-	for _, f := range e.values {
+	for i := range e.values {
+		f := &e.values[i]
 		v := pt.Values[f.axis]
 		if f.isN && pt.Err == nil {
 			v = float64(pt.Params.N) // the resolved (rounded) driver count
 		}
 		dst = append(dst, f.key...)
-		if dst, err = AppendJSONFloat(dst, v); err != nil {
+		if pt.Index != nil {
+			dst, err = f.appendMemo(dst, pt.Index[f.axis], v)
+		} else {
+			dst, err = AppendJSONFloat(dst, v)
+		}
+		if err != nil {
 			return dst[:start], err
 		}
 	}
@@ -133,6 +168,23 @@ func (e *PointEncoder) Append(dst []byte, pt Point) ([]byte, error) {
 		}
 	}
 	return append(dst, "}\n"...), nil
+}
+
+// appendMemo appends v, the value at grid index idx of f's axis, from
+// its memo slot when the slot holds v's bits, and spells it into the slot
+// otherwise.
+func (f *valueField) appendMemo(dst []byte, idx int, v float64) ([]byte, error) {
+	s := &f.memo[idx&(len(f.memo)-1)]
+	bits := math.Float64bits(v)
+	if s.n != 0 && s.bits == bits {
+		return append(dst, s.b[:s.n]...), nil
+	}
+	start := len(dst)
+	dst, err := AppendJSONFloat(dst, v)
+	if err == nil {
+		s.bits, s.n = bits, uint8(copy(s.b[:], dst[start:]))
+	}
+	return dst, err
 }
 
 // appendJSON appends v as encoding/json spells it without HTML escaping.

@@ -7,8 +7,10 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"ssnkit/internal/ssn"
 )
@@ -281,17 +283,110 @@ func FuzzAppendPoint(f *testing.F) {
 	})
 }
 
-// BenchmarkNDJSONAppend encodes 1024 engine points of a two-axis grid
-// (n by log c) per op into a reused buffer: the per-point cost of the
-// streamed /v1/sweep and dist records. It must not allocate.
-func BenchmarkNDJSONAppend(b *testing.B) {
-	g := Grid{Base: baseParams(), Axes: []Axis{
-		{Name: AxisN, From: 1, To: 64, Points: 32},
-		{Name: AxisC, From: 0.05e-12, To: 40e-12, Points: 32, Log: true},
-	}}
+// TestPointEncoderMemo reuses one encoder over random base-grid points
+// whose small indices repeat while the value at an index sometimes
+// changes bits: a failed point's raw n beside a valid point's resolved N,
+// 0 beside -0, a fresh value, and a NaN or Inf refusal followed by
+// finite values at the same indices. Indices run past the axes' points,
+// so slots also wrap as they do past memoSlots. Every record must match
+// the reference.
+func TestPointEncoderMemo(t *testing.T) {
+	const indices = 6
+	rng := rand.New(rand.NewSource(1))
+	var refused, reused int
+	for g := 0; g < 200; g++ {
+		axes := randAxes(rng)
+		cur := make([][indices]float64, len(axes)) // the value at each index
+		for k := range axes {
+			axes[k].Points = 1 + rng.Intn(4)
+			for i := range cur[k] {
+				cur[k][i] = randFloat(rng)
+			}
+		}
+		enc := newTestEncoder(axes)
+		var prev Point
+		for p := 0; p < 300; p++ {
+			pt := Point{Index: make([]int, len(axes)), Values: make([]float64, len(axes)),
+				VMax: randFloat(rng), Case: ssn.Case(rng.Intn(4) + 1), Params: ssn.Params{N: 1 + rng.Intn(3)}}
+			same := prev.Index != nil && rng.Intn(4) == 0
+			for k := range axes {
+				i := rng.Intn(indices)
+				if same {
+					i = prev.Index[k]
+				}
+				switch rng.Intn(12) {
+				case 0:
+					cur[k][i] = -cur[k][i]
+				case 1:
+					cur[k][i] = math.Copysign(0, float64(rng.Intn(2)*2-1))
+				case 2:
+					cur[k][i] = randFloat(rng)
+				}
+				pt.Index[k], pt.Values[k] = i, cur[k][i]
+			}
+			if rng.Intn(4) == 0 {
+				pt.Err = errors.New("failed <point> & more")
+			}
+			if rng.Intn(10) == 0 {
+				pt.Values[rng.Intn(len(axes))] = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[rng.Intn(3)]
+			}
+			if _, err := refEncode(axes, pt); err != nil {
+				refused++
+			} else if same {
+				reused++
+			}
+			checkAppend(t, enc, axes, pt)
+			prev = pt
+		}
+	}
+	if refused < 100 || reused < 1000 {
+		t.Fatalf("%d refused points and %d reused indices; the sequence misses the memo's edges", refused, reused)
+	}
+}
+
+// TestPointEncoderMemoBound: the memo does not grow with the grid. A
+// PointEncoder and one row of a 2 x 500,000 grid, or all of a
+// 1,000,000-point axis, allocate no more than memoSlots slots plus one
+// per other axis, and a fixed 12 KiB: the heap rounds the slot slab up to
+// whole 8 KiB pages, and the encoder keeps a few small buffers.
+func TestPointEncoderMemoBound(t *testing.T) {
+	for _, axes := range [][]Axis{
+		{{Name: AxisN, From: 1, To: 2, Points: 2}, {Name: AxisC, From: 1e-15, To: 1e-9, Points: 500_000}},
+		{{Name: AxisL, From: 1e-12, To: 1e-6, Points: 1_000_000}},
+	} {
+		last := len(axes) - 1
+		vals := axes[last].Values()
+		pt := Point{Index: make([]int, len(axes)), Values: make([]float64, len(axes)),
+			VMax: 0.25, Case: ssn.OverDamped, Params: ssn.Params{N: 1}}
+		dst := make([]byte, 0, 256)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		enc := newTestEncoder(axes)
+		for i, v := range vals {
+			pt.Index[last], pt.Values[last] = i, v
+			var err error
+			if dst, err = enc.Append(dst[:0], pt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		bound := uint64(memoSlots+last)*uint64(unsafe.Sizeof(memoSlot{})) + 12<<10
+		if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+			t.Errorf("%d-point axis: encoder and row allocated %d bytes, want <= %d", len(vals), got, bound)
+		}
+	}
+}
+
+// benchmarkNDJSONAppend encodes the points of g per op into a reused
+// buffer through one encoder, keeping each point's Index or not.
+func benchmarkNDJSONAppend(b *testing.B, g Grid, keepIndex bool) {
 	var pts []Point
 	if _, err := Run(context.Background(), g, Config{Workers: 1}, func(pt Point) error {
-		pt.Index = nil
+		if keepIndex {
+			pt.Index = append([]int(nil), pt.Index...)
+		} else {
+			pt.Index = nil
+		}
 		pt.Values = append([]float64(nil), pt.Values...)
 		pts = append(pts, pt)
 		return nil
@@ -312,4 +407,28 @@ func BenchmarkNDJSONAppend(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(pts)), "ns/point")
+}
+
+// BenchmarkNDJSONAppend encodes 1024 engine points of a two-axis grid
+// (n by log c) per op with Index dropped: the per-point cost of refined
+// records, which the grid-index memo does not serve. It must not
+// allocate.
+func BenchmarkNDJSONAppend(b *testing.B) {
+	benchmarkNDJSONAppend(b, Grid{Base: baseParams(), Axes: []Axis{
+		{Name: AxisN, From: 1, To: 64, Points: 32},
+		{Name: AxisC, From: 0.05e-12, To: 40e-12, Points: 32, Log: true},
+	}}, false)
+}
+
+// BenchmarkNDJSONAppendGrid encodes the 4096 engine points of a 64x64
+// log-l by log-c grid per op with Index kept: the records /v1/sweep and
+// dist shards stream, whose axis values come from the memo. The encoder
+// is reused across ops, so after the first op the first row hits the
+// memo too, one row in 64 more than a fresh stream. It must not
+// allocate.
+func BenchmarkNDJSONAppendGrid(b *testing.B) {
+	benchmarkNDJSONAppend(b, Grid{Base: baseParams(), Axes: []Axis{
+		{Name: AxisL, From: 0.2e-9, To: 8e-9, Points: 64, Log: true},
+		{Name: AxisC, From: 0.05e-12, To: 40e-12, Points: 64, Log: true},
+	}}, true)
 }
