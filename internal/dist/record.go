@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 
+	"ssnkit/internal/par"
 	"ssnkit/internal/ssn"
 	"ssnkit/internal/sweep"
 )
@@ -38,7 +39,7 @@ type EvalConfig struct {
 	Extract sweep.ExtractFunc
 	// Gate, when non-nil, bounds chunk concurrency globally (a shard
 	// evaluated inside ssnserve shares the one worker pool).
-	Gate sweep.Gate
+	Gate par.Gate
 }
 
 // EvalRange evaluates the row-major index range [lo, hi) of the spec's

@@ -1,58 +1,24 @@
 package experiments
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "ssnkit/internal/par"
 
-// parMap evaluates fn over items on a bounded worker pool and collects the
-// results in input order, so a parallel sweep emits byte-identical artifacts
-// to the serial loop it replaces. workers <= 0 means GOMAXPROCS. Every item
-// runs even when an earlier one fails; the error reported is the one with the
+// parMap evaluates fn over items on par.For and collects the results in
+// input order, so a parallel sweep emits byte-identical artifacts to the
+// serial loop it replaces. workers <= 0 means GOMAXPROCS. Every item runs
+// even when an earlier one fails; the error reported is the one with the
 // lowest index, which keeps failures deterministic under any schedule.
 //
 // Each fn call must be self-contained (the experiment points build their own
 // circuit and engine), sharing only read-only inputs.
 func parMap[T, R any](workers int, items []T, fn func(i int, item T) (R, error)) ([]R, error) {
-	n := len(items)
-	if n == 0 {
+	if len(items) == 0 {
 		return nil, nil
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	results := make([]R, n)
-	if workers == 1 {
-		for i, item := range items {
-			r, err := fn(i, item)
-			if err != nil {
-				return nil, err
-			}
-			results[i] = r
-		}
-		return results, nil
-	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				results[i], errs[i] = fn(i, items[i])
-			}
-		}()
-	}
-	wg.Wait()
+	results := make([]R, len(items))
+	errs := make([]error, len(items))
+	par.For(len(items), workers, func(int) func(int) {
+		return func(i int) { results[i], errs[i] = fn(i, items[i]) }
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

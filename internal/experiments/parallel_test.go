@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 )
 
@@ -38,6 +39,29 @@ func TestParMapOrderAndErrors(t *testing.T) {
 
 	if r, err := parMap(3, nil, func(i, item int) (int, error) { return 0, nil }); err != nil || r != nil {
 		t.Fatalf("empty input: %v %v", r, err)
+	}
+}
+
+// TestParMapRunsEveryItem holds parMap to its contract at every worker
+// count, the serial one included: a failing item stops no other item, and
+// the lowest-index error is the one reported.
+func TestParMapRunsEveryItem(t *testing.T) {
+	items := make([]int, 23)
+	for _, workers := range []int{1, 4} {
+		var calls atomic.Int64
+		_, err := parMap(workers, items, func(i, _ int) (int, error) {
+			calls.Add(1)
+			if i == 3 || i == 17 {
+				return 0, fmt.Errorf("boom %d", i)
+			}
+			return i, nil
+		})
+		if got := calls.Load(); got != int64(len(items)) {
+			t.Errorf("workers=%d: fn called %d times, want %d", workers, got, len(items))
+		}
+		if err == nil || err.Error() != "boom 3" {
+			t.Errorf("workers=%d: err = %v, want boom 3", workers, err)
+		}
 	}
 }
 

@@ -4,11 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
+	"ssnkit/internal/par"
 	"ssnkit/internal/spice"
 	"ssnkit/internal/ssn"
 )
@@ -87,35 +86,27 @@ func (c campaign[P, R, PR]) run(ctx context.Context, cfg Config) (*report[R, PR]
 	if cfg.Points <= 0 {
 		cfg.Points = 500
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	cfg.Workers = min(cfg.Workers, cfg.Points)
-
 	pts := make([]P, cfg.Points)
 	results := make([]R, cfg.Points)
-	var wg sync.WaitGroup
-	wg.Add(cfg.Workers)
-	for w := 0; w < cfg.Workers; w++ {
-		go func() {
-			defer wg.Done()
-			// Index striping keeps the point->result mapping fixed for any
-			// worker count; determinism lives in the generator.
-			check := c.checker()
-			for i := w; i < cfg.Points && ctx.Err() == nil; i += cfg.Workers {
-				pt, ok := c.generate(cfg.Seed, i)
-				if ok {
-					pts[i], results[i] = pt, check(pt)
-				}
-				v := PR(&results[i]).base()
-				v.Index = i
-				if !ok {
-					v.Err = fmt.Errorf("oracle: %s generator exhausted retries at index %d", c.title, i)
-				}
+	par.For(cfg.Points, cfg.Workers, func(int) func(int) {
+		check := c.checker()
+		return func(i int) {
+			if ctx.Err() != nil {
+				return
 			}
-		}()
-	}
-	wg.Wait()
+			// Any worker may claim point i; determinism lives in the
+			// generator.
+			pt, ok := c.generate(cfg.Seed, i)
+			if ok {
+				pts[i], results[i] = pt, check(pt)
+			}
+			v := PR(&results[i]).base()
+			v.Index = i
+			if !ok {
+				v.Err = fmt.Errorf("oracle: %s generator exhausted retries at index %d", c.title, i)
+			}
+		}
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

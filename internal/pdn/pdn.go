@@ -11,14 +11,13 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"ssnkit/internal/circuit"
+	"ssnkit/internal/par"
 	"ssnkit/internal/pkgmodel"
 	"ssnkit/internal/spice"
-	"ssnkit/internal/sweep"
 )
 
 // Config tunes a profile run. The zero value is usable.
@@ -32,7 +31,7 @@ type Config struct {
 	// Gate, when non-nil, bounds chunk concurrency globally (the serve
 	// worker pool implements it), so an impedance sweep embedded in the
 	// service shares slots with the rest of the traffic.
-	Gate sweep.Gate
+	Gate par.Gate
 	// WithSens requests adjoint d|Z|/d(param) sensitivities at every
 	// frequency (one extra transposed solve each).
 	WithSens bool
@@ -165,109 +164,82 @@ func (s *Sweeper) run(ctx context.Context, freqs []float64, order []int, bound f
 		return nil, false, fmt.Errorf("pdn: empty frequency grid")
 	}
 	cfg := s.cfg
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	chunk := cfg.ChunkSize
 	if chunk <= 0 {
 		chunk = 16
 	}
 	// A worker beyond the chunk count would compile an engine and find no
 	// chunk to sweep with it.
-	if n := (len(freqs) + chunk - 1) / chunk; workers > n {
-		workers = n
-	}
+	nChunks := (len(freqs) + chunk - 1) / chunk
+	workers := par.Workers(cfg.Workers, nChunks)
 	bounded := bound < math.Inf(1)
 	var stopped atomic.Bool
 	points := make([]Point, len(freqs))
-	chunks := make(chan [2]int)
-	errs := make(chan error, workers)
+	engs := make([]*spice.ACEngine, workers)
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			eng, err := s.acquire()
-			if err != nil {
-				errs <- err
-				cancel()
-				return
+	// The first error wins; fail records it and stops the other workers.
+	var errOnce sync.Once
+	fail := func(e error) {
+		errOnce.Do(func() { err = e })
+		cancel()
+	}
+	par.For(nChunks, workers, func(w int) func(int) {
+		eng, aerr := s.acquire()
+		if aerr != nil {
+			fail(aerr)
+			return func(int) {}
+		}
+		engs[w] = eng
+		var sensBuf []spice.SensEntry
+		return func(c int) {
+			if cfg.Gate != nil {
+				if gerr := cfg.Gate.Acquire(cctx); gerr != nil {
+					if !stopped.Load() {
+						fail(gerr)
+					}
+					return
+				}
+				defer cfg.Gate.Release()
 			}
-			defer s.release(eng)
-			obs := s.obs
-			var sensBuf []spice.SensEntry
-			for c := range chunks {
-				if cfg.Gate != nil {
-					if err := cfg.Gate.Acquire(cctx); err != nil {
-						if !stopped.Load() {
-							errs <- err
-						}
-						cancel()
-						return
-					}
+			for k := c * chunk; k < min((c+1)*chunk, len(freqs)) && cctx.Err() == nil; k++ {
+				i := k
+				if order != nil {
+					i = order[k]
 				}
-				for k := c[0]; k < c[1]; k++ {
-					if cctx.Err() != nil {
-						break
+				omega := 2 * math.Pi * freqs[i]
+				var z complex128
+				var zerr error
+				if cfg.WithSens {
+					z, sensBuf, zerr = eng.ImpedanceSens(omega, s.obs, sensBuf)
+					if zerr == nil {
+						points[i].Sens = append([]spice.SensEntry(nil), sensBuf...)
 					}
-					i := k
-					if order != nil {
-						i = order[k]
-					}
-					w := 2 * math.Pi * freqs[i]
-					var z complex128
-					var err error
-					if cfg.WithSens {
-						z, sensBuf, err = eng.ImpedanceSens(w, obs, sensBuf)
-						if err == nil {
-							points[i].Sens = append([]spice.SensEntry(nil), sensBuf...)
-						}
-					} else {
-						z, err = eng.Impedance(w, obs)
-					}
-					if err != nil {
-						if cfg.Gate != nil {
-							cfg.Gate.Release()
-						}
-						errs <- fmt.Errorf("pdn: f=%g Hz: %w", freqs[i], err)
-						cancel()
-						return
-					}
-					points[i].Freq = freqs[i]
-					points[i].Z = z
-					points[i].AbsZ = math.Hypot(real(z), imag(z))
-					if bounded && points[i].AbsZ >= bound {
-						stopped.Store(true)
-						cancel()
-						break
-					}
+				} else {
+					z, zerr = eng.Impedance(omega, s.obs)
 				}
-				if cfg.Gate != nil {
-					cfg.Gate.Release()
+				if zerr != nil {
+					fail(fmt.Errorf("pdn: f=%g Hz: %w", freqs[i], zerr))
+					return
+				}
+				points[i].Freq = freqs[i]
+				points[i].Z = z
+				points[i].AbsZ = math.Hypot(real(z), imag(z))
+				if bounded && points[i].AbsZ >= bound {
+					stopped.Store(true)
+					cancel()
+					return
 				}
 			}
-		}()
-	}
-	for lo := 0; lo < len(freqs); lo += chunk {
-		hi := lo + chunk
-		if hi > len(freqs) {
-			hi = len(freqs)
 		}
-		select {
-		case chunks <- [2]int{lo, hi}:
-		case <-cctx.Done():
-			lo = len(freqs) // stop dispatching; drain below
+	})
+	for _, eng := range engs {
+		if eng != nil {
+			s.release(eng)
 		}
 	}
-	close(chunks)
-	wg.Wait()
-	select {
-	case err := <-errs:
+	if err != nil {
 		return nil, false, err
-	default:
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, false, err

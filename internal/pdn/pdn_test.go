@@ -302,6 +302,49 @@ func TestRunBoundCancellation(t *testing.T) {
 	}
 }
 
+// TestRunReturnsEngines: a run that stops at its bound, is cancelled or
+// fails on a NaN frequency still returns both engines it took at two
+// workers, so the next two-worker profile compiles none.
+func TestRunReturnsEngines(t *testing.T) {
+	grid, fs, ref, order := boundedFixture(t)
+	bg := context.Background()
+	cancelled, cancel := context.WithCancel(bg)
+	cancel()
+	nan := append([]float64{math.NaN()}, fs...)
+	for _, c := range []struct {
+		name  string
+		ctx   context.Context
+		freqs []float64
+		order []int
+		bound float64 // finite: the run must stop; +Inf: it must fail
+	}{
+		{"bound stop", bg, fs, order, math.Nextafter(ref.Peak().AbsZ, 0)},
+		{"cancelled", cancelled, fs, nil, math.Inf(1)},
+		{"NaN frequency", bg, nan, nil, math.Inf(1)},
+	} {
+		sw, err := NewSweeper(grid, Config{Workers: 2, ChunkSize: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stop := c.bound < math.Inf(1)
+		if _, exceeded, err := sw.run(c.ctx, c.freqs, c.order, c.bound); exceeded != stop || (err == nil) != stop {
+			t.Errorf("%s: exceeded=%v err=%v", c.name, exceeded, err)
+		}
+		if len(sw.idle) != 2 {
+			t.Fatalf("%s: idle pool holds %d engines, want the run's 2", c.name, len(sw.idle))
+		}
+		held := map[*spice.ACEngine]bool{sw.idle[0]: true, sw.idle[1]: true}
+		prof, err := sw.RunProfile(bg, fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameProfile(t, c.name, prof, ref)
+		if len(sw.idle) != 2 || !held[sw.idle[0]] || !held[sw.idle[1]] {
+			t.Errorf("%s: the next two-worker profile compiled a new engine", c.name)
+		}
+	}
+}
+
 // TestRunProfileCancellation: a canceled context must abort promptly with
 // the context error and no goroutine leak (the -race build watches).
 func TestRunProfileCancellation(t *testing.T) {

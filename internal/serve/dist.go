@@ -8,7 +8,6 @@ import (
 
 	"ssnkit/internal/device"
 	"ssnkit/internal/dist"
-	"ssnkit/internal/sweep"
 )
 
 // distEvalConfig wires shard evaluation into the server's shared machinery:
@@ -221,7 +220,3 @@ func (s *Server) handleDistStatus(w http.ResponseWriter, r *http.Request) {
 	resp.Count = len(resp.Runs)
 	writeJSON(w, http.StatusOK, resp)
 }
-
-// Interface checks: the shared pool must satisfy the sweep gate the dist
-// evaluator threads through.
-var _ sweep.Gate = (*pool)(nil)

@@ -7,10 +7,9 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
+	"ssnkit/internal/par"
 	"ssnkit/internal/ssn"
 )
 
@@ -162,42 +161,27 @@ func (s *Server) evalItems(ctx context.Context, items []EvalItem) []EvalResult {
 	return results
 }
 
-// runBatch calls run(i) for every i < n on min(Workers, n) workers, the
-// calling goroutine among them, so a one-worker server spawns none. Each
-// worker claims the next index and holds a pool slot while run(i) works,
-// which keeps batch items on the one pool every route shares. An index
-// claimed after ctx ends, or whose slot wait ctx cuts short, gets
-// abort(i, err) instead of a slot, so the deadline stops new items from
-// starting while the ones already running finish.
+// runBatch calls run(i) for every i < n on par.For's min(Workers, n)
+// workers, so a one-worker server spawns none. Each item holds a pool
+// slot while run(i) works, which keeps batch items on the one pool every
+// route shares. An item claimed after ctx ends, or whose slot wait ctx
+// cuts short, gets abort(i, err) instead of a slot, so the deadline stops
+// new items from starting while the ones already running finish.
 func (s *Server) runBatch(ctx context.Context, n int, run func(i int), abort func(i int, err error)) {
-	var next atomic.Int64
-	item := func(i int) {
-		defer s.pool.Release()
-		run(i)
-	}
-	work := func() {
-		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+	par.For(n, s.cfg.Workers, func(int) func(int) {
+		return func(i int) {
 			err := ctx.Err()
 			if err == nil {
 				err = s.pool.Acquire(ctx)
 			}
 			if err != nil {
 				abort(i, err)
-				continue
+				return
 			}
-			item(i)
+			defer s.pool.Release()
+			run(i)
 		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < min(s.cfg.Workers, n); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
+	})
 }
 
 // handleWaveform serves POST /v1/waveform: the sampled closed-form V(t)

@@ -25,7 +25,7 @@ func newPool(workers int) *pool {
 }
 
 // Acquire blocks until a slot frees or the context ends. Acquire and
-// Release let the pool satisfy sweep.Gate, so sweep chunks share the same
+// Release let the pool satisfy par.Gate, so sweep chunks share the same
 // slots as batch items and Monte Carlo jobs — the one-pool invariant
 // survives the streaming endpoint.
 func (p *pool) Acquire(ctx context.Context) error {

@@ -21,7 +21,9 @@
 //	GET  /metrics        Prometheus text exposition
 //
 // Internals: every unit of evaluation — a batch item, a Monte Carlo job —
-// runs through one bounded worker pool sized by GOMAXPROCS; ASDM
+// runs through one bounded worker pool sized by GOMAXPROCS, and a batch
+// fans out on par.For, the module's one fan-out loop, holding one pool
+// slot per item; ASDM
 // extraction and impedance profiles (the expensive repeated steps) are
 // memoized in one sharded LRU type, while each /v1/maxssn item compiles
 // its own evaluation plan, which is cheaper than a cache lookup; requests

@@ -5,8 +5,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sort"
+
+	"ssnkit/internal/par"
 )
 
 // Variation describes relative (1-sigma, Gaussian) process and environment
@@ -77,12 +78,7 @@ func mcCampaign(ctx context.Context, p Params, v Variation, n int, seed int64, w
 				"ssn: variation sigma %g outside [0, 0.5]", s)
 		}
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
+	workers = par.Workers(workers, n)
 
 	// Deal the n samples into contiguous ranges of one shared slab, one per
 	// worker, each with its own seed-derived RNG stream. Workers report by
@@ -102,18 +98,10 @@ func mcCampaign(ctx context.Context, p Params, v Variation, n int, seed int64, w
 		chunks[w].budget = budget
 		off += size
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	done := make(chan int, workers)
-	for w := range chunks {
-		go func(w int) {
-			chunks[w].run(ctx, p, v, workerSeed(seed, w))
-			done <- w
-		}(w)
-	}
-	for range chunks {
-		<-done
-	}
+	// Chunk c draws from stream c, whichever worker claims it.
+	par.For(workers, workers, func(int) func(int) {
+		return func(c int) { chunks[c].run(ctx, p, v, workerSeed(seed, c)) }
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}

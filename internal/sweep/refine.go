@@ -3,10 +3,14 @@ package sweep
 import (
 	"context"
 	"math"
-	"sync"
 
+	"ssnkit/internal/par"
 	"ssnkit/internal/ssn"
 )
+
+// refineBlock is how many flat grid indices one refinement item scans for
+// boundary pairs: a claim per index cost more than the scan itself.
+const refineBlock = 1024
 
 // refTask is one boundary interval to bisect: along axis k, between
 // neighboring coordinates lo and hi whose Table 1 cases differ. vals holds
@@ -48,77 +52,59 @@ func (e *engine) splittable(axis int, lo, mid, hi float64) bool {
 // whose case classification differs and recursively bisect the interval,
 // so extra resolution lands exactly where the closed form switches
 // formula (the derivative of Vmax is discontinuous across Table 1 case
-// boundaries). Tasks run on a fresh pool of the same width; results
-// stream through the same serialized sink.
+// boundaries). The pairs run on par.For at the same width as the base
+// grid; results stream through the same serialized sink.
 func (e *engine) refine(ctx context.Context, cancel context.CancelFunc, cfg Config, workers int, sink Sink, stats *Stats) error {
-	tasks := make(chan refTask)
 	out := make(chan Point, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+	go func() {
+		defer close(out)
+		// Item k*blocks+b scans block b of the flat indices for pairs with
+		// their successor along axis k, reading the compact case array
+		// directly, so no task list is materialized.
+		total := e.grid.Total()
+		blocks := (total + refineBlock - 1) / refineBlock
+		par.For(len(e.grid.Axes)*blocks, workers, func(int) func(int) {
 			var scratch ssn.LCModel
-			for t := range tasks {
-				if cfg.Gate != nil {
-					if err := cfg.Gate.Acquire(ctx); err != nil {
+			return func(i int) {
+				k, lo := i/blocks, i%blocks*refineBlock
+				points, stride := e.grid.Axes[k].Points, e.stride[k]
+				for f := lo; f < min(lo+refineBlock, total); f++ {
+					if (f/stride)%points == points-1 {
+						continue // last coordinate along axis k
+					}
+					cLo, cHi := e.cases[f], e.cases[f+stride]
+					if cLo == 0 || cHi == 0 || cLo == cHi {
+						continue
+					}
+					if ctx.Err() != nil {
 						return
 					}
-				}
-				ok := e.bisect(ctx, &scratch, t, cfg.RefineDepth, out)
-				if cfg.Gate != nil {
-					cfg.Gate.Release()
-				}
-				if !ok {
-					return
-				}
-			}
-		}()
-	}
-
-	// Feed boundary pairs lazily: no task list is materialized, the scan
-	// walks the compact case array directly.
-	go func() {
-		defer close(tasks)
-		for k := range e.grid.Axes {
-			points := e.grid.Axes[k].Points
-			if points < 2 {
-				continue
-			}
-			stride := e.stride[k]
-			for f := 0; f < e.grid.Total(); f++ {
-				if (f/stride)%points == points-1 {
-					continue // last coordinate along axis k
-				}
-				cLo, cHi := e.cases[f], e.cases[f+stride]
-				if cLo == 0 || cHi == 0 || cLo == cHi {
-					continue
-				}
-				idx := e.coords(f)
-				vals := make([]float64, len(idx))
-				for a, i := range idx {
-					vals[a] = e.axisVals[a][i]
-				}
-				t := refTask{
-					axis:  k,
-					vals:  vals,
-					lo:    e.axisVals[k][idx[k]],
-					hi:    e.axisVals[k][idx[k]+1],
-					cLo:   ssn.Case(cLo),
-					cHi:   ssn.Case(cHi),
-					depth: 1,
-				}
-				select {
-				case tasks <- t:
-				case <-ctx.Done():
-					return
+					idx := e.coords(f)
+					vals := make([]float64, len(idx))
+					for a, j := range idx {
+						vals[a] = e.axisVals[a][j]
+					}
+					t := refTask{
+						axis:  k,
+						vals:  vals,
+						lo:    e.axisVals[k][idx[k]],
+						hi:    e.axisVals[k][idx[k]+1],
+						cLo:   ssn.Case(cLo),
+						cHi:   ssn.Case(cHi),
+						depth: 1,
+					}
+					if cfg.Gate != nil {
+						if err := cfg.Gate.Acquire(ctx); err != nil {
+							return
+						}
+					}
+					e.bisect(ctx, &scratch, t, cfg.RefineDepth, out)
+					if cfg.Gate != nil {
+						cfg.Gate.Release()
+					}
 				}
 			}
-		}
-	}()
-	go func() {
-		wg.Wait()
-		close(out)
+		})
 	}()
 
 	var sinkErr error
@@ -147,7 +133,7 @@ func (e *engine) refine(ctx context.Context, cancel context.CancelFunc, cfg Conf
 
 // bisect evaluates the interval midpoint, emits it, and recurses into the
 // halves whose endpoint cases still differ, down to maxDepth. Returns
-// false when the context ended (the worker should exit).
+// false when the context ended, which stops the recursion.
 func (e *engine) bisect(ctx context.Context, scratch *ssn.LCModel, t refTask, maxDepth int, out chan<- Point) bool {
 	if t.depth > maxDepth || ctx.Err() != nil {
 		return ctx.Err() == nil

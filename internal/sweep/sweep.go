@@ -7,9 +7,9 @@
 //
 //   - a Grid is a cartesian product of Axes (linear or log spacing per
 //     axis) applied over a base ssn.Params;
-//   - evaluation is chunked and runs on a bounded worker pool (GOMAXPROCS
-//     by default), with driver re-extraction for a swept size axis pulled
-//     through a memoized device.ExtractSpec cache;
+//   - evaluation is chunked and runs on par.For's bounded workers
+//     (GOMAXPROCS by default), with driver re-extraction for a swept
+//     size axis pulled through a memoized device.ExtractSpec cache;
 //   - results stream incrementally through a sink callback, so memory
 //     stays O(chunk), not O(grid); base-grid points arrive in row-major
 //     grid order;
@@ -28,10 +28,10 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 
 	"ssnkit/internal/device"
+	"ssnkit/internal/par"
 	"ssnkit/internal/ssn"
 )
 
@@ -143,14 +143,6 @@ func (g Grid) Validate() error {
 // cache (the serve ASDM extraction LRU) so repeated sizes never re-fit.
 type ExtractFunc func(device.ExtractSpec) (device.ASDM, error)
 
-// Gate bounds global concurrency: workers acquire it once per chunk, so a
-// sweep embedded in a service shares slots with the rest of the traffic
-// instead of stacking its own pool on top.
-type Gate interface {
-	Acquire(context.Context) error
-	Release()
-}
-
 // Config tunes one Run. The zero value is usable.
 type Config struct {
 	// Workers is the number of parallel chunk evaluators; <= 0 means
@@ -166,7 +158,7 @@ type Config struct {
 	// back to direct (memoized) ExtractSpec.Extract calls.
 	Extract ExtractFunc
 	// Gate, when non-nil, bounds chunk concurrency globally.
-	Gate Gate
+	Gate par.Gate
 }
 
 // Point is one streamed result. Per-point failures are reported in place
@@ -747,38 +739,32 @@ func Run(ctx context.Context, g Grid, cfg Config, sink Sink) (Stats, error) {
 	return stats, nil
 }
 
-// runRange evaluates the row-major index range [lo, hi) of the grid on the
-// chunked worker pool and streams the points in index order through sink.
+// runRange evaluates the row-major index range [lo, hi) of the grid in
+// chunks on par.For and streams the points in index order through sink.
 // ctx must already be cancellable via cancel; all worker goroutines have
 // exited when it returns.
 func (e *engine) runRange(ctx context.Context, cancel context.CancelFunc, cfg Config, lo, hi int, sink Sink) (Stats, error) {
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	chunk := cfg.ChunkSize
 	if chunk <= 0 {
 		chunk = 1024
 	}
 	span := hi - lo
 	nChunks := (span + chunk - 1) / chunk
-	if workers > nChunks {
-		workers = nChunks
-	}
+	workers := par.Workers(cfg.Workers, nChunks)
 	stats := Stats{GridPoints: span, Chunks: nChunks, Workers: workers}
 
 	type chunkOut struct {
 		idx int
 		buf *chunkBuf
 	}
-	tasks := make(chan int)
 	out := make(chan chunkOut, workers+1)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ci := range tasks {
+	go func() {
+		defer close(out)
+		par.For(nChunks, workers, func(int) func(int) {
+			return func(ci int) {
+				if ctx.Err() != nil {
+					return
+				}
 				if cfg.Gate != nil {
 					if err := cfg.Gate.Acquire(ctx); err != nil {
 						return
@@ -794,24 +780,9 @@ func (e *engine) runRange(ctx context.Context, cancel context.CancelFunc, cfg Co
 				select {
 				case out <- chunkOut{ci, buf}:
 				case <-ctx.Done():
-					return
 				}
 			}
-		}()
-	}
-	go func() {
-		defer close(tasks)
-		for ci := 0; ci < nChunks; ci++ {
-			select {
-			case tasks <- ci:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	go func() {
-		wg.Wait()
-		close(out)
+		})
 	}()
 
 	// Ordered emitter: deliver chunks to the sink in grid order. Workers

@@ -3,8 +3,10 @@ package sweep
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -353,6 +355,70 @@ func TestRefinementLocality(t *testing.T) {
 		}
 		if pt.Depth > depth {
 			t.Errorf("depth %d exceeds limit %d", pt.Depth, depth)
+		}
+	}
+}
+
+// TestRefinementScansEveryPair runs one refinement level over a grid of
+// several scan blocks per axis: every grid-adjacent pair whose cases
+// differ yields exactly its midpoint, at one worker and at three.
+func TestRefinementScansEveryPair(t *testing.T) {
+	g := Grid{
+		Base: baseParams(),
+		Axes: []Axis{
+			{Name: AxisL, From: 0.2e-9, To: 6e-9, Points: 45},
+			{Name: AxisC, From: 0.01e-12, To: 40e-12, Points: 61, Log: true},
+		},
+	}
+	if g.Total() <= 2*refineBlock {
+		t.Fatalf("grid of %d points spans too few scan blocks", g.Total())
+	}
+	key := func(vals []float64) string { return fmt.Sprint(vals) }
+	for _, workers := range []int{1, 3} {
+		cases := map[string]ssn.Case{}
+		var base [][]float64
+		got := map[string]int{}
+		_, err := Run(context.Background(), g, Config{Workers: workers, RefineDepth: 1}, func(pt Point) error {
+			vals := append([]float64(nil), pt.Values...)
+			switch {
+			case pt.Depth > 0:
+				got[key(vals)]++
+			case pt.Err == nil:
+				cases[key(vals)] = pt.Case
+				fallthrough
+			default:
+				base = append(base, vals)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[string]int{}
+		for _, lo := range base {
+			for k, ax := range g.Axes {
+				vals := ax.Values()
+				j := sort.SearchFloat64s(vals, lo[k])
+				if j+1 >= len(vals) {
+					continue
+				}
+				hi := append([]float64(nil), lo...)
+				hi[k] = vals[j+1]
+				cLo, okLo := cases[key(lo)]
+				cHi, okHi := cases[key(hi)]
+				if !okLo || !okHi || cLo == cHi {
+					continue
+				}
+				mid := append([]float64(nil), lo...)
+				mid[k] = midpoint(ax.Log, lo[k], hi[k])
+				want[key(mid)]++
+			}
+		}
+		if len(want) == 0 {
+			t.Fatal("grid crosses no case boundary; fixture is wrong")
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("workers=%d: refined %d distinct points, want the %d boundary midpoints", workers, len(got), len(want))
 		}
 	}
 }
