@@ -6,16 +6,17 @@
 //	go test -run XX -bench Transient -benchtime=100x -count=3 . | benchjson -parse > new.json
 //
 // Repeated counts of the same benchmark collapse to the minimum ns/op (the
-// least-noise estimate); allocs/op is recorded alongside when the benchmark
-// reports it (-benchmem or b.ReportAllocs). Batch benchmarks that report the
+// least-noise estimate); allocs/op and B/op are recorded alongside when the
+// benchmark reports them (-benchmem or b.ReportAllocs). Batch benchmarks that report the
 // custom "ns/point" metric (b.ReportMetric) additionally get ns_per_point
 // and the derived points_per_op — the op size — so a baseline documents both
 // how big one op is and what each point costs. Check mode compares a freshly
 // parsed file against a committed baseline and exits nonzero when any shared
 // benchmark runs slower than maxRatio times its baseline, or — for baseline
-// entries carrying max_allocs_per_op — allocates more than that cap per op
-// (allocation counts are deterministic, so the cap gates exactly; 0 pins a
-// kernel to zero-allocation). Baselines with ns_per_point gate on the
+// entries carrying max_allocs_per_op or max_bytes_per_op — allocates more
+// objects or more bytes than that cap per op (allocation counts are
+// deterministic, so the caps gate exactly; 0 pins a kernel to
+// zero-allocation). Baselines with ns_per_point gate on the
 // per-point ratio instead of the per-op one, so a kernel regression cannot
 // hide behind (or be faked by) a change in op size:
 //
@@ -36,10 +37,11 @@ import (
 )
 
 // Entry is one benchmark's record. SeedNsPerOp preserves the pre-optimization
-// number when the baseline documents a before/after pair. AllocsPerOp is
-// present when the benchmark reported allocations; MaxAllocsPerOp, set only
-// in committed baselines, makes -check fail when the fresh run allocates
-// more than the cap (0 = the benchmark must stay allocation-free).
+// number when the baseline documents a before/after pair. AllocsPerOp and
+// BytesPerOp are present when the benchmark reported allocations;
+// MaxAllocsPerOp and MaxBytesPerOp, set only in committed baselines, make
+// -check fail when the fresh run allocates more objects or more bytes per
+// op than the cap (0 = the benchmark must stay allocation-free).
 // NsPerPoint carries the benchmark's custom "ns/point" metric for batch
 // kernels, with PointsPerOp — the op size — derived from it; when a baseline
 // has NsPerPoint, -check gates on the per-point ratio rather than the
@@ -51,6 +53,8 @@ type Entry struct {
 	PointsPerOp    *float64 `json:"points_per_op,omitempty"`
 	AllocsPerOp    *float64 `json:"allocs_per_op,omitempty"`
 	MaxAllocsPerOp *float64 `json:"max_allocs_per_op,omitempty"`
+	BytesPerOp     *float64 `json:"bytes_per_op,omitempty"`
+	MaxBytesPerOp  *float64 `json:"max_bytes_per_op,omitempty"`
 }
 
 // File is the schema shared by parsed output and the committed baseline.
@@ -93,18 +97,18 @@ func runParse(in io.Reader, w io.Writer) error {
 	out := File{Benchmarks: map[string]Entry{}}
 	sc := bufio.NewScanner(in)
 	for sc.Scan() {
-		name, ns, perPoint, allocs, ok := parseBenchLine(sc.Text())
+		name, entry, ok := parseBenchLine(sc.Text())
 		if !ok {
 			continue
 		}
-		if e, seen := out.Benchmarks[name]; !seen || ns < e.NsPerOp {
-			entry := Entry{NsPerOp: ns, AllocsPerOp: allocs}
-			if perPoint != nil && *perPoint > 0 {
-				entry.NsPerPoint = perPoint
+		if e, seen := out.Benchmarks[name]; !seen || entry.NsPerOp < e.NsPerOp {
+			if p := entry.NsPerPoint; p != nil && *p > 0 {
 				// The op size is a benchmark constant; round away the
 				// float division so the baseline records it exactly.
-				points := math.Round(ns / *perPoint)
+				points := math.Round(entry.NsPerOp / *p)
 				entry.PointsPerOp = &points
+			} else {
+				entry.NsPerPoint = nil
 			}
 			out.Benchmarks[name] = entry
 		}
@@ -120,17 +124,18 @@ func runParse(in io.Reader, w io.Writer) error {
 	return enc.Encode(out)
 }
 
-// parseBenchLine extracts (name, ns/op, ns/point, allocs/op) from one
-// `go test -bench` line, e.g.
+// parseBenchLine extracts the name and the ns/op, ns/point, B/op and
+// allocs/op columns of one `go test -bench` line, e.g.
 //
-//	BenchmarkVMaxBatch-4   100   14205 ns/op   13.87 ns/point   0 allocs/op
+//	BenchmarkVMaxBatch-4   100   14205 ns/op   13.87 ns/point   0 B/op   0 allocs/op
 //
 // The -N GOMAXPROCS suffix is stripped so baselines transfer across runners.
-// The ns/point and allocs pointers are nil when the line lacks that column.
-func parseBenchLine(line string) (string, float64, *float64, *float64, bool) {
+// The ns/point, B/op and allocs pointers are nil when the line lacks that
+// column.
+func parseBenchLine(line string) (string, Entry, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
-		return "", 0, nil, nil, false
+		return "", Entry{}, false
 	}
 	name := fields[0]
 	if i := strings.LastIndex(name, "-"); i > 0 {
@@ -138,8 +143,8 @@ func parseBenchLine(line string) (string, float64, *float64, *float64, bool) {
 			name = name[:i]
 		}
 	}
-	ns, haveNs := 0.0, false
-	var perPoint, allocs *float64
+	var e Entry
+	haveNs := false
 	for i := 2; i+1 < len(fields); i++ {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
@@ -147,19 +152,19 @@ func parseBenchLine(line string) (string, float64, *float64, *float64, bool) {
 		}
 		switch fields[i+1] {
 		case "ns/op":
-			ns, haveNs = v, true
+			e.NsPerOp, haveNs = v, true
 		case "ns/point":
-			p := v
-			perPoint = &p
+			e.NsPerPoint = &v
+		case "B/op":
+			e.BytesPerOp = &v
 		case "allocs/op":
-			a := v
-			allocs = &a
+			e.AllocsPerOp = &v
 		}
 	}
 	if !haveNs {
-		return "", 0, nil, nil, false
+		return "", Entry{}, false
 	}
-	return name, ns, perPoint, allocs, true
+	return name, e, true
 }
 
 func readFile(path string) (*File, error) {
@@ -224,24 +229,29 @@ func runCheck(w io.Writer, freshPath, basePath string, maxRatio float64) (bool, 
 			fmt.Fprintf(w, "%s %-40s baseline %12.0f ns/op  fresh %12.0f ns/op  ratio %.2fx\n",
 				status, name, b.NsPerOp, f.NsPerOp, ratio)
 		}
-		if b.MaxAllocsPerOp != nil {
-			switch {
-			case f.AllocsPerOp == nil:
-				fmt.Fprintf(w, "FAIL %-40s baseline caps allocs at %g/op but the fresh run reported none (run with -benchmem)\n",
-					name, *b.MaxAllocsPerOp)
-				ok = false
-			case *f.AllocsPerOp > *b.MaxAllocsPerOp:
-				fmt.Fprintf(w, "FAIL %-40s allocs %g/op exceeds the %g/op cap\n",
-					name, *f.AllocsPerOp, *b.MaxAllocsPerOp)
-				ok = false
-			default:
-				fmt.Fprintf(w, "ok   %-40s allocs %g/op within the %g/op cap\n",
-					name, *f.AllocsPerOp, *b.MaxAllocsPerOp)
-			}
-		}
+		ok = checkCap(w, name, "allocs", "/op", b.MaxAllocsPerOp, f.AllocsPerOp) && ok
+		ok = checkCap(w, name, "bytes", " B/op", b.MaxBytesPerOp, f.BytesPerOp) && ok
 	}
 	if !ok {
-		fmt.Fprintf(w, "benchjson: regression beyond %.1fx detected\n", maxRatio)
+		fmt.Fprintf(w, "benchjson: regression detected (a time ratio beyond %.1fx or a cap exceeded)\n", maxRatio)
 	}
 	return ok, nil
+}
+
+// checkCap gates one per-op allocation count of a fresh run against the
+// baseline's cap, when the baseline sets one, and reports whether it holds.
+func checkCap(w io.Writer, name, what, unit string, limit, fresh *float64) bool {
+	switch {
+	case limit == nil:
+		return true
+	case fresh == nil:
+		fmt.Fprintf(w, "FAIL %-40s baseline caps %s at %g%s but the fresh run reported none (run with -benchmem)\n",
+			name, what, *limit, unit)
+		return false
+	case *fresh > *limit:
+		fmt.Fprintf(w, "FAIL %-40s %s %g%s exceeds the %g%s cap\n", name, what, *fresh, unit, *limit, unit)
+		return false
+	}
+	fmt.Fprintf(w, "ok   %-40s %s %g%s within the %g%s cap\n", name, what, *fresh, unit, *limit, unit)
+	return true
 }

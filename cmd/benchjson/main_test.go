@@ -10,27 +10,30 @@ import (
 )
 
 func TestParseBenchLine(t *testing.T) {
-	name, ns, perPoint, allocs, ok := parseBenchLine(
+	name, e, ok := parseBenchLine(
 		"BenchmarkVMaxBatch-4   100   14205 ns/op   13.87 ns/point   0 allocs/op")
-	if !ok || name != "BenchmarkVMaxBatch" || ns != 14205 {
-		t.Fatalf("parsed %q %v ok=%v", name, ns, ok)
+	if !ok || name != "BenchmarkVMaxBatch" || e.NsPerOp != 14205 {
+		t.Fatalf("parsed %q %v ok=%v", name, e.NsPerOp, ok)
 	}
-	if perPoint == nil || *perPoint != 13.87 {
-		t.Errorf("ns/point = %v, want 13.87", perPoint)
+	if e.NsPerPoint == nil || *e.NsPerPoint != 13.87 {
+		t.Errorf("ns/point = %v, want 13.87", e.NsPerPoint)
 	}
-	if allocs == nil || *allocs != 0 {
-		t.Errorf("allocs/op = %v, want 0", allocs)
+	if e.AllocsPerOp == nil || *e.AllocsPerOp != 0 {
+		t.Errorf("allocs/op = %v, want 0", e.AllocsPerOp)
+	}
+	if e.BytesPerOp != nil {
+		t.Errorf("B/op = %v on a line without the column", *e.BytesPerOp)
 	}
 
-	name, ns, perPoint, allocs, ok = parseBenchLine(
+	name, e, ok = parseBenchLine(
 		"BenchmarkTransientRLC-4   100   368764 ns/op   120 B/op   3 allocs/op")
-	if !ok || name != "BenchmarkTransientRLC" || ns != 368764 || perPoint != nil ||
-		allocs == nil || *allocs != 3 {
-		t.Errorf("plain line: %q %v perPoint=%v allocs=%v ok=%v", name, ns, perPoint, allocs, ok)
+	if !ok || name != "BenchmarkTransientRLC" || e.NsPerOp != 368764 || e.NsPerPoint != nil ||
+		e.AllocsPerOp == nil || *e.AllocsPerOp != 3 || e.BytesPerOp == nil || *e.BytesPerOp != 120 {
+		t.Errorf("plain line: %q %+v ok=%v", name, e, ok)
 	}
 
 	for _, bad := range []string{"", "ok  \tssnkit 0.4s", "BenchmarkX-4 100"} {
-		if _, _, _, _, ok := parseBenchLine(bad); ok {
+		if _, _, ok := parseBenchLine(bad); ok {
 			t.Errorf("parseBenchLine(%q) accepted", bad)
 		}
 	}
@@ -142,6 +145,37 @@ func TestRunCheckPerOpFallback(t *testing.T) {
 	for _, want := range []string{"ratio 2.50x", "exceeds the 0/op cap"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("output missing %q:\n%s", want, buf.String())
+		}
+	}
+}
+
+// TestRunCheckBytesCap gates B/op like allocs/op: a run within the
+// max_bytes_per_op cap passes, one over it fails, and one that did not
+// report B/op fails rather than passing unchecked.
+func TestRunCheckBytesCap(t *testing.T) {
+	dir := t.TempDir()
+	base := writeBench(t, dir, "base.json", File{Benchmarks: map[string]Entry{
+		"BenchmarkA": {NsPerOp: 1000, MaxBytesPerOp: fp(4096)},
+	}})
+	cases := []struct {
+		name  string
+		fresh Entry
+		ok    bool
+		want  string
+	}{
+		{"within", Entry{NsPerOp: 1000, BytesPerOp: fp(4096)}, true, "bytes 4096 B/op within the 4096 B/op cap"},
+		{"over", Entry{NsPerOp: 1000, BytesPerOp: fp(8192)}, false, "bytes 8192 B/op exceeds the 4096 B/op cap"},
+		{"missing", Entry{NsPerOp: 1000, AllocsPerOp: fp(1)}, false, "caps bytes at 4096 B/op but the fresh run reported none"},
+	}
+	for _, tc := range cases {
+		fresh := writeBench(t, dir, "fresh.json", File{Benchmarks: map[string]Entry{"BenchmarkA": tc.fresh}})
+		var buf bytes.Buffer
+		ok, err := runCheck(&buf, fresh, base, 2)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if ok != tc.ok || !strings.Contains(buf.String(), tc.want) {
+			t.Errorf("%s: ok = %v, want %v with %q:\n%s", tc.name, ok, tc.ok, tc.want, buf.String())
 		}
 	}
 }

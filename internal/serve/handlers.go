@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -13,12 +14,14 @@ import (
 	"ssnkit/internal/ssn"
 )
 
-// decodeJSON reads a size-limited JSON body into dst with a structured
-// error on failure.
+// decodeJSON reads the whole size-limited body once, into a pooled reply
+// buffer, and decodes it into dst. A dst with a strict scanner for its
+// canonical form decodes through it when the scanner accepts the bytes;
+// everything else, every error included, goes through unmarshalBody.
 func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, dst any) *apiError {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	if err := dec.Decode(dst); err != nil {
+	buf := getReplyBuf()
+	defer putReplyBuf(buf)
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)); err != nil {
 		var maxErr *http.MaxBytesError
 		if errors.As(err, &maxErr) {
 			return &apiError{Code: CodeBodyTooLarge,
@@ -26,7 +29,29 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, dst any) *ap
 		}
 		return badRequest("malformed JSON: %v", err)
 	}
-	if dec.More() {
+	if sc, ok := dst.(scanner); ok && sc.scan(buf.Bytes()) {
+		return nil
+	}
+	return unmarshalBody(buf.Bytes(), dst)
+}
+
+// scanner is a request type with a strict decoder for the canonical
+// subset of its JSON. scan either decodes body exactly as unmarshalBody
+// would, reporting true, or leaves the receiver untouched and reports
+// false, so that encoding/json decodes the same bytes and every error
+// reply and every lenient case comes from encoding/json.
+type scanner interface {
+	scan(body []byte) bool
+}
+
+// unmarshalBody decodes the one JSON value in body into dst through
+// encoding/json, refusing anything but whitespace after it.
+func unmarshalBody(body []byte, dst any) *apiError {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	if err := dec.Decode(dst); err != nil {
+		return badRequest("malformed JSON: %v", err)
+	}
+	if len(bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n")) > 0 {
 		return badRequest("trailing data after JSON body")
 	}
 	return nil
@@ -35,20 +60,44 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, dst any) *ap
 // writeJSON sends v with the given status. It encodes into a pooled
 // buffer before the status line goes out, so a value encoding/json
 // refuses (a NaN or an infinity) becomes a 500 internal error envelope
-// rather than a 200 with an empty body.
+// rather than a 200 with an empty body. A jsonAppender (the /v1/maxssn
+// replies) spells itself without reflection; anything else goes through
+// encoding/json.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	buf := getReplyBuf()
 	defer putReplyBuf(buf)
-	enc := json.NewEncoder(buf)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(v); err != nil {
+	var err error
+	if a, ok := v.(jsonAppender); ok {
+		var b []byte
+		if b, err = a.appendJSON(buf.AvailableBuffer()); err == nil {
+			buf.Write(append(b, '\n')) // in place while b fits buf's storage
+		}
+	} else {
+		err = encodeJSON(buf, v)
+	}
+	if err != nil {
 		status = http.StatusInternalServerError
-		_ = enc.Encode(map[string]*apiError{"error": {Code: CodeInternal,
+		_ = encodeJSON(buf, map[string]*apiError{"error": {Code: CodeInternal,
 			Message: "encoding the reply: " + err.Error()}})
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_, _ = w.Write(buf.Bytes()) // a failed write means the client is gone
+}
+
+// jsonAppender is a reply type that appends its own JSON: byte for byte
+// what encoding/json (SetEscapeHTML(false)) writes for it, and the same
+// *json.UnsupportedValueError for a NaN or an infinity.
+type jsonAppender interface {
+	appendJSON(dst []byte) ([]byte, error)
+}
+
+// encodeJSON appends v and a newline to buf as encoding/json spells it
+// without HTML escaping; on error buf is left as it was.
+func encodeJSON(buf *bytes.Buffer, v any) error {
+	enc := json.NewEncoder(buf)
+	enc.SetEscapeHTML(false)
+	return enc.Encode(v)
 }
 
 // evalOne resolves and evaluates a single item; errors land in the result
@@ -96,7 +145,10 @@ func (s *Server) evalOne(index int, it EvalItem) EvalResult {
 
 // evalPlan compiles a PlanFixed plan for p and returns its Table 1
 // answers. Compiling is cheaper than looking the answers up in a cache
-// (bench/README.md), so every item compiles its own.
+// (bench/README.md), so every item compiles its own. With the JSON wire
+// off reflection (evaljson.go), resolving and evaluating items is the
+// largest share of a served /v1/maxssn batch, about 40%; decode and
+// encode take about 30% each.
 func evalPlan(p ssn.Params) (vmax float64, cse ssn.Case, tmax float64, err error) {
 	var pl ssn.Plan
 	if err := pl.Compile(p, ssn.PlanFixed); err != nil {
@@ -106,7 +158,9 @@ func evalPlan(p ssn.Params) (vmax float64, cse ssn.Case, tmax float64, err error
 }
 
 // handleMaxSSN serves POST /v1/maxssn: a single item inline, or a batch
-// under "items" (JSON) or as SSNC columnar rows. Both batch forms go
+// under "items" (JSON) or as SSNC columnar rows. A canonical JSON body
+// decodes through scanMaxSSNRequest and the JSON replies are appended
+// (evaljson.go), with encoding/json's bytes either way. Both batch forms go
 // through evalItems, which spreads the items over at most Workers
 // goroutines on the shared pool; per-item failures are reported in place
 // so one bad corner does not void a thousand good ones.

@@ -162,6 +162,9 @@ func TestMaxSSNMalformedAndInvalid(t *testing.T) {
 	}{
 		{"malformed JSON", `{"n": `, http.StatusBadRequest, ""},
 		{"trailing data", itemJSON + ` {"x":1}`, http.StatusBadRequest, ""},
+		{"trailing brace", `{"process":"c018","n":4,"rise_time":1e-9}}`, http.StatusBadRequest, ""},
+		{"trailing bracket", `{"process":"c018","n":4,"rise_time":1e-9}]`, http.StatusBadRequest, ""},
+		{"trailing brackets and garbage", `{"process":"c018","n":4,"rise_time":1e-9}]]]garbage`, http.StatusBadRequest, ""},
 		{"bad N", `{"process":"c018","n":0,"rise_time":1e-9}`, http.StatusBadRequest, "N"},
 		{"bad process", `{"process":"c999","n":4,"rise_time":1e-9}`, http.StatusBadRequest, ""},
 		{"no edge", `{"process":"c018","n":4}`, http.StatusBadRequest, ""},
