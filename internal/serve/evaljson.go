@@ -17,8 +17,8 @@ import (
 // appended reply is encoding/json's bytes (TestEvalReplyMatchesEncodingJSON).
 
 // scan decodes body through scanMaxSSNRequest, for decodeJSON.
-func (q *maxSSNRequest) scan(body []byte) bool {
-	req, ok := scanMaxSSNRequest(body)
+func (q *maxSSNRequest) scan(body []byte, maxItems int) bool {
+	req, ok := scanMaxSSNRequest(body, maxItems)
 	if ok {
 		*q = req
 	}
@@ -37,8 +37,11 @@ func (q *maxSSNRequest) scan(body []byte) bool {
 // else — null, an escape, a case-folded, unknown or repeated key, the
 // legacy inline form, a syntax, type or range error — reports false, and
 // encoding/json decodes the body instead. When ok, req is exactly what
-// encoding/json decodes into a zero maxSSNRequest.
-func scanMaxSSNRequest(body []byte) (req maxSSNRequest, ok bool) {
+// encoding/json decodes into a zero maxSSNRequest, except that a batch of
+// more than maxItems items keeps only the first maxItems: the rest are
+// scanned one at a time into a spare item and counted in req.unstored, so
+// an oversized batch costs no more memory than a full one.
+func scanMaxSSNRequest(body []byte, maxItems int) (req maxSSNRequest, ok bool) {
 	s := jsonScanner{b: body}
 	if !s.lit('{') {
 		return req, false
@@ -55,11 +58,19 @@ func scanMaxSSNRequest(body []byte) (req maxSSNRequest, ok bool) {
 		// Every item opens a brace, so the braces bound the batch from
 		// above (dev objects, and braces inside strings, count too); a
 		// batch past maxItemsPrealloc grows by append.
-		req.Items = make([]EvalItem, 0, min(bytes.Count(body, []byte{'{'}), maxItemsPrealloc))
+		req.Items = make([]EvalItem, 0, min(bytes.Count(body, []byte{'{'}), maxItemsPrealloc, maxItems))
 		if !s.lit(']') {
+			var spare EvalItem
 			for {
-				req.Items = append(req.Items, EvalItem{})
-				if !s.item(&req.Items[len(req.Items)-1]) {
+				it := &spare
+				if len(req.Items) < maxItems {
+					req.Items = append(req.Items, EvalItem{})
+					it = &req.Items[len(req.Items)-1]
+				} else {
+					spare = EvalItem{}
+					req.unstored++
+				}
+				if !s.item(it) {
 					return maxSSNRequest{}, false
 				}
 				if s.lit(',') {

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -76,7 +77,7 @@ func batchBody(t testing.TB, items []EvalItem) []byte {
 // refuses it or decodes something else.
 func checkScan(t *testing.T, body []byte) bool {
 	t.Helper()
-	got, ok := scanMaxSSNRequest(body)
+	got, ok := scanMaxSSNRequest(body, math.MaxInt)
 	if !ok {
 		return false
 	}
@@ -166,7 +167,7 @@ func TestMaxSSNScanFallsBack(t *testing.T) {
 		`{"params":{"n":4}`,                                      // truncated
 		``,
 	} {
-		if _, ok := scanMaxSSNRequest([]byte(body)); ok {
+		if _, ok := scanMaxSSNRequest([]byte(body), math.MaxInt); ok {
 			t.Errorf("scanner accepted %s", body)
 		}
 	}
@@ -352,6 +353,53 @@ func BenchmarkMaxSSNBatchJSON(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		serve()
+	}
+}
+
+// postMaxSSN serves body on /v1/maxssn through h in process.
+func postMaxSSN(h http.Handler, body []byte) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(http.MethodPost, "/v1/maxssn", bytes.NewReader(body))
+	req.Header.Set("Content-Type", "application/json")
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	return rec
+}
+
+// emptyItems is a batch body of n empty items under key.
+func emptyItems(key string, n int) []byte {
+	return []byte(`{"` + key + `":[` + strings.Repeat(`{},`, n-1) + `{}]}`)
+}
+
+// TestMaxSSNOversizedBatchBounded posts 100,000 empty items, a 300 KB
+// body: the scanner keeps at most MaxBatch of them, so serving it
+// allocates about 6 MB where storing them all took about 68 MB, and the
+// reply still counts all 100,000. Over a small MaxBatch, the scanned
+// reply is byte for byte what encoding/json's path replies to the same
+// batch under the case-folded key "Items", which the scanner refuses.
+func TestMaxSSNOversizedBatchBounded(t *testing.T) {
+	h := New(Config{}).Handler()
+	body := emptyItems("items", 100_000)
+	postMaxSSN(h, emptyItems("items", 10)) // warm the pools
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	rec := postMaxSSN(h, body)
+	runtime.ReadMemStats(&after)
+	const want = `{"error":{"code":"batch_too_large","message":"batch of 100000 exceeds the 8192-item limit","field":"items","value":100000,"constraint":"at most 8192 items"}}`
+	if rec.Code != http.StatusBadRequest || strings.TrimSpace(rec.Body.String()) != want {
+		t.Errorf("status %d, reply %s; want 400 and %s", rec.Code, rec.Body, want)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 16<<20 {
+		t.Errorf("serving %d empty items allocated %d bytes, want <= %d", 100_000, got, 16<<20)
+	}
+
+	h = New(Config{MaxBatch: 16}).Handler()
+	for _, n := range []int{16, 17, 100} {
+		scanned, decoded := postMaxSSN(h, emptyItems("items", n)), postMaxSSN(h, emptyItems("Items", n))
+		if scanned.Code != decoded.Code || scanned.Body.String() != decoded.Body.String() {
+			t.Errorf("%d items: scanned %d %s, encoding/json %d %s",
+				n, scanned.Code, scanned.Body, decoded.Code, decoded.Body)
+		}
 	}
 }
 

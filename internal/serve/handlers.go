@@ -29,7 +29,7 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, dst any) *ap
 		}
 		return badRequest("malformed JSON: %v", err)
 	}
-	if sc, ok := dst.(scanner); ok && sc.scan(buf.Bytes()) {
+	if sc, ok := dst.(scanner); ok && sc.scan(buf.Bytes(), s.cfg.MaxBatch) {
 		return nil
 	}
 	return unmarshalBody(buf.Bytes(), dst)
@@ -37,11 +37,12 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, dst any) *ap
 
 // scanner is a request type with a strict decoder for the canonical
 // subset of its JSON. scan either decodes body exactly as unmarshalBody
-// would, reporting true, or leaves the receiver untouched and reports
-// false, so that encoding/json decodes the same bytes and every error
-// reply and every lenient case comes from encoding/json.
+// would, storing at most maxItems batch items and counting the rest,
+// reporting true, or leaves the receiver untouched and reports false, so
+// that encoding/json decodes the same bytes and every error reply and
+// every lenient case comes from encoding/json.
 type scanner interface {
-	scan(body []byte) bool
+	scan(body []byte, maxItems int) bool
 }
 
 // unmarshalBody decodes the one JSON value in body into dst through
@@ -174,7 +175,7 @@ func (s *Server) handleMaxSSN(w http.ResponseWriter, r *http.Request) {
 		writeError(w, aerr)
 		return
 	}
-	if len(req.Items) == 0 {
+	if req.batchLen() == 0 {
 		res := s.evalOne(0, req.item())
 		if res.Error != nil {
 			writeError(w, res.Error)
@@ -183,11 +184,11 @@ func (s *Server) handleMaxSSN(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, res)
 		return
 	}
-	if len(req.Items) > s.cfg.MaxBatch {
+	if n := req.batchLen(); n > s.cfg.MaxBatch {
 		writeError(w, &apiError{Code: CodeBatchTooLarge,
-			Message:    fmt.Sprintf("batch of %d exceeds the %d-item limit", len(req.Items), s.cfg.MaxBatch),
+			Message:    fmt.Sprintf("batch of %d exceeds the %d-item limit", n, s.cfg.MaxBatch),
 			Field:      "items",
-			Value:      len(req.Items),
+			Value:      n,
 			Constraint: fmt.Sprintf("at most %d items", s.cfg.MaxBatch),
 		})
 		return

@@ -200,21 +200,25 @@ func (e *PointEncoder) appendJSON(dst []byte, v any) ([]byte, error) {
 // shortest round-trip decimal, in exponent form for |f| < 1e-6 or
 // |f| >= 1e21 with a one-digit negative exponent unpadded (1e-7, not
 // 1e-07), and -0 kept. NaN and ±Inf are refused with the error
-// encoding/json returns, and dst comes back unchanged.
+// encoding/json returns, and dst comes back unchanged. Normal values take
+// the Schubfach kernel (ftoa.go), which is derived for normal
+// significands; zero and subnormals take strconv.
 func AppendJSONFloat(dst []byte, f float64) ([]byte, error) {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
+	bits := math.Float64bits(f)
+	exp := int(bits>>52) & 0x7ff
+	switch exp {
+	case 0x7ff:
 		return dst, &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
-	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(dst); dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-			dst[n-2] = dst[n-1]
-			dst = dst[:n-1]
+	case 0: // every subnormal is below 1e-6, so 'e', and its exponent needs no trim
+		if f == 0 {
+			return strconv.AppendFloat(dst, f, 'f', -1, 64), nil
 		}
+		return strconv.AppendFloat(dst, f, 'e', -1, 64), nil
 	}
-	return dst, nil
+	if bits>>63 != 0 {
+		dst = append(dst, '-')
+	}
+	m, e := shortestDecimal(bits&(cMin-1)|cMin, exp-1075)
+	abs := math.Abs(f)
+	return appendDecimal(dst, m, e, abs < 1e-6 || abs >= 1e21), nil
 }
