@@ -5,13 +5,15 @@ import (
 	"math"
 	"testing"
 
+	"ssnkit/internal/device"
 	"ssnkit/internal/ssn"
 )
 
 // TestPlanPathMatchesScalarAllAxes is the byte-identity golden test for the
-// batched chunk path: for every batchable inner-axis kind — including a
-// rise-time axis with invalid (negative) values and an L axis straddling
-// zero — the engine's output must match the scalar paramsAt+MaxSSN
+// batched chunk path: for every inner-axis kind — including a rise-time
+// axis with invalid (negative) values, an L axis straddling zero, an n axis
+// the engine must round and clamp, and a size axis, which has no batch
+// kernel — the engine's output must match the scalar paramsAt+MaxSSN
 // reference bit for bit, errors included.
 func TestPlanPathMatchesScalarAllAxes(t *testing.T) {
 	base := baseParams()
@@ -38,6 +40,19 @@ func TestPlanPathMatchesScalarAllAxes(t *testing.T) {
 		}},
 		"single axis c": {Base: base, Axes: []Axis{
 			{Name: AxisC, From: 0, To: 40e-12, Points: 17},
+		}},
+		// -2, -1.5, …, 3.5: values below 1 clamp to one driver and
+		// half-integers round away from zero.
+		"inner n rounding": {Base: base, Axes: []Axis{
+			{Name: AxisL, From: 0.5e-9, To: 4e-9, Points: 3},
+			{Name: AxisN, From: -2, To: 3.5, Points: 12},
+		}},
+		"single axis n": {Base: base, Axes: []Axis{
+			{Name: AxisN, From: 0.25, To: 40.5, Points: 24},
+		}},
+		"inner size": {Base: base, Spec: device.ExtractSpec{Process: "c018"}, Axes: []Axis{
+			{Name: AxisC, From: 0.1e-12, To: 20e-12, Points: 3},
+			{Name: AxisSize, From: 1, To: 4, Points: 4},
 		}},
 	}
 	for name, g := range grids {
