@@ -25,9 +25,6 @@ type Config struct {
 	// Workers is the number of parallel frequency evaluators; <= 0 means
 	// GOMAXPROCS.
 	Workers int
-	// ChunkSize is the number of frequencies per unit of work; <= 0 means
-	// 16. Each chunk costs one engine stamp+factor per frequency.
-	ChunkSize int
 	// Gate, when non-nil, bounds chunk concurrency globally (the serve
 	// worker pool implements it), so an impedance sweep embedded in the
 	// service shares slots with the rest of the traffic.
@@ -36,6 +33,10 @@ type Config struct {
 	// frequency (one extra transposed solve each).
 	WithSens bool
 }
+
+// chunkSize is the number of frequencies per unit of work. Each chunk
+// costs one engine stamp+factor per frequency and one Gate slot.
+const chunkSize = 16
 
 // Point is the impedance at one frequency, with optional sensitivities.
 type Point struct {
@@ -164,13 +165,9 @@ func (s *Sweeper) run(ctx context.Context, freqs []float64, order []int, bound f
 		return nil, false, fmt.Errorf("pdn: empty frequency grid")
 	}
 	cfg := s.cfg
-	chunk := cfg.ChunkSize
-	if chunk <= 0 {
-		chunk = 16
-	}
 	// A worker beyond the chunk count would compile an engine and find no
 	// chunk to sweep with it.
-	nChunks := (len(freqs) + chunk - 1) / chunk
+	nChunks := (len(freqs) + chunkSize - 1) / chunkSize
 	workers := par.Workers(cfg.Workers, nChunks)
 	bounded := bound < math.Inf(1)
 	var stopped atomic.Bool
@@ -202,7 +199,7 @@ func (s *Sweeper) run(ctx context.Context, freqs []float64, order []int, bound f
 				}
 				defer cfg.Gate.Release()
 			}
-			for k := c * chunk; k < min((c+1)*chunk, len(freqs)) && cctx.Err() == nil; k++ {
+			for k := c * chunkSize; k < min((c+1)*chunkSize, len(freqs)) && cctx.Err() == nil; k++ {
 				i := k
 				if order != nil {
 					i = order[k]

@@ -23,13 +23,13 @@ func testFreqs(t *testing.T, points int) []float64 {
 	return fs
 }
 
-// TestRunProfileMatchesSerial: the parallel profile must equal a serial
-// single-engine evaluation bit-for-bit (same stamp, same factorization
-// path per frequency).
+// TestRunProfileMatchesSerial: the parallel profile over seven chunks must
+// equal a serial single-engine evaluation bit-for-bit (same stamp, same
+// factorization path per frequency).
 func TestRunProfileMatchesSerial(t *testing.T) {
 	grid := pkgmodel.DefaultPDN(pkgmodel.PGA, 3, 3, 4)
-	fs := testFreqs(t, 40)
-	prof, err := RunProfile(context.Background(), grid, fs, Config{Workers: 4, ChunkSize: 3})
+	fs := testFreqs(t, 6*chunkSize+5)
+	prof, err := RunProfile(context.Background(), grid, fs, Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,12 +84,13 @@ func TestRunProfileWithSens(t *testing.T) {
 }
 
 // TestRunProfileGate: the gate must be acquired and released in balance,
-// and concurrency under the gate must never exceed its capacity.
+// and concurrency under the gate, eight chunks on four workers, must never
+// exceed its capacity.
 func TestRunProfileGate(t *testing.T) {
 	grid := pkgmodel.DefaultPDN(pkgmodel.PGA, 2, 2, 2)
-	fs := testFreqs(t, 30)
+	fs := testFreqs(t, 8*chunkSize)
 	g := &countingGate{capacity: 2, sem: make(chan struct{}, 2)}
-	_, err := RunProfile(context.Background(), grid, fs, Config{Workers: 4, ChunkSize: 2, Gate: g})
+	_, err := RunProfile(context.Background(), grid, fs, Config{Workers: 4, Gate: g})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,12 +139,13 @@ func (g *countingGate) Release() {
 	<-g.sem
 }
 
-// boundedFixture is a small grid with its unbounded reference profile and
-// the descending-|Z| visit order the optimizer's trial sweeps use.
+// boundedFixture is a small grid with its unbounded reference profile, over
+// seven chunks, and the descending-|Z| visit order the optimizer's trial
+// sweeps use.
 func boundedFixture(t *testing.T) (*pkgmodel.PDNGrid, []float64, *Profile, []int) {
 	t.Helper()
 	grid := pkgmodel.DefaultPDN(pkgmodel.QFP, 3, 4, 2)
-	fs := testFreqs(t, 50)
+	fs := testFreqs(t, 6*chunkSize+5)
 	ref, err := RunProfile(context.Background(), grid, fs, Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +175,7 @@ func sameProfile(t *testing.T, label string, got, want *Profile) {
 func TestRunUnboundedMatchesRunProfile(t *testing.T) {
 	grid, fs, ref, order := boundedFixture(t)
 	for _, workers := range []int{1, 2, 4} {
-		sw, err := NewSweeper(grid, Config{Workers: workers, ChunkSize: 3})
+		sw, err := NewSweeper(grid, Config{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,7 +221,7 @@ func TestRunBound(t *testing.T) {
 	grid, fs, ref, order := boundedFixture(t)
 	peak := ref.Peak().AbsZ
 	for _, workers := range []int{1, 2, 4} {
-		sw, err := NewSweeper(grid, Config{Workers: workers, ChunkSize: 3})
+		sw, err := NewSweeper(grid, Config{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,7 +250,7 @@ func TestRunBoundGate(t *testing.T) {
 	grid, fs, ref, order := boundedFixture(t)
 	for _, ord := range [][]int{nil, order} {
 		g := &countingGate{capacity: 2, sem: make(chan struct{}, 2)}
-		sw, err := NewSweeper(grid, Config{Workers: 4, ChunkSize: 2, Gate: g})
+		sw, err := NewSweeper(grid, Config{Workers: 4, Gate: g})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,7 +295,9 @@ func TestRunBoundCancellation(t *testing.T) {
 
 	ctx, cancel = context.WithCancel(context.Background())
 	defer cancel()
-	sw, err = NewSweeper(grid, Config{Workers: 1, ChunkSize: len(fs), Gate: cancelOnRelease{cancel}})
+	// The descending-|Z| order visits the peak first, so the run stops in
+	// its first chunk and that chunk's release cancels the caller.
+	sw, err = NewSweeper(grid, Config{Workers: 1, Gate: cancelOnRelease{cancel}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +326,7 @@ func TestRunReturnsEngines(t *testing.T) {
 		{"cancelled", cancelled, fs, nil, math.Inf(1)},
 		{"NaN frequency", bg, nan, nil, math.Inf(1)},
 	} {
-		sw, err := NewSweeper(grid, Config{Workers: 2, ChunkSize: 4})
+		sw, err := NewSweeper(grid, Config{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

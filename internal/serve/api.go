@@ -225,17 +225,14 @@ type EvalResult struct {
 type maxSSNRequest struct {
 	Items []EvalItem `json:"items"`
 	paramsEnvelope
-
-	unstored int // batch items past the scanner's limit: counted, not kept
 }
 
-// batchLen is the number of items the body's batch holds.
-func (q *maxSSNRequest) batchLen() int { return len(q.Items) + q.unstored }
+func (*maxSSNRequest) batched() {}
 
 // legacyInline ignores the inline fields when a batch is supplied: items
 // requests never read them, so they cannot deprecate anything.
 func (q *maxSSNRequest) legacyInline() bool {
-	return q.batchLen() == 0 && q.paramsEnvelope.legacyInline()
+	return len(q.Items) == 0 && q.paramsEnvelope.legacyInline()
 }
 
 // maxSSNBatchResponse is the envelope of a batch evaluation.

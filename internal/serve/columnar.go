@@ -109,12 +109,7 @@ func (s *Server) decodeColumnarMaxSSN(w http.ResponseWriter, r *http.Request) ([
 		return nil, badRequest("columnar batch needs at least one column with at least one row")
 	}
 	if rows > s.cfg.MaxBatch {
-		return nil, &apiError{Code: CodeBatchTooLarge,
-			Message:    fmt.Sprintf("batch of %d exceeds the %d-item limit", rows, s.cfg.MaxBatch),
-			Field:      "items",
-			Value:      rows,
-			Constraint: fmt.Sprintf("at most %d items", s.cfg.MaxBatch),
-		}
+		return nil, batchTooLarge(rows, s.cfg.MaxBatch)
 	}
 
 	items := make([]EvalItem, rows)

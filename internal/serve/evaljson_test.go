@@ -209,9 +209,11 @@ func FuzzMaxSSNDecode(f *testing.F) {
 // status and bytes the /v1/maxssn replies had before they were appended.
 func referenceWriteJSON(status int, v any) (int, []byte) {
 	var buf bytes.Buffer
-	if err := encodeJSON(&buf, v); err != nil {
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(v); err != nil {
 		status = http.StatusInternalServerError
-		_ = encodeJSON(&buf, map[string]*apiError{"error": {Code: CodeInternal,
+		_ = enc.Encode(map[string]*apiError{"error": {Code: CodeInternal,
 			Message: "encoding the reply: " + err.Error()}})
 	}
 	return status, buf.Bytes()
@@ -358,7 +360,12 @@ func BenchmarkMaxSSNBatchJSON(b *testing.B) {
 
 // postMaxSSN serves body on /v1/maxssn through h in process.
 func postMaxSSN(h http.Handler, body []byte) *httptest.ResponseRecorder {
-	req := httptest.NewRequest(http.MethodPost, "/v1/maxssn", bytes.NewReader(body))
+	return postBody(h, "/v1/maxssn", body)
+}
+
+// postBody serves one JSON POST of body to path through h.
+func postBody(h http.Handler, path string, body []byte) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
 	req.Header.Set("Content-Type", "application/json")
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
@@ -371,26 +378,33 @@ func emptyItems(key string, n int) []byte {
 }
 
 // TestMaxSSNOversizedBatchBounded posts 100,000 empty items, a 300 KB
-// body: the scanner keeps at most MaxBatch of them, so serving it
-// allocates about 6 MB where storing them all took about 68 MB, and the
-// reply still counts all 100,000. Over a small MaxBatch, the scanned
-// reply is byte for byte what encoding/json's path replies to the same
-// batch under the case-folded key "Items", which the scanner refuses.
+// body, to /v1/maxssn under "items" (the scanner's path) and under the
+// case-folded key "Items" (encoding/json's), and to /v1/solve: each batch
+// is counted before encoding/json stores it, so serving it allocates a
+// few MB where storing every item took 68 MB (/v1/maxssn) and 135 MB
+// (/v1/solve), and the reply still counts all 100,000. Over a small
+// MaxBatch, the scanned reply is byte for byte what encoding/json's path
+// replies to the same batch under "Items", which the scanner refuses.
 func TestMaxSSNOversizedBatchBounded(t *testing.T) {
 	h := New(Config{}).Handler()
-	body := emptyItems("items", 100_000)
-	postMaxSSN(h, emptyItems("items", 10)) // warm the pools
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	rec := postMaxSSN(h, body)
-	runtime.ReadMemStats(&after)
 	const want = `{"error":{"code":"batch_too_large","message":"batch of 100000 exceeds the 8192-item limit","field":"items","value":100000,"constraint":"at most 8192 items"}}`
-	if rec.Code != http.StatusBadRequest || strings.TrimSpace(rec.Body.String()) != want {
-		t.Errorf("status %d, reply %s; want 400 and %s", rec.Code, rec.Body, want)
-	}
-	if got := after.TotalAlloc - before.TotalAlloc; got > 16<<20 {
-		t.Errorf("serving %d empty items allocated %d bytes, want <= %d", 100_000, got, 16<<20)
+	for _, tc := range []struct{ path, key string }{
+		{"/v1/maxssn", "items"}, {"/v1/maxssn", "Items"}, {"/v1/solve", "items"},
+	} {
+		body := emptyItems(tc.key, 100_000)
+		postBody(h, tc.path, emptyItems(tc.key, 10)) // warm the pools
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		rec := postBody(h, tc.path, body)
+		runtime.ReadMemStats(&after)
+		if rec.Code != http.StatusBadRequest || strings.TrimSpace(rec.Body.String()) != want {
+			t.Errorf("%s %q: status %d, reply %s; want 400 and %s", tc.path, tc.key, rec.Code, rec.Body, want)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 16<<20 {
+			t.Errorf("%s %q: serving %d empty items allocated %d bytes, want <= %d",
+				tc.path, tc.key, 100_000, got, 16<<20)
+		}
 	}
 
 	h = New(Config{MaxBatch: 16}).Handler()
@@ -399,6 +413,27 @@ func TestMaxSSNOversizedBatchBounded(t *testing.T) {
 		if scanned.Code != decoded.Code || scanned.Body.String() != decoded.Body.String() {
 			t.Errorf("%d items: scanned %d %s, encoding/json %d %s",
 				n, scanned.Code, scanned.Body, decoded.Code, decoded.Body)
+		}
+	}
+}
+
+// TestCountItemsMatchesDecode holds countItems to the batch length
+// encoding/json decodes from the same body: strings holding brackets,
+// commas and escaped quotes, nested arrays, whitespace, null and non-array
+// values, case-folded and repeated keys, and trailing data after the value.
+func TestCountItemsMatchesDecode(t *testing.T) {
+	for _, body := range []string{
+		`{}`, `{"items":[]}`, `{"items":[ ]}`, `{"items":null}`, `{"items":{}}`, `{"items":3}`,
+		`{"items":[{}]}`, ` { "items" : [ {} , {} , {} ] } `,
+		`{"items":[{"process":"a,b]}"},{"process":"\",[{"}]}`,
+		`{"items":[{"dev":{"k":1,"v0":2,"a":3}},{"l":1e-9}]}`,
+		`{"ITEMS":[{},{}]}`, `{"items":[{},{}],"Items":[{}]}`, `{"items":[{}],"items":null}`,
+		`{"items":[{},{}]}]`, `{"n":4,"items":[{},{}],"params":{"n":2}}`,
+	} {
+		var q maxSSNRequest
+		_ = json.NewDecoder(strings.NewReader(body)).Decode(&q)
+		if got := countItems([]byte(body)); got != len(q.Items) {
+			t.Errorf("%s: countItems %d, encoding/json decodes %d items", body, got, len(q.Items))
 		}
 	}
 }

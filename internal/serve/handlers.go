@@ -12,6 +12,7 @@ import (
 
 	"ssnkit/internal/par"
 	"ssnkit/internal/ssn"
+	"ssnkit/internal/sweep"
 )
 
 // decodeJSON reads the whole size-limited body once, into a pooled reply
@@ -32,17 +33,50 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, dst any) *ap
 	if sc, ok := dst.(scanner); ok && sc.scan(buf.Bytes(), s.cfg.MaxBatch) {
 		return nil
 	}
+	if _, ok := dst.(batched); ok {
+		if n := countItems(buf.Bytes()); n > s.cfg.MaxBatch {
+			return batchTooLarge(n, s.cfg.MaxBatch)
+		}
+	}
 	return unmarshalBody(buf.Bytes(), dst)
 }
 
 // scanner is a request type with a strict decoder for the canonical
 // subset of its JSON. scan either decodes body exactly as unmarshalBody
-// would, storing at most maxItems batch items and counting the rest,
-// reporting true, or leaves the receiver untouched and reports false, so
-// that encoding/json decodes the same bytes and every error reply and
-// every lenient case comes from encoding/json.
+// would, reporting true, or leaves the receiver untouched and reports
+// false, so that encoding/json decodes the same bytes and every error
+// reply and every lenient case comes from encoding/json. It reports false
+// for a batch of more than maxItems items, having stored at most that
+// many.
 type scanner interface {
 	scan(body []byte, maxItems int) bool
+}
+
+// batched is a request type with an "items" batch. decodeJSON counts the
+// batch before encoding/json stores it and refuses one of more than
+// MaxBatch items, so no body makes the server hold more.
+type batched interface{ batched() }
+
+// countItems counts the "items" batch of the first JSON value in body as
+// encoding/json decodes it, into elements of zero size, which store
+// nothing. A malformed body counts what encoding/json got to;
+// unmarshalBody reports its error.
+func countItems(body []byte) int {
+	var c struct {
+		Items []struct{} `json:"items"`
+	}
+	_ = json.NewDecoder(bytes.NewReader(body)).Decode(&c)
+	return len(c.Items)
+}
+
+// batchTooLarge refuses a batch of n items over the limit of max.
+func batchTooLarge(n, max int) *apiError {
+	return &apiError{Code: CodeBatchTooLarge,
+		Message:    fmt.Sprintf("batch of %d exceeds the %d-item limit", n, max),
+		Field:      "items",
+		Value:      n,
+		Constraint: fmt.Sprintf("at most %d items", max),
+	}
 }
 
 // unmarshalBody decodes the one JSON value in body into dst through
@@ -63,24 +97,23 @@ func unmarshalBody(body []byte, dst any) *apiError {
 // refuses (a NaN or an infinity) becomes a 500 internal error envelope
 // rather than a 200 with an empty body. A jsonAppender (the /v1/maxssn
 // replies) spells itself without reflection; anything else goes through
-// encoding/json.
+// sweep.AppendJSON.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	buf := getReplyBuf()
 	defer putReplyBuf(buf)
+	var b []byte
 	var err error
 	if a, ok := v.(jsonAppender); ok {
-		var b []byte
-		if b, err = a.appendJSON(buf.AvailableBuffer()); err == nil {
-			buf.Write(append(b, '\n')) // in place while b fits buf's storage
-		}
+		b, err = a.appendJSON(buf.AvailableBuffer())
 	} else {
-		err = encodeJSON(buf, v)
+		b, err = sweep.AppendJSON(buf.AvailableBuffer(), v)
 	}
 	if err != nil {
 		status = http.StatusInternalServerError
-		_ = encodeJSON(buf, map[string]*apiError{"error": {Code: CodeInternal,
+		b, _ = sweep.AppendJSON(buf.AvailableBuffer(), map[string]*apiError{"error": {Code: CodeInternal,
 			Message: "encoding the reply: " + err.Error()}})
 	}
+	buf.Write(append(b, '\n')) // in place while b fits buf's storage
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_, _ = w.Write(buf.Bytes()) // a failed write means the client is gone
@@ -91,14 +124,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // *json.UnsupportedValueError for a NaN or an infinity.
 type jsonAppender interface {
 	appendJSON(dst []byte) ([]byte, error)
-}
-
-// encodeJSON appends v and a newline to buf as encoding/json spells it
-// without HTML escaping; on error buf is left as it was.
-func encodeJSON(buf *bytes.Buffer, v any) error {
-	enc := json.NewEncoder(buf)
-	enc.SetEscapeHTML(false)
-	return enc.Encode(v)
 }
 
 // evalOne resolves and evaluates a single item; errors land in the result
@@ -175,22 +200,13 @@ func (s *Server) handleMaxSSN(w http.ResponseWriter, r *http.Request) {
 		writeError(w, aerr)
 		return
 	}
-	if req.batchLen() == 0 {
+	if len(req.Items) == 0 {
 		res := s.evalOne(0, req.item())
 		if res.Error != nil {
 			writeError(w, res.Error)
 			return
 		}
 		writeJSON(w, http.StatusOK, res)
-		return
-	}
-	if n := req.batchLen(); n > s.cfg.MaxBatch {
-		writeError(w, &apiError{Code: CodeBatchTooLarge,
-			Message:    fmt.Sprintf("batch of %d exceeds the %d-item limit", n, s.cfg.MaxBatch),
-			Field:      "items",
-			Value:      n,
-			Constraint: fmt.Sprintf("at most %d items", s.cfg.MaxBatch),
-		})
 		return
 	}
 	results := s.evalItems(r.Context(), req.Items)

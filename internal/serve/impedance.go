@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
@@ -460,7 +459,7 @@ func (s *Server) writeImpedanceNDJSON(w http.ResponseWriter, prof *pdn.Profile, 
 	st := startStream(w, "application/x-ndjson")
 	var err error
 	for i := range prof.Points {
-		if err = appendImpedanceRecord(st.buf, st.enc, &prof.Points[i]); err != nil {
+		if err = appendImpedanceRecord(st.buf, &prof.Points[i]); err != nil {
 			break
 		}
 		if err = st.endLine(); err != nil {
@@ -472,8 +471,9 @@ func (s *Server) writeImpedanceNDJSON(w http.ResponseWriter, prof *pdn.Profile, 
 
 // appendImpedanceRecord appends p's sweep record — the impedancePoint
 // JSON — to buf: the four floats through the shared float appender, the
-// optional sens array through enc. On error buf is left as it was.
-func appendImpedanceRecord(buf *bytes.Buffer, enc *json.Encoder, p *pdn.Point) error {
+// optional sens array through sweep.AppendJSON. On error buf is left as it
+// was.
+func appendImpedanceRecord(buf *bytes.Buffer, p *pdn.Point) error {
 	b := buf.AvailableBuffer()
 	var err error
 	for _, f := range [...]struct {
@@ -485,17 +485,13 @@ func appendImpedanceRecord(buf *bytes.Buffer, enc *json.Encoder, p *pdn.Point) e
 			return err
 		}
 	}
-	start := buf.Len()
-	buf.Write(b)
 	if len(p.Sens) > 0 {
-		buf.WriteString(`,"sens":`)
-		if err := enc.Encode(impedanceSensRecords(p.Sens)); err != nil {
-			buf.Truncate(start)
+		b = append(b, `,"sens":`...)
+		if b, err = sweep.AppendJSON(b, impedanceSensRecords(p.Sens)); err != nil {
 			return err
 		}
-		buf.Truncate(buf.Len() - 1) // Encode's newline
 	}
-	buf.WriteString("}\n")
+	buf.Write(append(b, "}\n"...))
 	return nil
 }
 

@@ -45,6 +45,8 @@ type solveRequest struct {
 	Variation  *VariationSpec `json:"variation,omitempty"`
 }
 
+func (*solveRequest) batched() {}
+
 // legacyInline mirrors maxSSNRequest: batches never read the inline fields.
 func (q *solveRequest) legacyInline() bool {
 	return len(q.Items) == 0 && q.paramsEnvelope.legacyInline()
@@ -254,15 +256,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		writeJSON(w, http.StatusOK, res)
-		return
-	}
-	if len(req.Items) > s.cfg.MaxBatch {
-		writeError(w, &apiError{Code: CodeBatchTooLarge,
-			Message:    fmt.Sprintf("batch of %d exceeds the %d-item limit", len(req.Items), s.cfg.MaxBatch),
-			Field:      "items",
-			Value:      len(req.Items),
-			Constraint: fmt.Sprintf("at most %d items", s.cfg.MaxBatch),
-		})
 		return
 	}
 	results := make([]SolveResult, len(req.Items))

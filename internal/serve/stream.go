@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"ssnkit/internal/colwire"
+	"ssnkit/internal/sweep"
 )
 
 // replyBufPool recycles reply encode buffers across requests: streamed
@@ -62,7 +63,6 @@ type stream struct {
 	flusher  http.Flusher
 	columnar bool
 	buf      *bytes.Buffer
-	enc      *json.Encoder // into buf, HTML unescaped: NDJSON sub-records and terminal line
 }
 
 // startStream sends the 200 status line with the stream's content type
@@ -72,8 +72,6 @@ func startStream(w http.ResponseWriter, contentType string) *stream {
 	w.WriteHeader(http.StatusOK)
 	st := &stream{w: w, columnar: contentType == colwire.ContentType, buf: getReplyBuf()}
 	st.flusher, _ = w.(http.Flusher)
-	st.enc = json.NewEncoder(st.buf)
-	st.enc.SetEscapeHTML(false)
 	return st
 }
 
@@ -124,7 +122,7 @@ func (st *stream) send(p []byte) error {
 
 // finish ends the stream with summary, or with err's error record when
 // the stream aborted, drains buf and returns it to the pool. The record
-// is an encoding/json line on NDJSON; on SSNC it is a zero-row block
+// is a sweep.AppendJSON line on NDJSON; on SSNC it is a zero-row block
 // whose meta is json.Marshal's (HTML-escaped) output.
 func (st *stream) finish(summary any, err error) {
 	if err != nil {
@@ -137,7 +135,9 @@ func (st *stream) finish(summary any, err error) {
 			_ = st.block(colwire.Block{Meta: meta})
 		}
 	} else {
-		_ = st.enc.Encode(summary)
+		if b, err := sweep.AppendJSON(st.buf.AvailableBuffer(), summary); err == nil {
+			st.buf.Write(append(b, '\n'))
+		}
 		_ = st.flush()
 	}
 	putReplyBuf(st.buf)

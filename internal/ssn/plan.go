@@ -247,8 +247,7 @@ func (pl *Plan) VMaxCaseBatch(dst []float64, cases []Case, values []float64) {
 
 // VMaxCaseBatchN is VMaxCaseBatch for a PlanAxisN plan over an integer
 // grid: ns[i] is used as the driver count directly, with no per-point
-// rounding or clamping (callers own both — the sweep engine pre-rounds its
-// n axis once per run). Values must be >= 1. Results are bit-for-bit
+// rounding or clamping (callers own both). Values must be >= 1. Results are bit-for-bit
 // identical to VMaxCaseBatch over the equivalent rounded float values.
 func (pl *Plan) VMaxCaseBatchN(dst []float64, cases []Case, ns []int) {
 	checkBatchLens(len(dst), len(cases), len(ns), cases == nil)
