@@ -59,12 +59,16 @@ func EvalRange(ctx context.Context, spec SweepSpec, lo, hi int, cfg EvalConfig) 
 	// a two- or three-axis payload in one allocation.
 	buf := make([]byte, 0, 160*(hi-lo))
 	enc := sweep.NewPointEncoder(g.Axes, func(err error) any { return toRecordError(err) })
-	sink := func(pt sweep.Point) (err error) {
-		buf, err = enc.Append(buf, pt)
-		return err
+	sink := func(c *sweep.Chunk) (err error) {
+		for i := range c.Points {
+			if buf, err = enc.Append(buf, &c.Points[i]); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 	scfg := sweep.Config{Workers: cfg.Workers, Extract: cfg.Extract, Gate: cfg.Gate}
-	if _, err := sweep.RunRange(ctx, g, scfg, lo, hi, sink); err != nil {
+	if _, err := sweep.RunRangeChunks(ctx, g, scfg, lo, hi, sink); err != nil {
 		return nil, err
 	}
 	return buf, nil

@@ -8,6 +8,7 @@ import (
 	"math"
 	"mime"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -262,7 +263,7 @@ func (s *Server) handleMaxSSNColumnar(w http.ResponseWriter, r *http.Request) {
 // that clients observe progress.
 const sweepColBlockRows = 1024
 
-// columnarSweepSink accumulates sweep points into per-column buffers and
+// columnarSweepSink accumulates sweep chunks into per-column buffers and
 // sends them as SSNC blocks on the stream. Column slices are reused across
 // blocks (AppendTo copies the bits out), so a million-point stream
 // allocates a handful of slices once.
@@ -290,36 +291,72 @@ func newColumnarSweepSink(st *stream, axes []sweep.Axis) *columnarSweepSink {
 	return k
 }
 
-// add shapes one engine point into the pending block, mirroring the JSON
-// path's resolution (the rounded N for a valid point on an n axis, raw
-// axis values for failed points).
-func (k *columnarSweepSink) add(pt sweep.Point) error {
-	// Index the axes rather than copy each Axis per point: the copy
-	// stalled, costing ~25% of an in-process 4096-point SSNC sweep.
-	for i := range k.axes {
-		v := pt.Values[i]
-		if k.axes[i].Name == sweep.AxisN && pt.Err == nil {
-			v = float64(pt.Params.N)
+// add appends a chunk's rows to the pending blocks column by column,
+// sending each block as it fills. It mirrors the JSON path's resolution:
+// the rounded N on an n axis for a valid row (case != 0), the raw axis
+// value for a failed one, whose vmax the engine wrote as NaN; a failed
+// row's error goes into the block meta under its row index.
+func (k *columnarSweepSink) add(c *sweep.Chunk) error {
+	nAx := len(k.axes)
+	for lo := 0; lo < len(c.Points); {
+		hi := min(len(c.Points), lo+sweepColBlockRows-k.rows)
+		cases := c.Case[lo:hi]
+		for a := range k.axes {
+			col, dst := extend(k.axisVals[a], len(cases))
+			src := c.Values[lo*nAx+a:]
+			if k.axes[a].Name == sweep.AxisN {
+				for j, cs := range cases {
+					v := src[j*nAx]
+					if cs != 0 {
+						v = float64(sweep.DriverCount(v))
+					}
+					dst[j] = v
+				}
+			} else {
+				for j := range dst {
+					dst[j] = src[j*nAx]
+				}
+			}
+			k.axisVals[a] = col
 		}
-		k.axisVals[i] = append(k.axisVals[i], v)
-	}
-	if pt.Err != nil {
-		if k.errs == nil {
-			k.errs = make(map[string]*apiError)
+		k.vmax = append(k.vmax, c.VMax[lo:hi]...)
+		col, dst := extend(k.caseCode, len(cases))
+		for j, cs := range cases {
+			dst[j] = float64(cs)
+			if cs == 0 {
+				dst[j] = -1
+			}
 		}
-		k.errs[strconv.Itoa(k.rows)] = toAPIError(pt.Err)
-		k.vmax = append(k.vmax, math.NaN())
-		k.caseCode = append(k.caseCode, -1)
-	} else {
-		k.vmax = append(k.vmax, pt.VMax)
-		k.caseCode = append(k.caseCode, float64(pt.Case))
-	}
-	k.depth = append(k.depth, float64(pt.Depth))
-	k.rows++
-	if k.rows >= sweepColBlockRows {
-		return k.flush()
+		k.caseCode = col
+		col, dst = extend(k.depth, len(cases))
+		for j, d := range c.Depth[lo:hi] {
+			dst[j] = float64(d)
+		}
+		k.depth = col
+		for i := lo; i < hi && c.Errors > 0; i++ {
+			if err := c.Points[i].Err; err != nil {
+				if k.errs == nil {
+					k.errs = make(map[string]*apiError)
+				}
+				k.errs[strconv.Itoa(k.rows+i-lo)] = toAPIError(err)
+			}
+		}
+		k.rows += len(cases)
+		lo = hi
+		if k.rows >= sweepColBlockRows {
+			if err := k.flush(); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
+}
+
+// extend lengthens col by n entries and returns it with the new entries.
+func extend(col []float64, n int) ([]float64, []float64) {
+	m := len(col)
+	col = slices.Grow(col, n)[:m+n]
+	return col, col[m:]
 }
 
 // flush sends the pending rows as one block, their errors keyed by block
@@ -369,7 +406,7 @@ func (s *Server) runSweepColumnar(w http.ResponseWriter, r *http.Request, g swee
 	s.metrics.columnar.inc("/v1/sweep", "out")
 	st := startStream(w, colwire.ContentType)
 	sink := newColumnarSweepSink(st, g.Axes)
-	stats, err := sweep.Run(r.Context(), g, cfg, sink.add)
+	stats, err := sweep.RunChunks(r.Context(), g, cfg, sink.add)
 	s.countSweep(stats, err)
 	// Drain the last partial block, aborted or not, before the terminal
 	// record.

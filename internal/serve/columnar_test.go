@@ -3,8 +3,10 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -391,5 +393,49 @@ func TestColumnarSweepCleanMeta(t *testing.T) {
 	}
 	if blocks[0].Rows() != 8 {
 		t.Fatalf("rows %d", blocks[0].Rows())
+	}
+}
+
+// sweepSSNCBodies are 64x64 /v1/sweep bodies shaped like the sweep-ssnc
+// benchmark workload's: a kit-resolved base point and two axes drawn from
+// its ranges, an n axis inner and outer, log l and c axes and a rise-time
+// axis.
+var sweepSSNCBodies = []string{
+	`{"params":{"process":"c018","corner":"tt","size":1,"n":16,"package":"pga","pads":2,"rise_time":1e-9},` +
+		`"axes":[{"axis":"n","from":4,"to":160,"points":64},{"axis":"c","from":2e-13,"to":2e-11,"points":64,"log":true}]}`,
+	`{"params":{"process":"c018","corner":"ff","size":2,"n":40,"package":"qfp","pads":4,"rise_time":2e-9},` +
+		`"axes":[{"axis":"l","from":3e-10,"to":8e-9,"points":64,"log":true},{"axis":"tr","from":5e-10,"to":4e-9,"points":64}]}`,
+	`{"params":{"process":"c018","corner":"ss","size":1,"n":8,"package":"pga","pads":6,"rise_time":5e-10},` +
+		`"axes":[{"axis":"c","from":1e-13,"to":3e-11,"points":64,"log":true},{"axis":"n","from":2,"to":200,"points":64}]}`,
+	`{"params":{"process":"c018","corner":"tt","size":2,"n":100,"package":"qfp","pads":1,"rise_time":1e-9},` +
+		`"axes":[{"axis":"slope","from":5e8,"to":9e9,"points":64},{"axis":"l","from":2e-10,"to":1e-8,"points":64,"log":true}]}`,
+}
+
+// BenchmarkSweepSSNC serves one 64x64 columnar /v1/sweep per op through
+// Server.Handler at one worker into a discarding writer, cycling through
+// sweepSSNCBodies: decode, grid build, the sweep engine and the SSNC
+// blocks of 4096 rows.
+func BenchmarkSweepSSNC(b *testing.B) {
+	s := New(Config{Workers: 1})
+	h := s.Handler()
+	w := &discardWriter{h: http.Header{}}
+	req := httptest.NewRequest(http.MethodPost, "/v1/sweep", nil)
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Accept", colwire.ContentType)
+	serve := func(i int) {
+		req.Body = io.NopCloser(strings.NewReader(sweepSSNCBodies[i%len(sweepSSNCBodies)]))
+		w.status, w.n = 0, 0
+		h.ServeHTTP(w, req)
+	}
+	for i := range sweepSSNCBodies {
+		serve(i)
+		if w.status != http.StatusOK || w.n < 4096*5*8 {
+			b.Fatalf("body %d: status %d, %d bytes", i, w.status, w.n)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve(i)
 	}
 }

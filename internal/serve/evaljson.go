@@ -35,9 +35,10 @@ func (q *maxSSNRequest) scan(body []byte, maxItems int) bool {
 // and parse as encoding/json parses them, and booleans are true or false.
 // JSON whitespace may sit between tokens and after the value. Anything
 // else — null, an escape, a case-folded, unknown or repeated key, the
-// legacy inline form, a syntax, type or range error, a batch of more than
-// maxItems items — reports false, and encoding/json decodes the body
-// instead (decodeJSON counts an oversized batch without storing it). When
+// legacy inline form, a syntax, type or range error, a body with more
+// than maxItems+1 braces, which may hold more than maxItems items —
+// reports false, and encoding/json decodes the body instead (decodeJSON
+// counts an oversized batch without storing it). When
 // ok, req is exactly what encoding/json decodes into a zero maxSSNRequest.
 func scanMaxSSNRequest(body []byte, maxItems int) (req maxSSNRequest, ok bool) {
 	s := jsonScanner{b: body}
@@ -54,14 +55,17 @@ func scanMaxSSNRequest(body []byte, maxItems int) (req maxSSNRequest, ok bool) {
 			return req, false
 		}
 		// Every item opens a brace, so the braces bound the batch from
-		// above (dev objects, and braces inside strings, count too); a
-		// batch past maxItemsPrealloc grows by append.
-		req.Items = make([]EvalItem, 0, min(bytes.Count(body, []byte{'{'}), maxItemsPrealloc, maxItems))
+		// above (dev objects, and braces inside strings, count too). A body
+		// whose braces could open more than maxItems items is declined
+		// before any item is stored; a batch past maxItemsPrealloc grows by
+		// append.
+		braces := bytes.Count(body, []byte{'{'})
+		if braces-1 > maxItems {
+			return req, false
+		}
+		req.Items = make([]EvalItem, 0, min(braces, maxItemsPrealloc, maxItems))
 		if !s.lit(']') {
 			for {
-				if len(req.Items) == maxItems {
-					return maxSSNRequest{}, false
-				}
 				req.Items = append(req.Items, EvalItem{})
 				if !s.item(&req.Items[len(req.Items)-1]) {
 					return maxSSNRequest{}, false

@@ -45,9 +45,9 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, dst any) *ap
 // subset of its JSON. scan either decodes body exactly as unmarshalBody
 // would, reporting true, or leaves the receiver untouched and reports
 // false, so that encoding/json decodes the same bytes and every error
-// reply and every lenient case comes from encoding/json. It reports false
-// for a batch of more than maxItems items, having stored at most that
-// many.
+// reply and every lenient case comes from encoding/json. It reports false,
+// having stored no item, for a batch that may hold more than maxItems
+// items.
 type scanner interface {
 	scan(body []byte, maxItems int) bool
 }

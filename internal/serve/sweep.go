@@ -170,13 +170,18 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 	st := startStream(w, "application/x-ndjson")
 	enc := sweep.NewPointEncoder(g.Axes, func(err error) any { return toAPIError(err) })
-	stats, err := sweep.Run(r.Context(), g, cfg, func(pt sweep.Point) error {
-		b, err := enc.Append(st.buf.AvailableBuffer(), pt)
-		if err != nil {
-			return err
+	stats, err := sweep.RunChunks(r.Context(), g, cfg, func(c *sweep.Chunk) error {
+		for i := range c.Points {
+			b, err := enc.Append(st.buf.AvailableBuffer(), &c.Points[i])
+			if err != nil {
+				return err
+			}
+			st.buf.Write(b)
+			if err := st.endLine(); err != nil {
+				return err
+			}
 		}
-		st.buf.Write(b)
-		return st.endLine()
+		return nil
 	})
 	s.countSweep(stats, err)
 	st.finish(sweepDone(stats), err)

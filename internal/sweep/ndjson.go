@@ -29,8 +29,8 @@ import (
 //		Error    any                `json:"error,omitempty"`
 //	}
 //
-// with Values keyed by axis name — the resolved N on the n axis of a
-// valid point, the raw axis value otherwise — so every stream of sweep
+// with Values keyed by axis name — the resolved DriverCount on the n axis
+// of a valid point, the raw axis value otherwise — so every stream of sweep
 // points (/v1/sweep, dist shards) shares one spelling. The values keys are
 // sorted and quoted once per grid; a valid point costs no reflection and
 // no allocation. The per-point error sub-record, rare and caller-shaped,
@@ -103,7 +103,7 @@ func NewPointEncoder(axes []Axis, errRecord func(error) any) *PointEncoder {
 // Append appends pt's record and its newline to dst. On error — a
 // non-finite value, which encoding/json refuses with the same
 // *json.UnsupportedValueError — dst comes back with nothing appended.
-func (e *PointEncoder) Append(dst []byte, pt Point) ([]byte, error) {
+func (e *PointEncoder) Append(dst []byte, pt *Point) ([]byte, error) {
 	start := len(dst)
 	dst = append(dst, `{"values":{`...)
 	var err error
@@ -111,7 +111,7 @@ func (e *PointEncoder) Append(dst []byte, pt Point) ([]byte, error) {
 		f := &e.values[i]
 		v := pt.Values[f.axis]
 		if f.isN && pt.Err == nil {
-			v = float64(pt.Params.N) // the resolved (rounded) driver count
+			v = float64(DriverCount(v)) // the resolved (rounded) driver count
 		}
 		dst = append(dst, f.key...)
 		if pt.Index != nil {

@@ -66,7 +66,7 @@ func refEncode(axes []Axis, pt Point) ([]byte, error) {
 	for k, ax := range axes {
 		v := pt.Values[k]
 		if ax.Name == AxisN && pt.Err == nil {
-			v = float64(pt.Params.N)
+			v = float64(DriverCount(v))
 		}
 		rec.Values[ax.Name] = v
 	}
@@ -89,7 +89,7 @@ func refEncode(axes []Axis, pt Point) ([]byte, error) {
 func checkAppend(t *testing.T, enc *PointEncoder, axes []Axis, pt Point) {
 	t.Helper()
 	prefix := []byte("prev\n")
-	got, gerr := enc.Append(append([]byte(nil), prefix...), pt)
+	got, gerr := enc.Append(append([]byte(nil), prefix...), &pt)
 	want, werr := refEncode(axes, pt)
 	if werr != nil {
 		var uve *json.UnsupportedValueError
@@ -192,7 +192,6 @@ func TestPointEncoderMatchesEncodingJSON(t *testing.T) {
 		for p := 0; p < 100; p++ {
 			pt := Point{Values: make([]float64, len(axes)), VMax: randFloat(rng),
 				Case: ssn.Case(rng.Intn(8) - 2), Depth: rng.Intn(3) * rng.Intn(4)}
-			pt.Params.N = rng.Intn(200) + 1
 			for k := range pt.Values {
 				pt.Values[k] = randFloat(rng)
 			}
@@ -243,9 +242,9 @@ func TestPointEncoderRefusesNonFinite(t *testing.T) {
 	enc := newTestEncoder(axes)
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		for _, pt := range []Point{
-			{Values: []float64{1, bad}, VMax: 0.1, Case: ssn.OverDamped, Params: ssn.Params{N: 1}},
+			{Values: []float64{1, bad}, VMax: 0.1, Case: ssn.OverDamped},
 			{Values: []float64{bad, 1}, Err: errors.New("raw n is reported")},
-			{Values: []float64{1, 2}, VMax: bad, Case: ssn.OverDamped, Params: ssn.Params{N: 1}},
+			{Values: []float64{1, 2}, VMax: bad, Case: ssn.OverDamped},
 			{Values: []float64{1, 2}, Err: &valueError{msg: "bad value", value: bad}},
 		} {
 			if _, err := refEncode(axes, pt); err == nil {
@@ -275,7 +274,12 @@ func FuzzAppendPoint(f *testing.F) {
 		fa, fb := math.Float64frombits(a), math.Float64frombits(b)
 		vals := []float64{fa, fb, fa * fb, -fa, fb / 3, fa + fb}
 		pt := Point{Values: vals[:len(axes)], VMax: math.Float64frombits(vmax),
-			Case: ssn.Case(code), Depth: int(depth % 8), Params: ssn.Params{N: n}}
+			Case: ssn.Case(code), Depth: int(depth % 8)}
+		for k, ax := range axes {
+			if ax.Name == AxisN {
+				pt.Values[k] = float64(n) / 4 // quarter steps: rounding and clamping
+			}
+		}
 		if failed {
 			pt.Err = &valueError{msg: msg, value: strings.ToUpper(msg)}
 		}
@@ -307,7 +311,7 @@ func TestPointEncoderMemo(t *testing.T) {
 		var prev Point
 		for p := 0; p < 300; p++ {
 			pt := Point{Index: make([]int, len(axes)), Values: make([]float64, len(axes)),
-				VMax: randFloat(rng), Case: ssn.Case(rng.Intn(4) + 1), Params: ssn.Params{N: 1 + rng.Intn(3)}}
+				VMax: randFloat(rng), Case: ssn.Case(rng.Intn(4) + 1)}
 			same := prev.Index != nil && rng.Intn(4) == 0
 			for k := range axes {
 				i := rng.Intn(indices)
@@ -357,7 +361,7 @@ func TestPointEncoderMemoBound(t *testing.T) {
 		last := len(axes) - 1
 		vals := axes[last].Values()
 		pt := Point{Index: make([]int, len(axes)), Values: make([]float64, len(axes)),
-			VMax: 0.25, Case: ssn.OverDamped, Params: ssn.Params{N: 1}}
+			VMax: 0.25, Case: ssn.OverDamped}
 		dst := make([]byte, 0, 256)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -365,7 +369,7 @@ func TestPointEncoderMemoBound(t *testing.T) {
 		for i, v := range vals {
 			pt.Index[last], pt.Values[last] = i, v
 			var err error
-			if dst, err = enc.Append(dst[:0], pt); err != nil {
+			if dst, err = enc.Append(dst[:0], &pt); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -399,9 +403,9 @@ func benchmarkNDJSONAppend(b *testing.B, g Grid, keepIndex bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf = buf[:0]
-		for _, pt := range pts {
+		for i := range pts {
 			var err error
-			if buf, err = enc.Append(buf, pt); err != nil {
+			if buf, err = enc.Append(buf, &pts[i]); err != nil {
 				b.Fatal(err)
 			}
 		}

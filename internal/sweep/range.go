@@ -20,8 +20,23 @@ import (
 // as in Run.
 func RunRange(ctx context.Context, g Grid, cfg Config, lo, hi int, sink Sink) (Stats, error) {
 	if sink == nil {
-		return Stats{}, fmt.Errorf("sweep: nil sink")
+		return Stats{}, errNilSink
 	}
+	return runGridRange(ctx, g, cfg, lo, hi, nil, sink)
+}
+
+// RunRangeChunks is RunRange with the chunk as the unit of delivery, as
+// RunChunks is to Run.
+func RunRangeChunks(ctx context.Context, g Grid, cfg Config, lo, hi int, sink ChunkSink) (Stats, error) {
+	if sink == nil {
+		return Stats{}, errNilSink
+	}
+	return runGridRange(ctx, g, cfg, lo, hi, sink, nil)
+}
+
+// runGridRange checks the range and sweeps it through sink, or through pts
+// when it is set.
+func runGridRange(ctx context.Context, g Grid, cfg Config, lo, hi int, sink ChunkSink, pts Sink) (Stats, error) {
 	if cfg.RefineDepth > 0 {
 		return Stats{}, fmt.Errorf("sweep: refinement is not supported for range runs")
 	}
@@ -33,6 +48,9 @@ func RunRange(ctx context.Context, g Grid, cfg Config, lo, hi int, sink Sink) (S
 		return Stats{}, fmt.Errorf("sweep: range [%d, %d) outside grid of %d points", lo, hi, total)
 	}
 	e := newEngine(g, cfg)
+	if pts != nil {
+		sink = e.points(pts)
+	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	return e.runRange(ctx, cancel, cfg, lo, hi, sink)

@@ -53,9 +53,10 @@ func (e *engine) splittable(axis int, lo, mid, hi float64) bool {
 // so extra resolution lands exactly where the closed form switches
 // formula (the derivative of Vmax is discontinuous across Table 1 case
 // boundaries). The pairs run on par.For at the same width as the base
-// grid; results stream through the same serialized sink.
-func (e *engine) refine(ctx context.Context, cancel context.CancelFunc, cfg Config, workers int, sink Sink, stats *Stats) error {
-	out := make(chan Point, workers)
+// grid; each worker batches its refined points into chunks, which stream
+// through the same serialized sink.
+func (e *engine) refine(ctx context.Context, cancel context.CancelFunc, cfg Config, workers int, sink ChunkSink, stats *Stats) error {
+	out := make(chan *chunkBuf, workers)
 	go func() {
 		defer close(out)
 		// Item k*blocks+b scans block b of the flat indices for pairs with
@@ -65,11 +66,14 @@ func (e *engine) refine(ctx context.Context, cancel context.CancelFunc, cfg Conf
 		blocks := (total + refineBlock - 1) / refineBlock
 		par.For(len(e.grid.Axes)*blocks, workers, func(int) func(int) {
 			var scratch ssn.LCModel
+			batch := refineBatch{e: e, ctx: ctx, out: out, size: chunkSize(cfg)}
+			vals := make([]float64, len(e.grid.Axes))
 			return func(i int) {
 				k, lo := i/blocks, i%blocks*refineBlock
 				points, stride := e.grid.Axes[k].Points, e.stride[k]
 				for f := lo; f < min(lo+refineBlock, total); f++ {
-					if (f/stride)%points == points-1 {
+					c := (f / stride) % points
+					if c == points-1 {
 						continue // last coordinate along axis k
 					}
 					cLo, cHi := e.cases[f], e.cases[f+stride]
@@ -79,16 +83,14 @@ func (e *engine) refine(ctx context.Context, cancel context.CancelFunc, cfg Conf
 					if ctx.Err() != nil {
 						return
 					}
-					idx := e.coords(f)
-					vals := make([]float64, len(idx))
-					for a, j := range idx {
-						vals[a] = e.axisVals[a][j]
+					for a := range vals {
+						vals[a] = e.axisVals[a][(f/e.stride[a])%e.grid.Axes[a].Points]
 					}
 					t := refTask{
 						axis:  k,
 						vals:  vals,
-						lo:    e.axisVals[k][idx[k]],
-						hi:    e.axisVals[k][idx[k]+1],
+						lo:    vals[k],
+						hi:    e.axisVals[k][c+1],
 						cLo:   ssn.Case(cLo),
 						cHi:   ssn.Case(cHi),
 						depth: 1,
@@ -98,32 +100,24 @@ func (e *engine) refine(ctx context.Context, cancel context.CancelFunc, cfg Conf
 							return
 						}
 					}
-					e.bisect(ctx, &scratch, t, cfg.RefineDepth, out)
+					e.bisect(ctx, &scratch, t, cfg.RefineDepth, &batch)
 					if cfg.Gate != nil {
 						cfg.Gate.Release()
 					}
 				}
+				batch.send()
 			}
 		})
 	}()
 
 	var sinkErr error
-	for pt := range out {
-		if sinkErr != nil || ctx.Err() != nil {
-			continue
+	for buf := range out {
+		if sinkErr == nil && ctx.Err() == nil {
+			if sinkErr = deliver(stats, buf, sink); sinkErr != nil {
+				cancel()
+			}
 		}
-		stats.Evaluated++
-		stats.RefinedPoints++
-		if pt.Depth > stats.MaxDepth {
-			stats.MaxDepth = pt.Depth
-		}
-		if pt.Err != nil {
-			stats.Errors++
-		}
-		if err := sink(pt); err != nil {
-			sinkErr = err
-			cancel()
-		}
+		chunkBufPool.Put(buf)
 	}
 	if sinkErr != nil {
 		return sinkErr
@@ -131,10 +125,62 @@ func (e *engine) refine(ctx context.Context, cancel context.CancelFunc, cfg Conf
 	return ctx.Err()
 }
 
+// refineBatch collects one worker's refined points into a chunk and sends
+// it to the emitter when it is full or the worker's item ends.
+type refineBatch struct {
+	e    *engine
+	ctx  context.Context
+	out  chan<- *chunkBuf
+	size int
+	buf  *chunkBuf
+}
+
+// add evaluates the refined point at vals and depth into the pending
+// chunk. It returns the point's case, 0 when it failed, and false once
+// ctx has ended.
+func (r *refineBatch) add(m *ssn.LCModel, vals []float64, depth int) (ssn.Case, bool) {
+	if r.buf == nil {
+		r.buf = getChunkBuf(r.size, len(vals), true)
+		r.buf.resize(0)
+		r.buf.Errors = 0
+	}
+	b := r.buf
+	i := len(b.Points)
+	b.resize(i + 1)
+	pt := &b.Points[i]
+	copy(pt.Values, vals)
+	pt.Depth, b.Depth[i] = depth, depth
+	v, c, err := r.e.eval(m, pt.Values)
+	b.setScalar(i, v, c, err)
+	if i+1 == r.size {
+		return c, r.send()
+	}
+	return c, true
+}
+
+// send hands the pending chunk, if any, to the emitter. It returns false,
+// dropping the chunk, once ctx has ended.
+func (r *refineBatch) send() bool {
+	b := r.buf
+	if b == nil {
+		return true
+	}
+	r.buf = nil
+	select {
+	case r.out <- b:
+		return true
+	case <-r.ctx.Done():
+		chunkBufPool.Put(b)
+		return false
+	}
+}
+
 // bisect evaluates the interval midpoint, emits it, and recurses into the
-// halves whose endpoint cases still differ, down to maxDepth. Returns
-// false when the context ended, which stops the recursion.
-func (e *engine) bisect(ctx context.Context, scratch *ssn.LCModel, t refTask, maxDepth int, out chan<- Point) bool {
+// halves whose endpoint cases still differ, down to maxDepth. t.vals is
+// the worker's scratch vector: only its t.axis entry varies within one
+// boundary pair, and each call sets it before evaluating. Returns false
+// when the context ended, which stops the recursion.
+func (e *engine) bisect(ctx context.Context, scratch *ssn.LCModel, t refTask, maxDepth int, out *refineBatch) bool {
 	if t.depth > maxDepth || ctx.Err() != nil {
 		return ctx.Err() == nil
 	}
@@ -142,28 +188,24 @@ func (e *engine) bisect(ctx context.Context, scratch *ssn.LCModel, t refTask, ma
 	if !e.splittable(t.axis, t.lo, mid, t.hi) {
 		return true
 	}
-	vals := make([]float64, len(t.vals))
-	copy(vals, t.vals)
-	vals[t.axis] = mid
-	pt := e.eval(scratch, nil, vals, t.depth)
-	select {
-	case out <- pt:
-	case <-ctx.Done():
+	t.vals[t.axis] = mid
+	c, ok := out.add(scratch, t.vals, t.depth)
+	if !ok {
 		return false
 	}
-	if pt.Err != nil {
-		return true
+	if c == 0 {
+		return true // failed point: nothing to bisect against
 	}
-	if pt.Case != t.cLo {
+	if c != t.cLo {
 		sub := t
-		sub.vals, sub.hi, sub.cHi, sub.depth = vals, mid, pt.Case, t.depth+1
+		sub.hi, sub.cHi, sub.depth = mid, c, t.depth+1
 		if !e.bisect(ctx, scratch, sub, maxDepth, out) {
 			return false
 		}
 	}
-	if pt.Case != t.cHi {
+	if c != t.cHi {
 		sub := t
-		sub.vals, sub.lo, sub.cLo, sub.depth = vals, mid, pt.Case, t.depth+1
+		sub.lo, sub.cLo, sub.depth = mid, c, t.depth+1
 		if !e.bisect(ctx, scratch, sub, maxDepth, out) {
 			return false
 		}

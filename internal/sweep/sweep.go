@@ -10,24 +10,27 @@
 //   - evaluation is chunked and runs on par.For's bounded workers
 //     (GOMAXPROCS by default), with driver re-extraction for a swept
 //     size axis pulled through a memoized device.ExtractSpec cache;
-//   - results stream incrementally through a sink callback, so memory
-//     stays O(chunk), not O(grid); base-grid points arrive in row-major
-//     grid order;
+//   - results stream incrementally to a sink a whole chunk at a time
+//     (RunChunks), or a point at a time through the Run adapter, so
+//     memory stays O(chunk), not O(grid); base-grid points arrive in
+//     row-major grid order;
 //   - a sink error or context cancellation stops the sweep promptly and
-//     Run only returns once every worker goroutine has exited;
+//     a run only returns once every worker goroutine has exited;
 //   - optional adaptive refinement bisects between grid neighbors whose
 //     Table 1 case differs — the damped-regime formula changes
 //     discontinuously in derivative there — so extra resolution lands
 //     exactly on the case boundaries.
 //
-// Both front-ends are thin over Run: cmd/ssnsweep renders the stream as
-// tables/CSV, and internal/serve streams it as NDJSON over HTTP.
+// Both front-ends are thin over the engine: cmd/ssnsweep renders Run's
+// points as tables/CSV, and internal/serve streams RunChunks' chunks as
+// NDJSON or SSNC over HTTP.
 package sweep
 
 import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"ssnkit/internal/device"
@@ -170,7 +173,8 @@ type Point struct {
 	// Values holds the axis values in Grid.Axes order.
 	Values []float64
 	// Params is the fully resolved parameter point (zero when Err is a
-	// resolution failure).
+	// resolution failure). Only Run and RunRange resolve it: in a Chunk
+	// it is always zero.
 	Params ssn.Params
 	VMax   float64
 	Case   ssn.Case
@@ -179,15 +183,43 @@ type Point struct {
 	Err   error
 }
 
-// Sink receives every evaluated point. It is never called concurrently;
-// returning an error cancels the sweep. Base-grid points arrive in
-// row-major grid order (last axis fastest); refined points follow in
-// unspecified order.
+// Sink receives every evaluated point from Run and RunRange. It is never
+// called concurrently; returning an error cancels the sweep. Base-grid
+// points arrive in row-major grid order (last axis fastest); refined
+// points follow in unspecified order.
 //
 // The Point's Index and Values slices are backed by pooled chunk buffers
 // and are valid only for the duration of the call: a sink that retains
 // points past its return must copy the slices it keeps.
 type Sink func(Point) error
+
+// Chunk is one finished unit of work: the points of one base-grid chunk
+// in row-major order, or a batch of refined points in evaluation order,
+// beside the result columns the kernel wrote for them. Entry i of every
+// column belongs to Points[i].
+type Chunk struct {
+	// Points holds the chunk's points, with Params zero.
+	Points []Point
+	// Values and Index back the points' Values and Index slices, strided
+	// by the axis count A: point i owns [i*A, (i+1)*A). Index is nil in a
+	// chunk of refined points.
+	Values []float64
+	Index  []int
+	// VMax and Case hold each point's result; a failed point has NaN and
+	// case 0 here (its Point keeps VMax 0). Depth holds each point's
+	// refinement depth, 0 throughout a base-grid chunk.
+	VMax  []float64
+	Case  []ssn.Case
+	Depth []int
+	// Errors counts the points with Err set.
+	Errors int
+}
+
+// ChunkSink receives every finished chunk, under Sink's ordering and
+// cancellation rules: never concurrently, base-grid chunks in grid order,
+// refined chunks after them. The Chunk and every slice it holds are
+// pooled and valid only for the duration of the call.
+type ChunkSink func(*Chunk) error
 
 // Stats summarizes one Run.
 type Stats struct {
@@ -285,7 +317,7 @@ func newEngine(g Grid, cfg Config) *engine {
 // compileInner resolves the innermost axis into its ssn.PlanAxis kind and
 // per-coordinate values/validity, enabling the batched chunk path. A
 // rise-time axis is converted to slope values up front (slope = Vdd/tr,
-// the exact expression paramsAt uses; no axis ever changes Vdd, so the
+// the exact expression resolve uses; no axis ever changes Vdd, so the
 // conversion is position-independent).
 func (e *engine) compileInner() {
 	last := len(e.grid.Axes) - 1
@@ -329,40 +361,22 @@ func (e *engine) compileInner() {
 	}
 }
 
-// coords decomposes a flat row-major index into per-axis coordinates.
-func (e *engine) coords(flat int) []int {
-	idx := make([]int, len(e.grid.Axes))
-	for k := range idx {
-		idx[k] = (flat / e.stride[k]) % e.grid.Axes[k].Points
-	}
-	return idx
-}
-
-// flat recomposes coordinates into the row-major index.
-func (e *engine) flat(idx []int) int {
-	f := 0
-	for k, i := range idx {
-		f += i * e.stride[k]
-	}
-	return f
-}
-
-// paramsAt applies the axis values over the base parameters.
-func (e *engine) paramsAt(values []float64) (ssn.Params, error) {
-	p := e.grid.Base
+// resolve applies the axis values over the base parameters into *p.
+func (e *engine) resolve(p *ssn.Params, values []float64) error {
+	*p = e.grid.Base
 	for k := range e.grid.Axes {
-		if err := e.applyOne(&p, k, values[k]); err != nil {
-			return p, err
+		if err := e.applyOne(p, k, values[k]); err != nil {
+			return err
 		}
 	}
-	return p, nil
+	return nil
 }
 
 // applyOne applies the value of one axis onto p.
 func (e *engine) applyOne(p *ssn.Params, k int, v float64) error {
 	switch e.grid.Axes[k].Name {
 	case AxisN:
-		p.N = driverCount(v)
+		p.N = DriverCount(v)
 	case AxisL:
 		p.L = v
 	case AxisC:
@@ -384,77 +398,101 @@ func (e *engine) applyOne(p *ssn.Params, k int, v float64) error {
 	return nil
 }
 
-// driverCount is the driver count an n-axis value sets: the nearest
-// integer, at least 1, as ssn.Plan's N kernels round and clamp.
-func driverCount(v float64) int { return max(int(math.Round(v)), 1) }
+// DriverCount is the driver count an n-axis value sets: the nearest
+// integer, at least 1, as ssn.Plan's N kernels round and clamp. A valid
+// point reports it in place of its raw n value.
+func DriverCount(v float64) int { return max(int(math.Round(v)), 1) }
 
-// eval resolves and classifies one point, reusing the worker's scratch
-// model so the hot loop does not allocate per point.
-func (e *engine) eval(m *ssn.LCModel, idx []int, values []float64, depth int) Point {
-	pt := Point{Index: idx, Values: values, Depth: depth}
-	p, err := e.paramsAt(values)
+// eval resolves and classifies one point on the scalar path, reusing the
+// worker's scratch model so the hot loop does not allocate per point.
+func (e *engine) eval(m *ssn.LCModel, values []float64) (float64, ssn.Case, error) {
+	var p ssn.Params
+	err := e.resolve(&p, values)
+	if err == nil {
+		err = m.Init(p)
+	}
 	if err != nil {
-		pt.Err = err
-		return pt
+		return 0, 0, err
 	}
-	pt.Params = p
-	if err := m.Init(p); err != nil {
-		pt.Err = err
-		return pt
-	}
-	pt.VMax = m.VMax()
-	pt.Case = m.Case()
-	return pt
+	return m.VMax(), m.Case(), nil
 }
 
-// chunkBuf holds everything one unit of work needs to evaluate a chunk
-// without allocating: the Point slice handed to the emitter, the backing
-// arrays its Index/Values slices are cut from, batch-kernel outputs, and
-// the per-worker scalar/plan scratch. Buffers cycle through a sync.Pool —
-// the emitter returns each one after its points have been sunk, which is
-// why Sink documents the retention restriction.
+// chunkBuf holds everything one unit of work needs to fill a Chunk
+// without allocating: the Chunk itself, whose slices are cut from
+// backing arrays of the buffer's capacity, and the per-worker scalar/plan
+// scratch. Buffers cycle through a sync.Pool — the emitter returns each
+// one after its chunk has been sunk, which is why ChunkSink documents the
+// retention restriction.
 type chunkBuf struct {
-	pts     []Point
-	idx     []int     // len chunk*nAxes backing for Point.Index
-	vals    []float64 // len chunk*nAxes backing for Point.Values
-	coord   []int     // odometer state
-	vmax    []float64 // batch kernel output
-	cases   []ssn.Case
+	Chunk
+	idx     []int // backing for Chunk.Index, kept while refined chunks set it nil
+	coord   []int // odometer state
 	scratch ssn.LCModel
 	plan    ssn.Plan
-	// wiring state: how many pts entries have their Index/Values headers
-	// pointed at the backing arrays, and at which axis stride.
+	// wiring state: how many Points have their Index/Values headers
+	// pointed at the backing arrays, at which axis stride, and whether
+	// for refined points, whose Index is nil.
 	wiredPts int
 	wiredAx  int
+	refined  bool
 }
 
 func newChunkBuf(chunk, nAxes int) *chunkBuf {
 	b := &chunkBuf{
-		pts:   make([]Point, 0, chunk),
+		Chunk: Chunk{
+			Points: make([]Point, chunk),
+			Values: make([]float64, chunk*nAxes),
+			VMax:   make([]float64, chunk),
+			Case:   make([]ssn.Case, chunk),
+			Depth:  make([]int, chunk),
+		},
 		idx:   make([]int, chunk*nAxes),
-		vals:  make([]float64, chunk*nAxes),
 		coord: make([]int, nAxes),
-		vmax:  make([]float64, chunk),
-		cases: make([]ssn.Case, chunk),
 	}
-	b.wire(chunk, nAxes)
+	b.wire(chunk, nAxes, false)
 	return b
 }
 
 // wire points each buffered Point's Index/Values header at its slot of the
-// backing arrays. The headers depend only on the buffer geometry — point i
-// always owns slots [i·nAxes, (i+1)·nAxes) — so once wired they never
-// change and evalChunk's per-point loop skips re-storing them.
-func (b *chunkBuf) wire(chunk, nAxes int) {
-	pts := b.pts[:cap(b.pts)]
-	idx := b.idx[:cap(b.idx)]
-	vals := b.vals[:cap(b.vals)]
+// backing arrays, and clears every other field and the depth column. The
+// headers depend only on the buffer geometry — point i always owns slots
+// [i·nAxes, (i+1)·nAxes) — so once wired they never change: evalChunk's
+// per-point loop skips re-storing them, and a base-grid point's depth
+// stays 0.
+func (b *chunkBuf) wire(chunk, nAxes int, refined bool) {
+	pts := b.Points[:cap(b.Points)]
+	vals := b.Values[:cap(b.Values)]
+	clear(b.Depth[:cap(b.Depth)])
 	for i := 0; i < chunk; i++ {
-		pts[i].Index = idx[i*nAxes : (i+1)*nAxes]
-		pts[i].Values = vals[i*nAxes : (i+1)*nAxes]
+		pts[i] = Point{Values: vals[i*nAxes : (i+1)*nAxes]}
+		if !refined {
+			pts[i].Index = b.idx[i*nAxes : (i+1)*nAxes]
+		}
 	}
-	b.wiredPts = chunk
-	b.wiredAx = nAxes
+	b.wiredPts, b.wiredAx, b.refined = chunk, nAxes, refined
+}
+
+// resize sets the chunk's length to n points.
+func (b *chunkBuf) resize(n int) {
+	nAx := b.wiredAx
+	b.Points, b.Values = b.Points[:n], b.Values[:n*nAx]
+	b.VMax, b.Case, b.Depth = b.VMax[:n], b.Case[:n], b.Depth[:n]
+	b.Index = nil
+	if !b.refined {
+		b.Index = b.idx[:n*nAx]
+	}
+}
+
+// setScalar stores the scalar-path result of point i: its fields, and its
+// columns with a failure spelled NaN and case 0.
+func (b *chunkBuf) setScalar(i int, v float64, c ssn.Case, err error) {
+	pt := &b.Points[i]
+	pt.VMax, pt.Case, pt.Err = v, c, err
+	if err != nil {
+		v, c = math.NaN(), 0
+		b.Errors++
+	}
+	b.VMax[i], b.Case[i] = v, c
 }
 
 // chunkBufPool recycles chunk buffers across Runs so steady-state sweeps
@@ -462,88 +500,91 @@ func (b *chunkBuf) wire(chunk, nAxes int) {
 // allocation and the GC scans it induces.
 var chunkBufPool sync.Pool
 
-// getChunkBuf returns a pooled buffer when its geometry fits this Run's
-// chunk size and axis count, re-slicing the length-tracked arrays and
-// re-wiring the point headers if the stride changed; a misfit is dropped
-// for the GC and replaced.
-func getChunkBuf(chunk, nAxes int) *chunkBuf {
+// getChunkBuf returns a chunk buffer for this Run's chunk size and axis
+// count, for base-grid or refined points: a pooled one when its geometry
+// fits, re-wired if the stride or the point kind changed; a misfit is
+// dropped for the GC and replaced. Its filler empties it.
+func getChunkBuf(chunk, nAxes int, refined bool) *chunkBuf {
+	var b *chunkBuf
 	if v := chunkBufPool.Get(); v != nil {
-		b := v.(*chunkBuf)
-		if cap(b.pts) >= chunk && cap(b.idx) >= chunk*nAxes && cap(b.vals) >= chunk*nAxes &&
-			cap(b.vmax) >= chunk && cap(b.cases) >= chunk &&
-			cap(b.coord) >= nAxes {
-			b.vmax = b.vmax[:chunk]
-			b.cases = b.cases[:chunk]
-			b.coord = b.coord[:nAxes]
-			if b.wiredAx != nAxes || b.wiredPts < chunk {
-				b.wire(chunk, nAxes)
-			}
-			return b
+		b = v.(*chunkBuf)
+		if cap(b.Points) < chunk || cap(b.idx) < chunk*nAxes || cap(b.Values) < chunk*nAxes ||
+			cap(b.VMax) < chunk || cap(b.Case) < chunk || cap(b.Depth) < chunk || cap(b.coord) < nAxes {
+			b = nil
 		}
 	}
-	return newChunkBuf(chunk, nAxes)
+	if b == nil {
+		b = newChunkBuf(chunk, nAxes)
+	}
+	b.coord = b.coord[:nAxes]
+	if b.wiredAx != nAxes || b.wiredPts < chunk || b.refined != refined {
+		b.wire(chunk, nAxes, refined)
+	}
+	return b
 }
 
-// evalChunk evaluates grid points [lo, hi) into buf.pts. Consecutive
+// evalChunk evaluates grid points [lo, hi) into buf's Chunk. Consecutive
 // row-major indices walk the innermost axis, so the chunk decomposes into
 // runs that differ only in the inner coordinate; each run compiles one
 // ssn.Plan over the outer point and evaluates the inner values through the
-// batch kernel. Points the batch path cannot take — a size inner axis, an
-// inner value the scalar path rejects, an outer resolution or compile
-// failure — fall back to the scalar eval, which reproduces the identical
-// result or error. The hot loop allocates nothing.
+// batch kernel, straight into the chunk's result columns. Points the batch
+// path cannot take — a size inner axis, an inner value the scalar path
+// rejects, an outer resolution or compile failure — fall back to the
+// scalar eval, which reproduces the identical result or error. The hot
+// loop allocates nothing.
 func (e *engine) evalChunk(ctx context.Context, buf *chunkBuf, lo, hi int) {
 	nAx := len(e.grid.Axes)
 	inner := nAx - 1
 	innerPts := e.grid.Axes[inner].Points
-	buf.pts = buf.pts[:0]
-	iu := 0 // used prefix of the idx/vals backing arrays (same stride)
-	idxBack := buf.idx[:cap(buf.idx)]
-	valBack := buf.vals[:cap(buf.vals)]
+	if buf.Errors > 0 {
+		// Clear the last chunk's failures: the result pass stores only a
+		// kernel point's VMax and Case.
+		for i := range buf.Points {
+			buf.Points[i].Err = nil
+		}
+		buf.Errors = 0
+	}
+	buf.resize(0)
+	if ctx.Err() != nil {
+		return
+	}
+	buf.resize(hi - lo)
+	idxBack, valBack := buf.Index, buf.Values
 	coord := buf.coord
 	for k := range coord {
 		coord[k] = (lo / e.stride[k]) % e.grid.Axes[k].Points
 	}
 
-	if ctx.Err() != nil {
-		return
-	}
 	innerVals := e.axisVals[inner]
 	for f := lo; f < hi; {
+		off := f - lo // the run's first point in the chunk
 		c0 := coord[inner]
-		run := innerPts - c0
-		if run > hi-f {
-			run = hi - f
-		}
+		run := min(innerPts-c0, hi-f)
 
 		// Resolve the run's shared outer point and compile its plan. Any
 		// failure — non-batchable inner axis, outer resolution error,
 		// compile rejection — drops the run (or the affected points) to the
 		// scalar path below, which reproduces the identical result or error.
 		usePlan := e.planVals != nil
-		var q ssn.Params
 		if usePlan {
-			q = e.grid.Base
+			q := e.grid.Base
 			for k := 0; k < inner; k++ {
 				if e.applyOne(&q, k, e.axisVals[k][coord[k]]) != nil {
 					usePlan = false
 					break
 				}
 			}
+			usePlan = usePlan && buf.plan.Compile(q, e.planAxis) == nil
 		}
-		if usePlan && buf.plan.Compile(q, e.planAxis) != nil {
-			usePlan = false
-		}
-		var vals []float64
+		vmax, cs := buf.VMax[off:off+run], buf.Case[off:off+run]
 		var bad []bool
 		allValid := false // one kernel span covers the whole run
 		if usePlan {
-			vals = e.planVals[c0 : c0+run]
+			vals := e.planVals[c0 : c0+run]
 			bad = e.planBad[c0 : c0+run]
-			// Kernel over the maximal valid spans, writing at run offsets so
-			// the result pass below indexes outputs by j directly. An N inner
-			// axis goes in raw: the kernel rounds and clamps it as
-			// driverCount does.
+			// Kernel over the maximal valid spans, writing the run's slice of
+			// the chunk's result columns. An N inner axis goes in raw: the
+			// kernel rounds and clamps it as DriverCount does.
 			for s := 0; s < run; {
 				if bad[s] {
 					s++
@@ -554,23 +595,23 @@ func (e *engine) evalChunk(ctx context.Context, buf *chunkBuf, lo, hi int) {
 					t++
 				}
 				allValid = s == 0 && t == run
-				buf.plan.VMaxCaseBatch(buf.vmax[s:t], buf.cases[s:t], vals[s:t])
+				buf.plan.VMaxCaseBatch(vmax[s:t], cs[s:t], vals[s:t])
 				s = t
 			}
 		}
 
 		// Materialize the run's Index/Values backing column-major: outer
 		// slots hold run-constant values written in tight strided loops,
-		// and the per-point result pass below touches only the inner slot.
-		// Fixed-size stack copies of the outer coordinates keep the loops
-		// free of aliasing reloads against the point buffers.
+		// and the inner slot walks the axis. Fixed-size stack copies of the
+		// outer coordinates keep the loops free of aliasing reloads against
+		// the point buffers.
 		var oi [maxAxes]int
 		var ov [maxAxes]float64
 		for k := 0; k < nAx; k++ {
 			oi[k] = coord[k]
 			ov[k] = e.axisVals[k][coord[k]]
 		}
-		end := iu + run*nAx
+		iu, end := off*nAx, (off+run)*nAx
 		for k := 0; k < inner; k++ {
 			ck, vk := oi[k], ov[k]
 			for p := iu + k; p < end; p += nAx {
@@ -583,40 +624,18 @@ func (e *engine) evalChunk(ctx context.Context, buf *chunkBuf, lo, hi int) {
 			valBack[p] = innerVals[c0+j]
 		}
 
-		// Result pass: write each point in place. The Index/Values headers
-		// are pre-wired to the backing slots just filled, so only the result
-		// fields move. Reused buffer entries keep Depth == 0 from their
-		// zeroing at allocation (only base-grid points flow through chunks);
-		// every other field is overwritten, including a stale Err. A run the
-		// kernel took whole (the common case) skips the per-point validity
-		// test. A kernel point takes the run's outer point with the inner
-		// value set as the kernel read it (a rise time arrives as its slope
-		// in planVals); any other point takes the scalar path.
-		start := len(buf.pts)
-		buf.pts = buf.pts[:start+run]
-		pts := buf.pts[start : start+run]
-		iu = end
-		vmax, cs := buf.vmax[:run], buf.cases[:run]
+		// Result pass: copy each kernel result into its point, whose
+		// Index/Values headers are pre-wired to the backing slots just
+		// filled. A run the kernel took whole (the common case) skips the
+		// per-point validity test; any other point takes the scalar path.
+		pts := buf.Points[off : off+run]
 		for j := range pts {
-			pt := &pts[j]
 			if !allValid && (!usePlan || bad[j]) {
-				*pt = e.eval(&buf.scratch, pt.Index, pt.Values, 0)
+				v, c, err := e.eval(&buf.scratch, pts[j].Values)
+				buf.setScalar(off+j, v, c, err)
 				continue
 			}
-			pt.Params = q
-			switch v := vals[j]; e.planAxis {
-			case ssn.PlanAxisN:
-				pt.Params.N = driverCount(v)
-			case ssn.PlanAxisL:
-				pt.Params.L = v
-			case ssn.PlanAxisC:
-				pt.Params.C = v
-			case ssn.PlanAxisSlope:
-				pt.Params.Slope = v
-			}
-			pt.VMax = vmax[j]
-			pt.Case = cs[j]
-			pt.Err = nil
+			pts[j].VMax, pts[j].Case = vmax[j], cs[j]
 		}
 
 		f += run
@@ -628,19 +647,42 @@ func (e *engine) evalChunk(ctx context.Context, buf *chunkBuf, lo, hi int) {
 	}
 }
 
+// errNilSink refuses a run without a sink.
+var errNilSink = fmt.Errorf("sweep: nil sink")
+
 // Run sweeps the grid, streaming every point through sink, and returns the
 // run statistics. It blocks until the sweep completes, the sink fails, or
 // ctx is cancelled; in every case all worker goroutines have exited before
 // it returns. The returned error is nil on completion, the sink's error,
-// or ctx.Err().
+// or ctx.Err(). It is RunChunks with each chunk's points resolved (Params)
+// and handed to sink one at a time.
 func Run(ctx context.Context, g Grid, cfg Config, sink Sink) (Stats, error) {
 	if sink == nil {
-		return Stats{}, fmt.Errorf("sweep: nil sink")
+		return Stats{}, errNilSink
 	}
+	return runGrid(ctx, g, cfg, nil, sink)
+}
+
+// RunChunks is Run with the chunk as the unit of delivery: sink receives
+// each finished chunk whole, its points' Params unresolved. Stats count
+// every point of each chunk handed to sink.
+func RunChunks(ctx context.Context, g Grid, cfg Config, sink ChunkSink) (Stats, error) {
+	if sink == nil {
+		return Stats{}, errNilSink
+	}
+	return runGrid(ctx, g, cfg, sink, nil)
+}
+
+// runGrid sweeps the whole grid, then refines it, through sink, or
+// through pts when it is set.
+func runGrid(ctx context.Context, g Grid, cfg Config, sink ChunkSink, pts Sink) (Stats, error) {
 	if err := g.Validate(); err != nil {
 		return Stats{}, err
 	}
 	e := newEngine(g, cfg)
+	if pts != nil {
+		sink = e.points(pts)
+	}
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -661,15 +703,53 @@ func Run(ctx context.Context, g Grid, cfg Config, sink Sink) (Stats, error) {
 	return stats, nil
 }
 
+// points adapts a Sink to the chunk stream: each point gets its resolved
+// Params — resolve reproduces the value the scalar path resolves, and a
+// resolution failure leaves it zero — and goes to sink by value.
+func (e *engine) points(sink Sink) ChunkSink {
+	return func(c *Chunk) error {
+		for i := range c.Points {
+			pt := c.Points[i]
+			if e.resolve(&pt.Params, pt.Values) != nil {
+				pt.Params = ssn.Params{}
+			}
+			if err := sink(pt); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// chunkSize is the configured chunk size, 1024 by default.
+func chunkSize(cfg Config) int {
+	if cfg.ChunkSize <= 0 {
+		return 1024
+	}
+	return cfg.ChunkSize
+}
+
+// deliver counts a finished chunk into stats and hands it to sink.
+func deliver(stats *Stats, b *chunkBuf, sink ChunkSink) error {
+	n := len(b.Points)
+	if n == 0 {
+		return nil
+	}
+	stats.Evaluated += n
+	stats.Errors += b.Errors
+	if b.refined {
+		stats.RefinedPoints += n
+		stats.MaxDepth = max(stats.MaxDepth, slices.Max(b.Depth))
+	}
+	return sink(&b.Chunk)
+}
+
 // runRange evaluates the row-major index range [lo, hi) of the grid in
-// chunks on par.For and streams the points in index order through sink.
+// chunks on par.For and streams the chunks in index order through sink.
 // ctx must already be cancellable via cancel; all worker goroutines have
 // exited when it returns.
-func (e *engine) runRange(ctx context.Context, cancel context.CancelFunc, cfg Config, lo, hi int, sink Sink) (Stats, error) {
-	chunk := cfg.ChunkSize
-	if chunk <= 0 {
-		chunk = 1024
-	}
+func (e *engine) runRange(ctx context.Context, cancel context.CancelFunc, cfg Config, lo, hi int, sink ChunkSink) (Stats, error) {
+	chunk := chunkSize(cfg)
 	span := hi - lo
 	nChunks := (span + chunk - 1) / chunk
 	workers := par.Workers(cfg.Workers, nChunks)
@@ -694,7 +774,7 @@ func (e *engine) runRange(ctx context.Context, cancel context.CancelFunc, cfg Co
 				}
 				clo := lo + ci*chunk
 				chi := min(clo+chunk, hi)
-				buf := getChunkBuf(chunk, len(e.grid.Axes))
+				buf := getChunkBuf(chunk, len(e.grid.Axes), false)
 				e.evalChunk(ctx, buf, clo, chi)
 				if cfg.Gate != nil {
 					cfg.Gate.Release()
@@ -709,9 +789,7 @@ func (e *engine) runRange(ctx context.Context, cancel context.CancelFunc, cfg Co
 
 	// Ordered emitter: deliver chunks to the sink in grid order. Workers
 	// block once the reorder window fills, so pending holds at most
-	// O(workers) chunks. Cancellation is observed at chunk granularity —
-	// a chunk is microseconds of sink work — so the hot loop avoids the
-	// per-point context poll (ctx.Err takes a mutex).
+	// O(workers) chunks. Cancellation is observed at chunk granularity.
 	var sinkErr error
 	pending := map[int]*chunkBuf{}
 	next := 0
@@ -723,23 +801,17 @@ func (e *engine) runRange(ctx context.Context, cancel context.CancelFunc, cfg Co
 				break
 			}
 			delete(pending, next)
-			next++
 			if sinkErr == nil && ctx.Err() == nil {
-				pts := buf.pts
-				for i := range pts {
-					stats.Evaluated++
-					if pts[i].Err != nil {
-						stats.Errors++
-					} else if e.cases != nil {
-						e.cases[e.flat(pts[i].Index)] = uint8(pts[i].Case)
-					}
-					if err := sink(pts[i]); err != nil {
-						sinkErr = err
-						cancel()
-						break
+				if e.cases != nil {
+					for i, c := range buf.Case {
+						e.cases[lo+next*chunk+i] = uint8(c)
 					}
 				}
+				if sinkErr = deliver(&stats, buf, sink); sinkErr != nil {
+					cancel()
+				}
 			}
+			next++
 			chunkBufPool.Put(buf)
 		}
 	}
