@@ -143,7 +143,7 @@ func evalItemProps() obj {
 		{"c", typ("number", kv{"description", "explicit ground capacitance, F"})},
 		{"slope", typ("number", kv{"description", "input edge slope, V/s"})},
 		{"rise_time", typ("number", kv{"description", "input edge rise time, s"})},
-		{"sensitivity", typ("boolean", kv{"description", "include dVmax/d{N,L,s,C}"})},
+		{"sensitivity", typ("boolean", kv{"description", "include the analytic dVmax/d{N,L,s,C} of the Table 1 case"})},
 	}
 }
 
@@ -202,7 +202,7 @@ func openAPISpec() obj {
 		}, "dvmax_dn", "dvmax_dl", "dvmax_dslope", "dvmax_dc", "rel_n", "rel_l", "rel_slope", "rel_c")},
 		{"EvalResult", strictObj(obj{
 			{"index", typ("integer")},
-			{"vmax", typ("number")},
+			{"vmax", typ("number", kv{"description", "maximum over the input ramp, 0 <= tau <= tau_r, V"})},
 			{"case", typ("string")},
 			{"case_code", typ("integer")},
 			{"beta", typ("number")},
@@ -251,7 +251,7 @@ func openAPISpec() obj {
 			{"variable", typ("string")},
 			{"value", typ("number")},
 			{"max_drivers", typ("integer")},
-			{"vmax", typ("number")},
+			{"vmax", typ("number", kv{"description", "maximum over the input ramp, 0 <= tau <= tau_r, V"})},
 			{"case", typ("string")},
 			{"case_code", typ("integer")},
 			{"evals", typ("integer")},
@@ -316,7 +316,7 @@ func openAPISpec() obj {
 			})},
 		{"SweepPoint", strictObj(obj{
 			{"values", obj{{"type", "object"}, {"additionalProperties", typ("number")}}},
-			{"vmax", typ("number")},
+			{"vmax", typ("number", kv{"description", "maximum over the input ramp, 0 <= tau <= tau_r, V"})},
 			{"case", typ("string")},
 			{"case_code", typ("integer")},
 			{"depth", typ("integer")},

@@ -282,7 +282,9 @@ func (m *LCModel) IInductor(tau float64) float64 {
 	return m.ITotal(tau) - m.P.C*m.VDot(tau)
 }
 
-// VMax evaluates the Table 1 formula for the operating case:
+// VMax evaluates the Table 1 formula for the operating case: the maximum
+// over the input ramp, 0 ≤ τ ≤ τr. A ringing net can peak higher after the
+// ramp ends; that peak is not this value.
 //
 //	over/critically damped, under-damped boundary: V(τr) (monotone rise,
 //	    or the ramp ends before the first peak develops);

@@ -24,21 +24,14 @@ type Sensitivity struct {
 }
 
 // LSensitivity evaluates the L-only model's sensitivities analytically.
-// With β = N·L·K·s, u = (Vdd-V0)/(a·β) and Vmax = β·(1 - e^{-u}):
-//
-//	dVmax/dβ = (1 - e^{-u}) - u·e^{-u}
-//
-// and each of N, L, s scales β linearly, so the relative sensitivities of
-// the three levers are all equal to β·(dVmax/dβ)/Vmax.
+// Each of N, L, s scales β linearly, so the relative sensitivities of the
+// three levers are all equal to β·(dVmax/dβ)/Vmax (lOnly).
 func LSensitivity(p Params) (Sensitivity, error) {
 	if err := p.Validate(); err != nil {
 		return Sensitivity{}, err
 	}
 	beta := p.Beta()
-	u := (p.Vdd - p.Dev.V0) / (p.Dev.A * beta)
-	e := math.Exp(-u)
-	vmax := beta * (1 - e)
-	dVdBeta := (1 - e) - u*e
+	vmax, dVdBeta := lOnly(beta, p.Vdd, p.Dev.V0, p.Dev.A)
 	s := Sensitivity{VMax: vmax}
 	s.DVdN = dVdBeta * beta / float64(p.N)
 	s.DVdL = dVdBeta * beta / p.L
@@ -48,76 +41,165 @@ func LSensitivity(p Params) (Sensitivity, error) {
 	return s, nil
 }
 
-// LCSensitivity evaluates the four-case model's sensitivities numerically
-// by central differences on MaxSSN (the closed form is case-split, so a
-// single analytic expression does not exist across case boundaries).
-// Relative step h controls accuracy; h <= 0 uses 1e-5. Near a case
-// boundary the one-sided formulas may disagree; the result then reflects
-// the local, possibly kinked, behaviour.
+// lOnly returns the L-only maximum and its derivative in β. With
+// u = (Vdd-V0)/(a·β) = τr/(N·L·K·a), Vmax = β·(1 - e^{-u}) depends on N, L,
+// s and the rise time only through β, and
+//
+//	dVmax/dβ = (1 - e^{-u}) - u·e^{-u}.
+func lOnly(beta, vdd, v0, a float64) (vmax, dVdBeta float64) {
+	u := (vdd - v0) / (a * beta)
+	e := math.Exp(-u)
+	return beta * (1 - e), (1 - e) - u*e
+}
+
+// LCSensitivity evaluates the four-case model's sensitivities analytically:
+// one MaxSSN plus vmaxDeriv for each of N (as a continuous count), L, s and,
+// when C > 0, C. At the under-damped peak/boundary switch the value is the
+// one-sided derivative of the case MaxSSN picked; the two sides meet there
+// (V̇ = 0 at the first peak) and only the second derivative jumps. h, once
+// a finite-difference step, is ignored and kept for compatibility.
 func LCSensitivity(p Params, h float64) (Sensitivity, error) {
-	if err := p.Validate(); err != nil {
-		return Sensitivity{}, err
-	}
-	if h <= 0 {
-		h = 1e-5
-	}
 	vmax, _, err := MaxSSN(p)
 	if err != nil {
 		return Sensitivity{}, err
 	}
 	out := Sensitivity{VMax: vmax}
-
-	diff := func(apply func(Params, float64) Params, x float64) (float64, error) {
-		dx := h * math.Abs(x)
-		if dx == 0 {
-			dx = h
-		}
-		hi, _, err := MaxSSN(apply(p, x+dx))
-		if err != nil {
-			return 0, err
-		}
-		lo, _, err := MaxSSN(apply(p, x-dx))
-		if err != nil {
-			return 0, err
-		}
-		return (hi - lo) / (2 * dx), nil
-	}
-
-	// N as a continuous parameter: scale beta and the damping terms via a
-	// fractional driver count folded into K (N only ever appears as N·K).
-	dvdn, err := diff(func(q Params, x float64) Params {
-		q.Dev.K = p.Dev.K * x / float64(p.N)
-		return q
-	}, float64(p.N))
-	if err != nil {
-		return Sensitivity{}, err
-	}
-	out.DVdN = dvdn
-	out.RelN = dvdn * float64(p.N) / vmax
-
-	dvdl, err := diff(func(q Params, x float64) Params { q.L = x; return q }, p.L)
-	if err != nil {
-		return Sensitivity{}, err
-	}
-	out.DVdL = dvdl
-	out.RelL = dvdl * p.L / vmax
-
-	dvds, err := diff(func(q Params, x float64) Params { q.Slope = x; return q }, p.Slope)
-	if err != nil {
-		return Sensitivity{}, err
-	}
-	out.DVdS = dvds
-	out.RelS = dvds * p.Slope / vmax
-
+	out.DVdN, _ = vmaxDeriv(p, SolveN, float64(p.N))
+	out.DVdL, _ = vmaxDeriv(p, SolveL, p.L)
+	out.DVdS, _ = vmaxDeriv(p, SolveSlope, p.Slope)
+	out.RelN = out.DVdN * float64(p.N) / vmax
+	out.RelL = out.DVdL * p.L / vmax
+	out.RelS = out.DVdS * p.Slope / vmax
 	if p.C > 0 {
-		dvdc, err := diff(func(q Params, x float64) Params { q.C = x; return q }, p.C)
-		if err != nil {
-			return Sensitivity{}, err
-		}
-		out.DVdC = dvdc
-		out.RelC = dvdc * p.C / vmax
+		out.DVdC, _ = vmaxDeriv(p, SolveC, p.C)
+		out.RelC = out.DVdC * p.C / vmax
 	}
 	return out, nil
+}
+
+// nearCritTol bounds |Δ|/(N·L·K·a)² where vmaxDeriv's eigenvalue forms lose
+// more digits than its critical-damping series.
+const nearCritTol = 1e-3
+
+// vmaxDeriv evaluates the analytic dVmax/dx of the active Table 1 case at
+// x by the chain rule through the case's closed form. It is the one
+// derivative of Vmax: LCSensitivity and SolveBracket's Newton step both
+// call it. ok is false where the derivative is unavailable (C = 0 on a
+// SolveC query). The regime split mirrors damping() and tableCase(), so at
+// a case boundary the derivative of the local formula is returned.
+func vmaxDeriv(p Params, v SolveVar, x float64) (float64, bool) {
+	n := float64(p.N)
+	K, a, v0 := p.Dev.K, p.Dev.A, p.Dev.V0
+	vdd := p.Vdd
+	s, l, c := p.Slope, p.L, p.C
+	switch v {
+	case SolveN:
+		n = x
+	case SolveL:
+		l = x
+	case SolveC:
+		c = x
+	case SolveSlope:
+		s = x
+	case SolveRiseTime:
+		s = vdd / x
+	}
+	beta := n * l * K * s
+	tauR := (vdd - v0) / s
+
+	// Chain-rule inputs: how β and the ramp window move with x.
+	var dbeta, dtau float64
+	switch v {
+	case SolveN, SolveL:
+		dbeta = beta / x
+	case SolveSlope:
+		dbeta, dtau = beta/x, -tauR/x
+	case SolveRiseTime:
+		dbeta, dtau = -beta/x, tauR/x
+	}
+
+	if c == 0 {
+		if v == SolveC {
+			return 0, false // one-sided limit; let bisection move off zero
+		}
+		_, dVdBeta := lOnly(beta, vdd, v0, a)
+		return dbeta * dVdBeta, true
+	}
+
+	nlka := n * l * K * a
+	sigma := n * K * a / (2 * c) // σ scales as n/c, so dσ = ±σ/x
+	var dnlka, dlc, dsigma float64
+	switch v {
+	case SolveN:
+		dnlka, dsigma = nlka/x, sigma/x
+	case SolveL:
+		dnlka, dlc = nlka/x, c
+	case SolveC:
+		dlc, dsigma = l, -sigma/x
+	}
+
+	lc := l * c
+	disc := nlka*nlka - 4*lc
+	near := math.Abs(disc) <= nearCritTol*nlka*nlka
+	var w2 float64 // σ² - 1/(LC); MaxSSN's critical formula is its 0 limit
+	if near && math.Abs(disc) > critTol*nlka*nlka {
+		w2 = disc / (4 * lc * lc)
+	}
+	z := w2 * tauR * tauR
+	switch {
+	case near && math.Abs(z) <= 1:
+		// Near critical damping the eigenvalue forms cancel: λ1 - λ2 = 2w
+		// is small. Both ramp-end forms are V(τr) = β(1 - e^{-u}·G) with
+		// u = στr and the series G = Σ z^k/(2k)!·(1 + u/(2k+1)), z = w²τr²
+		// (cosh and sinh, or cos and sin, of √z), which does not cancel.
+		u := sigma * tauR
+		du := dsigma*tauR + sigma*dtau
+		dz := (2*sigma*dsigma+dlc/(lc*lc))*tauR*tauR + 2*w2*tauR*dtau
+		var G, dG float64
+		t, dt := 1.0, 0.0 // z^k/(2k)! and its derivative
+		for k := 0; k < 12; k++ {
+			f := 1 + u/float64(2*k+1)
+			G += t * f
+			dG += dt*f + t*du/float64(2*k+1)
+			r := float64((2*k + 1) * (2*k + 2))
+			t, dt = t*z/r, (dt*z+t*dz)/r
+		}
+		E := math.Exp(-u)
+		return dbeta*(1-E*G) - beta*E*(dG-du*G), true
+	case disc > 0:
+		root := math.Sqrt(disc)
+		l1 := (-nlka + root) / (2 * lc)
+		l2 := (-nlka - root) / (2 * lc)
+		// Implicit differentiation of lc·λ² + nlka·λ + 1 = 0:
+		// dλ = -(dlc·λ² + dnlka·λ) / (2·lc·λ + nlka); the denominator is
+		// ±√disc, nonzero off the critical band.
+		d1 := -(dlc*l1*l1 + dnlka*l1) / (2*lc*l1 + nlka)
+		d2 := -(dlc*l2*l2 + dnlka*l2) / (2*lc*l2 + nlka)
+		E1, E2 := math.Exp(l1*tauR), math.Exp(l2*tauR)
+		D := l2 - l1
+		Nm := l2*E1 - l1*E2
+		dNm := d2*E1 + l2*E1*(d1*tauR+l1*dtau) - d1*E2 - l1*E2*(d2*tauR+l2*dtau)
+		dD := d2 - d1
+		return dbeta*(1-Nm/D) - beta*(dNm*D-Nm*dD)/(D*D), true
+	default:
+		omega := math.Sqrt(1/lc - sigma*sigma)
+		domega := (-dlc/(lc*lc) - 2*sigma*dsigma) / (2 * omega)
+		dr := (dsigma*omega - sigma*domega) / (omega * omega) // d(σ/ω)
+		if math.Pi/omega <= tauR {
+			// First-peak maximum: β(1 + E), E = e^{-σπ/ω}.
+			E := math.Exp(-sigma * math.Pi / omega)
+			return dbeta*(1+E) - beta*E*math.Pi*dr, true
+		}
+		// Ramp-end value: β(1 - e^{-στ}(cos ωτ + (σ/ω) sin ωτ)).
+		e := math.Exp(-sigma * tauR)
+		cw, sw := math.Cos(omega*tauR), math.Sin(omega*tauR)
+		r := sigma / omega
+		A := cw + r*sw
+		dphase := domega*tauR + omega*dtau
+		dA := (r*cw-sw)*dphase + dr*sw
+		dP := e*dA - e*A*(dsigma*tauR+sigma*dtau)
+		return dbeta*(1-e*A) - beta*dP, true
+	}
 }
 
 // String renders the sensitivities for reports.

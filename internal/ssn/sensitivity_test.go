@@ -1,9 +1,71 @@
 package ssn
 
 import (
+	"fmt"
 	"math"
+	"math/cmplx"
+	"math/rand"
 	"testing"
 )
+
+// vmaxComplex evaluates case cse's Table 1 maximum with the free variable
+// v set to the complex value x, for complex-step differentiation. The
+// ramp-end cases share one form, β(1 - e^{-στr}(cosh wτr + στr·sinh(wτr)/(wτr)))
+// with w² = σ² - 1/(LC): a power series in w²τr² near critical damping,
+// where it has no cancellation, the cos/sin form when under-damped, and
+// the eigenvalue form when over-damped, with the slow root taken as
+// (1/LC)/λ2 so it does not cancel either.
+func vmaxComplex(p Params, v SolveVar, x complex128, cse Case) complex128 {
+	n, l, c, s := complex(float64(p.N), 0), complex(p.L, 0), complex(p.C, 0), complex(p.Slope, 0)
+	switch v {
+	case SolveN:
+		n = x
+	case SolveL:
+		l = x
+	case SolveC:
+		c = x
+	case SolveSlope:
+		s = x
+	case SolveRiseTime:
+		s = complex(p.Vdd, 0) / x
+	}
+	k, a := complex(p.Dev.K, 0), complex(p.Dev.A, 0)
+	beta := n * l * k * s
+	tau := complex(p.Vdd-p.Dev.V0, 0) / s
+	if c == 0 {
+		return beta * (1 - cmplx.Exp(-tau/(n*l*k*a)))
+	}
+	sigma := n * k * a / (2 * c)
+	w2 := sigma*sigma - 1/(l*c)
+	if cse == UnderDampedPeak {
+		return beta * (1 + cmplx.Exp(-sigma*math.Pi/cmplx.Sqrt(-w2)))
+	}
+	if z := w2 * tau * tau; cmplx.Abs(z) < 1 {
+		var sum complex128
+		term := complex(1, 0) // z^k/(2k)!
+		for j := 0; j < 20; j++ {
+			sum += term * (1 + sigma*tau/complex(float64(2*j+1), 0))
+			term *= z / complex(float64((2*j+1)*(2*j+2)), 0)
+		}
+		return beta * (1 - cmplx.Exp(-sigma*tau)*sum)
+	}
+	if real(w2) < 0 {
+		// Real ω keeps every intermediate real at a real x, as the
+		// complex step needs; the conjugate-eigenvalue form would not.
+		omega := cmplx.Sqrt(-w2)
+		return beta * (1 - cmplx.Exp(-sigma*tau)*(cmplx.Cos(omega*tau)+sigma/omega*cmplx.Sin(omega*tau)))
+	}
+	l2 := -sigma - cmplx.Sqrt(w2)
+	l1 := 1 / (l * c * l2)
+	return beta * (1 - (l2*cmplx.Exp(l1*tau)-l1*cmplx.Exp(l2*tau))/(l2-l1))
+}
+
+// complexStepDeriv is dVmax/dx at the real x by the complex step
+// Im f(x + ih)/h, exact to rounding for the analytic closed forms.
+func complexStepDeriv(p Params, v SolveVar, x float64, cse Case) float64 {
+	h := 1e-30 * x
+	return imag(vmaxComplex(p, v, complex(x, h), cse)) / h
+}
 
 func TestLSensitivityMatchesFiniteDifference(t *testing.T) {
 	p := refParams()
@@ -126,4 +188,176 @@ func TestSensitivityString(t *testing.T) {
 	if s.String() == "" {
 		t.Error("empty String")
 	}
+}
+
+// scaledDerivErr is |got - want| in relative-sensitivity units, x/Vmax.
+func scaledDerivErr(got, want, x, vmax float64) float64 {
+	return math.Abs(got-want) * math.Abs(x) / vmax
+}
+
+// underDampedKink reports whether a central-difference stencil with case
+// ends lo and hi straddles the under-damped peak/boundary switch, the one
+// Table 1 boundary where Vmax has a kink: its second derivative jumps, so
+// a stencil across it carries an O(h) error.
+func underDampedKink(lo, hi Case) bool {
+	return lo != hi && (lo == UnderDampedPeak || hi == UnderDampedPeak)
+}
+
+// TestVMaxDerivMatchesCentralDifference pins the analytic per-case
+// dVmax/dx against a central difference at points spanning every Table 1
+// case and every variable. Only stencils across the under-damped
+// peak/boundary kink are skipped: Vmax is smooth through critical damping,
+// so stencils across the critical band are checked.
+func TestVMaxDerivMatchesCentralDifference(t *testing.T) {
+	for name, p := range solveCasePoints(t) {
+		for _, v := range solveVars {
+			for _, scale := range []float64{0.5, 1, 1.7, 3.1} {
+				x := nominalOf(p, v) * scale
+				if x <= 0 {
+					continue // C = 0 base: no interior capacitance to probe
+				}
+				// A wide stencil: the oscillatory forms cancel catastrophically
+				// for small h, while truncation at 1e-4 stays below the 1e-3
+				// gate (sign/term bugs in the analytic form are O(1)).
+				h := 1e-4 * x
+				_, cLo, err := MaxSSN(v.Apply(p, x-h))
+				if err != nil {
+					continue
+				}
+				_, cHi, err := MaxSSN(v.Apply(p, x+h))
+				if err != nil || underDampedKink(cLo, cHi) {
+					continue
+				}
+				got, ok := vmaxDeriv(p, v, x)
+				if !ok {
+					t.Errorf("%s/%s x=%g: derivative unavailable", name, v, x)
+					continue
+				}
+				num := (vmaxAt(t, p, v, x+h) - vmaxAt(t, p, v, x-h)) / (2 * h)
+				denom := math.Max(math.Abs(num), math.Abs(got))
+				if denom == 0 {
+					continue
+				}
+				if math.Abs(got-num)/denom > 1e-3 {
+					t.Errorf("%s/%s x=%g: analytic %g vs central %g", name, v, x, got, num)
+				}
+			}
+		}
+	}
+}
+
+// TestVMaxDerivCriticalBand checks the critically damped branch, whose
+// band (|Δ| <= 1e-9·(NLKa)²) no stencil of the test above lands in, on
+// 2,000 C = Cm draws: against central differences at relative steps 1e-4
+// and 1e-5 wherever those two agree to 1e-7, within 1e-6 in x/Vmax units.
+// Moving N, L or C off critical damping moves w² = σ² - 1/(LC) to first
+// order; a branch that differentiates only u = στr is off by O(1) here.
+func TestVMaxDerivCriticalBand(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	checked := 0
+	for i := 0; i < 2000; i++ {
+		p := randPlanParams(rng, 0)
+		vmax, cse, err := MaxSSN(p)
+		if err != nil {
+			t.Fatalf("draw %d: %v", i, err)
+		}
+		if cse != CriticallyDamped {
+			t.Fatalf("draw %d classified %v, want critically damped", i, cse)
+		}
+		for _, v := range solveVars {
+			x := nominalOf(p, v)
+			central := func(rel float64) float64 {
+				h := rel * x
+				return (vmaxAt(t, p, v, x+h) - vmaxAt(t, p, v, x-h)) / (2 * h)
+			}
+			c4, c5 := central(1e-4), central(1e-5)
+			if scaledDerivErr(c4, c5, x, vmax) > 1e-7 {
+				continue // the stencil's own rounding or truncation shows
+			}
+			checked++
+			got, _ := vmaxDeriv(p, v, x)
+			if e := scaledDerivErr(got, c5, x, vmax); e > 1e-6 {
+				t.Errorf("draw %d %s: analytic %g vs central %g (scaled error %.3g)", i, v, got, c5, e)
+			}
+		}
+	}
+	if checked < 9500 {
+		t.Fatalf("only %d of 10000 derivatives had agreeing central differences", checked)
+	}
+}
+
+// TestVMaxDerivMatchesComplexStep holds the analytic derivative to the
+// complex-step reference on 8,000 seeded draws over every damping regime
+// (the LCSensitivity surface), and on draws placed just outside the
+// critical band, where the eigenvalue forms cancel.
+func TestVMaxDerivMatchesComplexStep(t *testing.T) {
+	check := func(label string, p Params) {
+		vmax, cse, err := MaxSSN(p)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		for _, v := range solveVars {
+			x := nominalOf(p, v)
+			if x == 0 {
+				continue
+			}
+			got, _ := vmaxDeriv(p, v, x)
+			want := complexStepDeriv(p, v, x, cse)
+			if e := scaledDerivErr(got, want, x, vmax); !(e <= 1e-7) {
+				t.Errorf("%s %s (%v): analytic %g vs complex step %g (scaled error %.3g)",
+					label, v, cse, got, want, e)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 8000; i++ {
+		check(fmt.Sprintf("draw %d", i), randPlanParams(rng, i))
+	}
+	for _, q := range []float64{1.01, -1.01, 1e2, -1e2, 1e4, -1e4, 1e6, -1e6} {
+		for i := 0; i < 250; i++ {
+			check(fmt.Sprintf("q=%g draw %d", q, i), withDisc(randPlanParams(rng, 0), q))
+		}
+	}
+}
+
+// FuzzVMaxDeriv widens TestVMaxDerivMatchesComplexStep: any point in the
+// randPlanParams domain, with C given as a multiple of the critical
+// capacitance so the fuzzer can reach the critical band (ratio 1) and its
+// edges, must give the complex-step derivative within 1e-7 in x/Vmax units.
+// Points within 1e-9 of the under-damped peak/boundary kink are skipped.
+func FuzzVMaxDeriv(f *testing.F) {
+	f.Add(uint8(0), uint8(8), 0.5, 0.3, 0.4, 0.6, 0.5, 0.5, 1.0)
+	f.Add(uint8(1), uint8(60), 0.2, 0.9, 0.7, 0.9, 0.1, 0.9, 1+2e-9)
+	f.Add(uint8(2), uint8(100), 0.8, 0.1, 0.9, 0.2, 0.7, 0.3, 1-2e-9)
+	f.Add(uint8(3), uint8(16), 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.2)
+	f.Add(uint8(4), uint8(4), 0.1, 0.2, 0.3, 0.4, 0.9, 0.8, 50.0)
+	f.Add(uint8(2), uint8(32), 0.3, 0.6, 0.2, 0.8, 0.4, 0.2, 0.0)
+	f.Fuzz(func(t *testing.T, varSel, n uint8, fv, f0, fk, fa, fs, fl, cRatio float64) {
+		frac := func(u float64) float64 { return math.Abs(u - math.Trunc(u)) }
+		logSpan := func(u, lo, hi float64) float64 { return lo * math.Exp(frac(u)*math.Log(hi/lo)) }
+		p := Params{N: 1 + int(n)%128, Vdd: 0.9 + 2.4*frac(fv),
+			Slope: logSpan(fs, 1e8, 1e10), L: logSpan(fl, 5e-11, 1e-8)}
+		p.Dev.K, p.Dev.V0, p.Dev.A = logSpan(fk, 1e-3, 2e-2), 0.2+0.5*frac(f0), 0.5+1.5*frac(fa)
+		if cRatio != 0 && !(cRatio >= 1e-7 && cRatio <= 1e8) {
+			return
+		}
+		p.C = cRatio * p.CriticalCapacitance()
+		vmax, cse, err := MaxSSN(p)
+		if err != nil || !(vmax > 0) {
+			return
+		}
+		if m, _ := NewLCModel(p); m.Omega() > 0 && math.Abs(m.firstPeakTime()-p.TauRise()) <= 1e-9*p.TauRise() {
+			return
+		}
+		v := solveVars[int(varSel)%len(solveVars)]
+		x := nominalOf(p, v)
+		if x == 0 {
+			return
+		}
+		got, _ := vmaxDeriv(p, v, x)
+		want := complexStepDeriv(p, v, x, cse)
+		if e := scaledDerivErr(got, want, x, vmax); !(e <= 1e-7) {
+			t.Fatalf("%s at %+v (%v): analytic %g vs complex step %g (scaled error %.3g)", v, p, cse, got, want, e)
+		}
+	})
 }

@@ -11,9 +11,10 @@ import (
 // fastest edge — at which Vmax meets the budget exactly? The solver runs a
 // safeguarded Newton iteration on the analytic dVmax/dx of the active
 // Table 1 case, falling back to bisection whenever a step leaves the
-// bracket or crosses a case boundary (where dVmax/dx kinks); the bracket
-// endpoint that satisfies the budget is never surrendered, so the returned
-// point always lands within [budget-solveTol, budget].
+// bracket or stalls across a case boundary (where the local formula
+// changes); the bracket endpoint that satisfies the budget is never
+// surrendered, so the returned point always lands within
+// [budget-solveTol, budget].
 
 // SolveVar names the free variable an inverse query solves for.
 type SolveVar uint8
@@ -196,8 +197,9 @@ func Solve(p Params, v SolveVar, budget float64) (Solution, error) {
 // Vmax is not monotone — the nearest-lo crossing is the smallest
 // capacitance at which the budget becomes binding. The iteration is
 // Newton on the analytic per-case dVmax/dx, safeguarded by the bracket:
-// steps that leave it, or stall (e.g. astride a Table 1 case boundary,
-// where the derivative is discontinuous), fall back to bisection.
+// steps that leave it, or stall (e.g. astride the under-damped
+// peak/boundary switch, where the second derivative jumps), fall back to
+// bisection.
 func SolveBracket(p Params, v SolveVar, budget, lo, hi float64) (Solution, error) {
 	if !(budget > 0) || math.IsInf(budget, 0) {
 		return Solution{Var: v}, invalidf("Budget", budget, "must be positive and finite",
@@ -457,7 +459,7 @@ func refineRoot(ev *solveEval, sol *Solution, a, ga, b, gb float64) error {
 		var xn float64
 		newton := false
 		if !forceBisect {
-			if dv, ok := solveDeriv(ev.p, ev.v, x0); ok && dv != 0 {
+			if dv, ok := vmaxDeriv(ev.p, ev.v, x0); ok && dv != 0 {
 				cand := x0 - g0/dv
 				if !math.IsNaN(cand) && !math.IsInf(cand, 0) && (cand-a)*(cand-b) < 0 {
 					xn, newton = cand, true
@@ -511,112 +513,4 @@ func bisect(a, b float64) float64 {
 		return math.Sqrt(lo * hi)
 	}
 	return lo + (hi-lo)/2
-}
-
-// solveDeriv evaluates the analytic dVmax/dx of the active Table 1 case at
-// x by the chain rule through the case's closed form. ok is false where
-// the derivative is unavailable (C = 0 on a SolveC query). The regime
-// split mirrors damping(), so near a case boundary the one-sided
-// derivative of the local formula is returned — refineRoot's bracket
-// safeguards absorb the kink.
-func solveDeriv(p Params, v SolveVar, x float64) (float64, bool) {
-	n := float64(p.N)
-	K, a, v0 := p.Dev.K, p.Dev.A, p.Dev.V0
-	vdd := p.Vdd
-	s, l, c := p.Slope, p.L, p.C
-	switch v {
-	case SolveN:
-		n = x
-	case SolveL:
-		l = x
-	case SolveC:
-		c = x
-	case SolveSlope:
-		s = x
-	case SolveRiseTime:
-		s = vdd / x
-	}
-	beta := n * l * K * s
-	tauR := (vdd - v0) / s
-
-	// Chain-rule inputs: how β and the ramp window move with x.
-	var dbeta, dtau float64
-	switch v {
-	case SolveN, SolveL:
-		dbeta = beta / x
-	case SolveSlope:
-		dbeta, dtau = beta/x, -tauR/x
-	case SolveRiseTime:
-		dbeta, dtau = -beta/x, tauR/x
-	}
-
-	nlka := n * l * K * a
-	if c == 0 {
-		if v == SolveC {
-			return 0, false // one-sided limit; let bisection move off zero
-		}
-		// L-only limit: V(τr) = β(1 - e^{λτr}), λ = -1/(NLKa).
-		lam := -1 / nlka
-		var dlam float64
-		if v == SolveN || v == SolveL {
-			dlam = -lam / x // dλ = dnlka/nlka², dnlka = nlka/x
-		}
-		E := math.Exp(lam * tauR)
-		return dbeta*(1-E) - beta*E*(dlam*tauR+lam*dtau), true
-	}
-
-	sigma := n * K * a / (2 * c) // σ scales as n/c, so dσ = ±σ/x
-	var dnlka, dlc, dsigma float64
-	switch v {
-	case SolveN:
-		dnlka, dsigma = nlka/x, sigma/x
-	case SolveL:
-		dnlka, dlc = nlka/x, c
-	case SolveC:
-		dlc, dsigma = l, -sigma/x
-	}
-
-	lc := l * c
-	disc := nlka*nlka - 4*lc
-	switch {
-	case math.Abs(disc) <= critTol*nlka*nlka:
-		// Critically damped: V(τr) = β(1 - (1+u)e^{-u}), u = στr.
-		u := sigma * tauR
-		du := dsigma*tauR + sigma*dtau
-		E := math.Exp(-u)
-		return dbeta*(1-(1+u)*E) + beta*u*E*du, true
-	case disc > 0:
-		root := math.Sqrt(disc)
-		l1 := (-nlka + root) / (2 * lc)
-		l2 := (-nlka - root) / (2 * lc)
-		// Implicit differentiation of lc·λ² + nlka·λ + 1 = 0:
-		// dλ = -(dlc·λ² + dnlka·λ) / (2·lc·λ + nlka); the denominator is
-		// ±√disc, nonzero off the critical band.
-		d1 := -(dlc*l1*l1 + dnlka*l1) / (2*lc*l1 + nlka)
-		d2 := -(dlc*l2*l2 + dnlka*l2) / (2*lc*l2 + nlka)
-		E1, E2 := math.Exp(l1*tauR), math.Exp(l2*tauR)
-		D := l2 - l1
-		Nm := l2*E1 - l1*E2
-		dNm := d2*E1 + l2*E1*(d1*tauR+l1*dtau) - d1*E2 - l1*E2*(d2*tauR+l2*dtau)
-		dD := d2 - d1
-		return dbeta*(1-Nm/D) - beta*(dNm*D-Nm*dD)/(D*D), true
-	default:
-		omega := math.Sqrt(1/lc - sigma*sigma)
-		domega := (-dlc/(lc*lc) - 2*sigma*dsigma) / (2 * omega)
-		dr := (dsigma*omega - sigma*domega) / (omega * omega) // d(σ/ω)
-		if math.Pi/omega <= tauR {
-			// First-peak maximum: β(1 + E), E = e^{-σπ/ω}.
-			E := math.Exp(-sigma * math.Pi / omega)
-			return dbeta*(1+E) - beta*E*math.Pi*dr, true
-		}
-		// Ramp-end value: β(1 - e^{-στ}(cos ωτ + (σ/ω) sin ωτ)).
-		e := math.Exp(-sigma * tauR)
-		cw, sw := math.Cos(omega*tauR), math.Sin(omega*tauR)
-		r := sigma / omega
-		A := cw + r*sw
-		dphase := domega*tauR + omega*dtau
-		dA := (r*cw-sw)*dphase + dr*sw
-		dP := e*dA - e*A*(dsigma*tauR+sigma*dtau)
-		return dbeta*(1-e*A) - beta*dP, true
-	}
 }

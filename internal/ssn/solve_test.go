@@ -75,48 +75,6 @@ func nominalOf(p Params, v SolveVar) float64 {
 
 var solveVars = []SolveVar{SolveN, SolveL, SolveC, SolveSlope, SolveRiseTime}
 
-// TestSolveDerivMatchesCentralDifference pins the analytic per-case
-// dVmax/dx against a central difference at points spanning every Table 1
-// case and every variable. Probes whose difference stencil straddles a
-// case boundary are skipped (the derivative is one-sided there).
-func TestSolveDerivMatchesCentralDifference(t *testing.T) {
-	for name, p := range solveCasePoints(t) {
-		for _, v := range solveVars {
-			for _, scale := range []float64{0.5, 1, 1.7, 3.1} {
-				x := nominalOf(p, v) * scale
-				if x <= 0 {
-					continue // C = 0 base: no interior capacitance to probe
-				}
-				// A wide stencil: the oscillatory forms cancel catastrophically
-				// for small h, while truncation at 1e-4 stays below the 1e-3
-				// gate (sign/term bugs in the analytic form are O(1)).
-				h := 1e-4 * x
-				_, cLo, err := MaxSSN(v.Apply(p, x-h))
-				if err != nil {
-					continue
-				}
-				_, cHi, err := MaxSSN(v.Apply(p, x+h))
-				if err != nil || cLo != cHi {
-					continue // stencil straddles a case boundary
-				}
-				got, ok := solveDeriv(p, v, x)
-				if !ok {
-					t.Errorf("%s/%s x=%g: derivative unavailable", name, v, x)
-					continue
-				}
-				num := (vmaxAt(t, p, v, x+h) - vmaxAt(t, p, v, x-h)) / (2 * h)
-				denom := math.Max(math.Abs(num), math.Abs(got))
-				if denom == 0 {
-					continue
-				}
-				if math.Abs(got-num)/denom > 1e-3 {
-					t.Errorf("%s/%s x=%g: analytic %g vs central %g", name, v, x, got, num)
-				}
-			}
-		}
-	}
-}
-
 // TestSolveRoundTripProperty is the PR's core invariant: for every
 // solvable variable, feeding Solve's output back through VMax lands within
 // [budget-1e-9, budget]. Budgets are drawn as achieved maxima at random

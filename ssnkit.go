@@ -141,8 +141,10 @@ func UniformStagger(n int, dt float64) []float64 { return ssn.UniformStagger(n, 
 // LSensitivity evaluates design sensitivities of the L-only model.
 func LSensitivity(p Params) (Sensitivity, error) { return ssn.LSensitivity(p) }
 
-// LCSensitivity evaluates design sensitivities of the LC model (h is the
-// finite-difference step; 0 picks a default).
+// LCSensitivity evaluates design sensitivities of the LC model
+// analytically, per Table 1 case; at the under-damped peak/boundary switch
+// they are one-sided, from the case MaxSSN picks. h is ignored and kept
+// for compatibility.
 func LCSensitivity(p Params, h float64) (Sensitivity, error) {
 	return ssn.LCSensitivity(p, h)
 }
