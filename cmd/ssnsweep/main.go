@@ -26,6 +26,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -178,48 +179,47 @@ func run(args []string, out io.Writer) error {
 		},
 	}
 
-	sizeIdx := -1
-	for k, a := range axes {
-		if a.Name == sweep.AxisSize {
-			sizeIdx = k
-		}
-	}
 	var rows []row
-	sink := func(pt sweep.Point) error {
-		if pt.Err != nil {
-			// CLI semantics: one bad point aborts the sweep with a located
-			// error (the HTTP endpoint reports per-point errors in place).
-			return fmt.Errorf("%s: %w", describePoint(axes, pt.Values), pt.Err)
+	sink := func(c *sweep.Chunk) error {
+		for _, pt := range c.Points {
+			if pt.Err != nil {
+				// CLI semantics: one bad point aborts the sweep with a located
+				// error (the HTTP endpoint reports per-point errors in place).
+				return fmt.Errorf("%s: %w", describePoint(axes, pt.Values), pt.Err)
+			}
+			// pt.Values is backed by a pooled chunk buffer and only valid
+			// during this call; the row outlives it, so copy.
+			rows = append(rows, row{vals: append([]float64(nil), pt.Values...), vmax: pt.VMax, cse: pt.Case, simMax: math.NaN(), depth: pt.Depth})
 		}
-		// pt.Values is backed by a pooled chunk buffer and only valid for
-		// the duration of this call; the row outlives it, so copy.
-		rw := row{vals: append([]float64(nil), pt.Values...), vmax: pt.VMax, cse: pt.Case, simMax: math.NaN(), depth: pt.Depth}
-		if *verify {
-			size := r.Size
-			if sizeIdx >= 0 {
-				size = pt.Values[sizeIdx]
-			}
-			cfg := driver.ArrayConfig{
-				Process: r.Proc, DriverSize: size, N: pt.Params.N, Load: load,
-				Ground: pkgmodel.GroundNet{Pads: r.Pads, L: pt.Params.L, C: pt.Params.C},
-				Rise:   pt.Params.Vdd / pt.Params.Slope, Merged: true,
-			}
-			res, err := driver.Simulate(cfg, spice.Options{}, 0, 0)
-			if err != nil {
-				return fmt.Errorf("verify %s: %w", describePoint(axes, pt.Values), err)
-			}
-			rw.simMax = res.MaxSSNWithinRamp()
-		}
-		rows = append(rows, rw)
 		return nil
 	}
-	if _, err := sweep.Run(context.Background(), g, cfg, sink); err != nil {
+	if _, err := sweep.RunChunks(context.Background(), g, cfg, sink); err != nil {
 		return err
 	}
 	if len(axes) == 1 {
 		// Refined points arrive after the base grid; merge them into axis
 		// order so tables and plots stay monotone.
 		sort.SliceStable(rows, func(i, j int) bool { return rows[i].vals[0] < rows[j].vals[0] })
+	}
+	for i := 0; *verify && i < len(rows); i++ {
+		// Only the simulated points need their parameters resolved.
+		p, err := g.Params(rows[i].vals, cfg.Extract)
+		size := r.Size
+		if k := slices.IndexFunc(axes, func(a sweep.Axis) bool { return a.Name == sweep.AxisSize }); k >= 0 {
+			size = rows[i].vals[k]
+		}
+		var res *driver.SimResult
+		if err == nil {
+			res, err = driver.Simulate(driver.ArrayConfig{
+				Process: r.Proc, DriverSize: size, N: p.N, Load: load,
+				Ground: pkgmodel.GroundNet{Pads: r.Pads, L: p.L, C: p.C},
+				Rise:   p.Vdd / p.Slope, Merged: true,
+			}, spice.Options{}, 0, 0)
+		}
+		if err != nil {
+			return fmt.Errorf("verify %s: %w", describePoint(axes, rows[i].vals), err)
+		}
+		rows[i].simMax = res.MaxSSNWithinRamp()
 	}
 
 	render(out, axes, rows, r, *refine > 0)

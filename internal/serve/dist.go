@@ -38,6 +38,17 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		writeError(w, toAPIError(err))
 		return
 	}
+	// The engine materializes every axis whatever the shard size, so an
+	// axis over the limit is refused before one is built.
+	for _, a := range req.Spec.Axes {
+		if a.Points > s.cfg.MaxSweepPoints {
+			writeError(w, &apiError{Code: CodeGridTooLarge,
+				Message: fmt.Sprintf("axis %s of %d points exceeds the %d-point limit", a.Name, a.Points, s.cfg.MaxSweepPoints),
+				Field:   "spec.axes", Value: a.Points,
+				Constraint: fmt.Sprintf("at most %d points per axis", s.cfg.MaxSweepPoints)})
+			return
+		}
+	}
 	n := req.Spec.NumShards()
 	if req.Shard < 0 || req.Shard >= n {
 		writeError(w, &apiError{Code: CodeInvalidRequest,

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -73,6 +74,16 @@ func TestShardEndpointRejects(t *testing.T) {
 			s.ShardPoints = 150   // > MaxSweepPoints, not clamped by the total
 			return dist.ShardRequest{Spec: s, Shard: 0}
 		}(), "grid_too_large"},
+		{"point count overflows int", func() dist.ShardRequest {
+			s := distTestSpec()
+			s.Axes = []dist.Axis{
+				{Name: "n", From: 1, To: 64, Points: 1000003},
+				{Name: "l", From: 5e-10, To: 8e-9, Points: 1000033},
+				{Name: "c", From: 1e-12, To: 2e-12, Points: 1000037},
+				{Name: "slope", From: 1e9, To: 2e9, Points: 19},
+			}
+			return dist.ShardRequest{Spec: s, Shard: 0}
+		}(), "invalid_request"},
 	}
 	for _, tc := range cases {
 		body, _ := json.Marshal(tc.req)
@@ -84,6 +95,35 @@ func TestShardEndpointRejects(t *testing.T) {
 		if e := errEnvelope(t, got); e.Code != tc.wantCode {
 			t.Errorf("%s: code %q, want %q", tc.name, e.Code, tc.wantCode)
 		}
+	}
+}
+
+// TestShardAxisLimitBounded posts a 16-point shard of an 8,388,608-point
+// axis: the engine would materialize the whole axis, about 9 bytes per
+// axis point (75 MB here), so the axis is refused with grid_too_large
+// before any engine is built, allocating a few KB.
+func TestShardAxisLimitBounded(t *testing.T) {
+	h := New(Config{}).Handler()
+	spec := distTestSpec()
+	spec.Axes = []dist.Axis{{Name: "n", From: 1, To: 64, Points: 1 << 23}}
+	body, err := json.Marshal(dist.ShardRequest{Spec: spec, Shard: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	postBody(h, "/v1/shard", body) // warm the pools
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	rec := postBody(h, "/v1/shard", body)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body)
+	}
+	if e := errEnvelope(t, rec.Body.Bytes()); e.Code != CodeGridTooLarge || e.Field != "spec.axes" {
+		t.Errorf("error %+v, want grid_too_large on spec.axes", e)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("refusing the shard allocated %d bytes, want <= %d", got, 1<<20)
 	}
 }
 

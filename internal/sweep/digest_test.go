@@ -11,12 +11,12 @@ import (
 	"testing"
 
 	"ssnkit/internal/device"
-	"ssnkit/internal/ssn"
 )
 
-// pointRecord spells every field of pt, floats by their bits, so two
-// points compare equal only when they are equal bit for bit.
-func pointRecord(pt Point) string {
+// pointRecord spells every field of pt and the parameters Grid.Params
+// resolves from its Values (zero when that fails), floats by their bits,
+// so two points compare equal only when they are equal bit for bit.
+func pointRecord(g Grid, pt Point) string {
 	var b []byte
 	u := func(v uint64) { b = binary.LittleEndian.AppendUint64(b, v) }
 	f := func(v float64) { u(math.Float64bits(v)) }
@@ -31,7 +31,7 @@ func pointRecord(pt Point) string {
 	for _, v := range pt.Values {
 		f(v)
 	}
-	p := pt.Params
+	p, _ := g.Params(pt.Values, nil)
 	b = append(b, 'P')
 	u(uint64(p.N))
 	for _, v := range []float64{p.Dev.K, p.Dev.V0, p.Dev.A, p.Vdd, p.Slope, p.L, p.C, pt.VMax} {
@@ -57,15 +57,15 @@ func digestPoints(recs []string, refined []string) string {
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
-// collectRecords runs the grid through run and returns the base and the
-// refined point records.
-func collectRecords(t *testing.T, run func(Sink) (Stats, error)) (base, refined []string, st Stats) {
+// collectRecords runs g through run and returns the base and the refined
+// point records.
+func collectRecords(t *testing.T, g Grid, run func(func(Point) error) (Stats, error)) (base, refined []string, st Stats) {
 	t.Helper()
 	st, err := run(func(pt Point) error {
 		if pt.Depth == 0 {
-			base = append(base, pointRecord(pt))
+			base = append(base, pointRecord(g, pt))
 		} else {
-			refined = append(refined, pointRecord(pt))
+			refined = append(refined, pointRecord(g, pt))
 		}
 		return nil
 	})
@@ -76,13 +76,15 @@ func collectRecords(t *testing.T, run func(Sink) (Stats, error)) (base, refined 
 }
 
 // TestPointStreamDigest pins every field of every point that Run and
-// RunRange deliver — Index, Values, the resolved Params, VMax, Case, Depth
-// and the error text — over grids with failed points (an outer rise-time
-// axis through zero, an inner inductance axis through zero, a rounded and
-// clamped n axis), a size axis that re-extracts the device, and a refined
-// grid, at every chunk size and at one and three workers. RunRange runs
-// each grid in three uneven ranges, and their concatenation must carry the
-// same digest.
+// RunRangeChunks deliver — Index, Values, VMax, Case, Depth and the error
+// text — and the Params that Grid.Params resolves at it, over grids with
+// failed points (an outer rise-time axis through zero, an inner inductance
+// axis through zero, a rounded and clamped n axis), a size axis that
+// re-extracts the device, and a refined grid, at every chunk size and at
+// one and three workers. RunRangeChunks runs each grid in three uneven
+// ranges, and their concatenation must carry the same digest. The digests
+// were recorded when the engine still resolved each point's Params itself,
+// so they also pin Grid.Params to that resolution bit for bit.
 func TestPointStreamDigest(t *testing.T) {
 	base := baseParams()
 	for _, tc := range []struct {
@@ -125,27 +127,34 @@ func TestPointStreamDigest(t *testing.T) {
 			for _, workers := range []int{1, 3} {
 				for _, chunk := range []int{1, 7, 100, 1024, 5000} {
 					cfg := Config{Workers: workers, ChunkSize: chunk, RefineDepth: tc.refine}
-					b, r, st := collectRecords(t, func(s Sink) (Stats, error) {
+					b, r, st := collectRecords(t, tc.g, func(s func(Point) error) (Stats, error) {
 						return Run(context.Background(), tc.g, cfg, s)
 					})
 					check(fmt.Sprintf("Run workers %d chunk %d", workers, chunk), b, r, st)
 				}
 			}
 			if tc.refine > 0 {
-				return // RunRange refuses refinement
+				return // RunRangeChunks refuses refinement
 			}
 			var all []string
 			var errs int
 			bounds := []int{0, total / 3, total/3 + 1, total}
 			for i := 0; i+1 < len(bounds); i++ {
 				cfg := Config{Workers: 1 + 2*(i%2), ChunkSize: 3 + 50*i}
-				b, _, st := collectRecords(t, func(s Sink) (Stats, error) {
-					return RunRange(context.Background(), tc.g, cfg, bounds[i], bounds[i+1], s)
+				b, _, st := collectRecords(t, tc.g, func(s func(Point) error) (Stats, error) {
+					return RunRangeChunks(context.Background(), tc.g, cfg, bounds[i], bounds[i+1], func(c *Chunk) error {
+						for _, pt := range c.Points {
+							if err := s(pt); err != nil {
+								return err
+							}
+						}
+						return nil
+					})
 				})
 				all = append(all, b...)
 				errs += st.Errors
 			}
-			check("RunRange", all, nil, Stats{Errors: errs})
+			check("RunRangeChunks", all, nil, Stats{Errors: errs})
 		})
 	}
 }
@@ -157,12 +166,4 @@ func (e *engine) flat(idx []int) int {
 		f += i * e.stride[k]
 	}
 	return f
-}
-
-// paramsAt is resolve returning the parameters: the scalar reference the
-// plan-path tests compare the engine against.
-func (e *engine) paramsAt(values []float64) (ssn.Params, error) {
-	var p ssn.Params
-	err := e.resolve(&p, values)
-	return p, err
 }

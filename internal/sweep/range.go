@@ -5,55 +5,24 @@ import (
 	"fmt"
 )
 
-// RunRange evaluates the row-major index range [lo, hi) of the grid,
-// streaming points in index order through sink, exactly as the same points
-// would arrive from a full Run. It is the sharding primitive of the
-// distributed sweep coordinator: the grid decomposes into disjoint ranges,
-// each range evaluates anywhere (any process, any replica), and the
-// concatenation of the per-range streams in range order is byte-for-byte
-// the single-process stream — chunk and plan-run boundaries never change a
-// point's value, only the evaluation batching.
+// RunRangeChunks evaluates the row-major index range [lo, hi) of the
+// grid, handing its chunks to sink in index order; their points are
+// exactly the same points a full RunChunks delivers. It is the sharding
+// primitive of the distributed sweep coordinator: the grid decomposes into
+// disjoint ranges, each range evaluates anywhere (any process, any
+// replica), and the concatenation of the per-range streams in range order
+// is byte-for-byte the single-process stream — chunk and plan-run
+// boundaries never change a point's value, only the evaluation batching.
 //
 // Adaptive refinement is rejected (refined points interleave in
 // unspecified order, which a deterministic shard decomposition cannot
 // carry); everything else — workers, chunking, gating, extraction — works
-// as in Run.
-func RunRange(ctx context.Context, g Grid, cfg Config, lo, hi int, sink Sink) (Stats, error) {
-	if sink == nil {
-		return Stats{}, errNilSink
-	}
-	return runGridRange(ctx, g, cfg, lo, hi, nil, sink)
-}
-
-// RunRangeChunks is RunRange with the chunk as the unit of delivery, as
-// RunChunks is to Run.
+// as in RunChunks.
 func RunRangeChunks(ctx context.Context, g Grid, cfg Config, lo, hi int, sink ChunkSink) (Stats, error) {
-	if sink == nil {
-		return Stats{}, errNilSink
-	}
-	return runGridRange(ctx, g, cfg, lo, hi, sink, nil)
-}
-
-// runGridRange checks the range and sweeps it through sink, or through pts
-// when it is set.
-func runGridRange(ctx context.Context, g Grid, cfg Config, lo, hi int, sink ChunkSink, pts Sink) (Stats, error) {
 	if cfg.RefineDepth > 0 {
 		return Stats{}, fmt.Errorf("sweep: refinement is not supported for range runs")
 	}
-	if err := g.Validate(); err != nil {
-		return Stats{}, err
-	}
-	total := g.Total()
-	if lo < 0 || hi > total || lo > hi {
-		return Stats{}, fmt.Errorf("sweep: range [%d, %d) outside grid of %d points", lo, hi, total)
-	}
-	e := newEngine(g, cfg)
-	if pts != nil {
-		sink = e.points(pts)
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	return e.runRange(ctx, cancel, cfg, lo, hi, sink)
+	return runGrid(ctx, g, cfg, lo, hi, sink)
 }
 
 // DomainError reports an axis whose coordinate range provably leaves the

@@ -6,27 +6,29 @@ import (
 	"testing"
 )
 
-// collect gathers the (index-ordered) emitted points of a run, copying the
-// pooled Values slices.
+// collectRange gathers the (index-ordered) emitted points of a range run,
+// copying the pooled Values slices.
 func collectRange(t *testing.T, g Grid, cfg Config, lo, hi int) []Point {
 	t.Helper()
 	var pts []Point
-	sink := func(pt Point) error {
-		pt.Values = append([]float64(nil), pt.Values...)
-		pts = append(pts, pt)
+	sink := func(c *Chunk) error {
+		for _, pt := range c.Points {
+			pt.Values = append([]float64(nil), pt.Values...)
+			pts = append(pts, pt)
+		}
 		return nil
 	}
-	if _, err := RunRange(context.Background(), g, cfg, lo, hi, sink); err != nil {
-		t.Fatalf("RunRange[%d,%d): %v", lo, hi, err)
+	if _, err := RunRangeChunks(context.Background(), g, cfg, lo, hi, sink); err != nil {
+		t.Fatalf("RunRangeChunks[%d,%d): %v", lo, hi, err)
 	}
 	return pts
 }
 
-// TestRunRangeConcatEqualsFullRun pins the sharding invariant: any
+// TestRunRangeChunksConcatEqualsFullRun pins the sharding invariant: any
 // partition of [0, Total()) into contiguous ranges, evaluated separately
 // (with different worker/chunk settings), concatenates to exactly the
 // full-run point sequence.
-func TestRunRangeConcatEqualsFullRun(t *testing.T) {
+func TestRunRangeChunksConcatEqualsFullRun(t *testing.T) {
 	g := Grid{
 		Base: baseParams(),
 		Axes: []Axis{
@@ -72,28 +74,28 @@ func TestRunRangeConcatEqualsFullRun(t *testing.T) {
 	}
 }
 
-func TestRunRangeRejects(t *testing.T) {
+func TestRunRangeChunksRejects(t *testing.T) {
 	g := Grid{Base: baseParams(), Axes: []Axis{{Name: AxisN, From: 1, To: 8, Points: 8}}}
-	discard := func(Point) error { return nil }
+	discard := func(*Chunk) error { return nil }
 
-	if _, err := RunRange(context.Background(), g, Config{}, 0, 8, nil); err == nil {
+	if _, err := RunRangeChunks(context.Background(), g, Config{}, 0, 8, nil); err == nil {
 		t.Error("nil sink: expected error")
 	}
-	if _, err := RunRange(context.Background(), g, Config{RefineDepth: 1}, 0, 8, discard); err == nil {
+	if _, err := RunRangeChunks(context.Background(), g, Config{RefineDepth: 1}, 0, 8, discard); err == nil {
 		t.Error("refinement: expected error (unspecified point order cannot shard)")
 	}
 	for _, r := range [][2]int{{-1, 4}, {0, 9}, {5, 4}} {
-		if _, err := RunRange(context.Background(), g, Config{}, r[0], r[1], discard); err == nil {
+		if _, err := RunRangeChunks(context.Background(), g, Config{}, r[0], r[1], discard); err == nil {
 			t.Errorf("range [%d,%d): expected error", r[0], r[1])
 		}
 	}
-	// Empty range is valid and emits nothing.
+	// Empty range is valid and hands the sink nothing.
 	n := 0
-	if _, err := RunRange(context.Background(), g, Config{}, 3, 3, func(Point) error { n++; return nil }); err != nil {
+	if _, err := RunRangeChunks(context.Background(), g, Config{}, 3, 3, func(*Chunk) error { n++; return nil }); err != nil {
 		t.Errorf("empty range: %v", err)
 	}
 	if n != 0 {
-		t.Errorf("empty range emitted %d points", n)
+		t.Errorf("empty range emitted %d chunks", n)
 	}
 }
 

@@ -11,9 +11,8 @@
 //     (GOMAXPROCS by default), with driver re-extraction for a swept
 //     size axis pulled through a memoized device.ExtractSpec cache;
 //   - results stream incrementally to a sink a whole chunk at a time
-//     (RunChunks), or a point at a time through the Run adapter, so
-//     memory stays O(chunk), not O(grid); base-grid points arrive in
-//     row-major grid order;
+//     (RunChunks, RunRangeChunks), so memory stays O(chunk), not
+//     O(grid); base-grid points arrive in row-major grid order;
 //   - a sink error or context cancellation stops the sweep promptly and
 //     a run only returns once every worker goroutine has exited;
 //   - optional adaptive refinement bisects between grid neighbors whose
@@ -21,9 +20,9 @@
 //     discontinuously in derivative there — so extra resolution lands
 //     exactly on the case boundaries.
 //
-// Both front-ends are thin over the engine: cmd/ssnsweep renders Run's
-// points as tables/CSV, and internal/serve streams RunChunks' chunks as
-// NDJSON or SSNC over HTTP.
+// Both front-ends are thin over the engine's chunks: cmd/ssnsweep renders
+// them as tables/CSV, resolving through Grid.Params only the points it
+// simulates, and internal/serve streams them as NDJSON or SSNC over HTTP.
 package sweep
 
 import (
@@ -120,16 +119,22 @@ func (g Grid) Total() int {
 }
 
 // Validate checks the axis set without running anything, so front-ends
-// can reject a bad grid before committing to a streamed response.
+// can reject a bad grid before committing to a streamed response. A grid
+// whose point count overflows int is refused: Total would wrap.
 func (g Grid) Validate() error {
 	if len(g.Axes) == 0 {
 		return fmt.Errorf("sweep: need at least one axis")
 	}
 	seen := map[string]bool{}
+	total := 1
 	for _, a := range g.Axes {
 		if err := a.validate(); err != nil {
 			return err
 		}
+		if total > math.MaxInt/a.Points {
+			return fmt.Errorf("sweep: grid point count overflows int")
+		}
+		total *= a.Points
 		name := a.Name
 		if name == AxisRise {
 			name = AxisSlope // tr and slope set the same knob
@@ -164,18 +169,16 @@ type Config struct {
 	Gate par.Gate
 }
 
-// Point is one streamed result. Per-point failures are reported in place
-// via Err — one bad corner never aborts the rest of the grid.
+// Point is one evaluated grid or refinement point of a Chunk. Per-point
+// failures are reported in place via Err — one bad corner never aborts
+// the rest of the grid. Grid.Params resolves a point's parameters from
+// its Values.
 type Point struct {
 	// Index holds the grid coordinates in Grid.Axes order; nil for
 	// refined points, which lie between grid coordinates.
 	Index []int
 	// Values holds the axis values in Grid.Axes order.
 	Values []float64
-	// Params is the fully resolved parameter point (zero when Err is a
-	// resolution failure). Only Run and RunRange resolve it: in a Chunk
-	// it is always zero.
-	Params ssn.Params
 	VMax   float64
 	Case   ssn.Case
 	// Depth is 0 for base-grid points, >= 1 for refinement levels.
@@ -183,22 +186,13 @@ type Point struct {
 	Err   error
 }
 
-// Sink receives every evaluated point from Run and RunRange. It is never
-// called concurrently; returning an error cancels the sweep. Base-grid
-// points arrive in row-major grid order (last axis fastest); refined
-// points follow in unspecified order.
-//
-// The Point's Index and Values slices are backed by pooled chunk buffers
-// and are valid only for the duration of the call: a sink that retains
-// points past its return must copy the slices it keeps.
-type Sink func(Point) error
-
 // Chunk is one finished unit of work: the points of one base-grid chunk
 // in row-major order, or a batch of refined points in evaluation order,
 // beside the result columns the kernel wrote for them. Entry i of every
 // column belongs to Points[i].
 type Chunk struct {
-	// Points holds the chunk's points, with Params zero.
+	// Points holds the chunk's points; their Index and Values slices are
+	// cut from the Index and Values columns.
 	Points []Point
 	// Values and Index back the points' Values and Index slices, strided
 	// by the axis count A: point i owns [i*A, (i+1)*A). Index is nil in a
@@ -215,10 +209,12 @@ type Chunk struct {
 	Errors int
 }
 
-// ChunkSink receives every finished chunk, under Sink's ordering and
-// cancellation rules: never concurrently, base-grid chunks in grid order,
-// refined chunks after them. The Chunk and every slice it holds are
-// pooled and valid only for the duration of the call.
+// ChunkSink receives every finished chunk. It is never called
+// concurrently; returning an error cancels the sweep. Base-grid chunks
+// arrive in grid order (last axis fastest), refined chunks after them in
+// unspecified order. The Chunk and every slice it holds are pooled and
+// valid only for the duration of the call: a sink that retains points
+// past its return must copy the slices it keeps.
 type ChunkSink func(*Chunk) error
 
 // Stats summarizes one Run.
@@ -236,8 +232,8 @@ type Stats struct {
 type engine struct {
 	grid     Grid
 	axisVals [][]float64
-	stride   []int // row-major stride per axis
-	extract  func(size float64) (device.ASDM, error)
+	stride   []int       // row-major stride per axis
+	extract  ExtractFunc // memoized by Size; the spec is always grid.Spec's
 	// cases records the Table 1 case per base-grid point (0 = failed),
 	// written only by the emitter goroutine; refinement reads it after
 	// the base grid completes. O(grid) bytes, allocated only when
@@ -286,10 +282,7 @@ func newEngine(g Grid, cfg Config) *engine {
 	// least-squares problem per call.
 	inner := cfg.Extract
 	if inner == nil {
-		inner = func(spec device.ExtractSpec) (device.ASDM, error) {
-			m, _, err := spec.Extract()
-			return m, err
-		}
+		inner = directExtract
 	}
 	var mu sync.Mutex
 	type extRes struct {
@@ -297,16 +290,14 @@ func newEngine(g Grid, cfg Config) *engine {
 		err error
 	}
 	memo := map[float64]extRes{}
-	e.extract = func(size float64) (device.ASDM, error) {
+	e.extract = func(spec device.ExtractSpec) (device.ASDM, error) {
 		mu.Lock()
-		r, ok := memo[size]
+		r, ok := memo[spec.Size]
 		mu.Unlock()
 		if !ok {
-			spec := e.grid.Spec
-			spec.Size = size
 			r.dev, r.err = inner(spec)
 			mu.Lock()
-			memo[size] = r
+			memo[spec.Size] = r
 			mu.Unlock()
 		}
 		return r.dev, r.err
@@ -361,20 +352,42 @@ func (e *engine) compileInner() {
 	}
 }
 
+// directExtract extracts the device afresh, without a cache.
+func directExtract(spec device.ExtractSpec) (device.ASDM, error) {
+	m, _, err := spec.Extract()
+	return m, err
+}
+
+// Params resolves the parameter point at values, one axis value per axis
+// in Axes order, exactly as the engine evaluates it: each axis overrides
+// its Base field, and a size axis re-extracts Spec at that size through
+// extract (nil extracts directly via Spec.Extract). A point the engine
+// reports with a resolution error returns that error and zero Params.
+func (g Grid) Params(values []float64, extract ExtractFunc) (ssn.Params, error) {
+	if extract == nil {
+		extract = directExtract
+	}
+	var p ssn.Params
+	if err := g.resolve(&p, values, extract); err != nil {
+		return ssn.Params{}, err
+	}
+	return p, nil
+}
+
 // resolve applies the axis values over the base parameters into *p.
-func (e *engine) resolve(p *ssn.Params, values []float64) error {
-	*p = e.grid.Base
-	for k := range e.grid.Axes {
-		if err := e.applyOne(p, k, values[k]); err != nil {
+func (g *Grid) resolve(p *ssn.Params, values []float64, extract ExtractFunc) error {
+	*p = g.Base
+	for k := range g.Axes {
+		if err := g.apply(p, k, values[k], extract); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// applyOne applies the value of one axis onto p.
-func (e *engine) applyOne(p *ssn.Params, k int, v float64) error {
-	switch e.grid.Axes[k].Name {
+// apply applies the value of axis k onto p.
+func (g *Grid) apply(p *ssn.Params, k int, v float64, extract ExtractFunc) error {
+	switch g.Axes[k].Name {
 	case AxisN:
 		p.N = DriverCount(v)
 	case AxisL:
@@ -389,7 +402,9 @@ func (e *engine) applyOne(p *ssn.Params, k int, v float64) error {
 		}
 		p.Slope = p.Vdd / v
 	case AxisSize:
-		dev, err := e.extract(v)
+		spec := g.Spec
+		spec.Size = v
+		dev, err := extract(spec)
 		if err != nil {
 			return err
 		}
@@ -407,7 +422,7 @@ func DriverCount(v float64) int { return max(int(math.Round(v)), 1) }
 // worker's scratch model so the hot loop does not allocate per point.
 func (e *engine) eval(m *ssn.LCModel, values []float64) (float64, ssn.Case, error) {
 	var p ssn.Params
-	err := e.resolve(&p, values)
+	err := e.grid.resolve(&p, values, e.extract)
 	if err == nil {
 		err = m.Init(p)
 	}
@@ -569,7 +584,7 @@ func (e *engine) evalChunk(ctx context.Context, buf *chunkBuf, lo, hi int) {
 		if usePlan {
 			q := e.grid.Base
 			for k := 0; k < inner; k++ {
-				if e.applyOne(&q, k, e.axisVals[k][coord[k]]) != nil {
+				if e.grid.apply(&q, k, e.axisVals[k][coord[k]], e.extract) != nil {
 					usePlan = false
 					break
 				}
@@ -650,75 +665,58 @@ func (e *engine) evalChunk(ctx context.Context, buf *chunkBuf, lo, hi int) {
 // errNilSink refuses a run without a sink.
 var errNilSink = fmt.Errorf("sweep: nil sink")
 
-// Run sweeps the grid, streaming every point through sink, and returns the
-// run statistics. It blocks until the sweep completes, the sink fails, or
-// ctx is cancelled; in every case all worker goroutines have exited before
-// it returns. The returned error is nil on completion, the sink's error,
-// or ctx.Err(). It is RunChunks with each chunk's points resolved (Params)
-// and handed to sink one at a time.
-func Run(ctx context.Context, g Grid, cfg Config, sink Sink) (Stats, error) {
+// Run sweeps the grid, handing every point to sink by value, and returns
+// the run statistics: RunChunks with each chunk's points passed on one at
+// a time, under ChunkSink's ordering, cancellation and retention rules.
+// It blocks until the sweep completes, the sink fails, or ctx is
+// cancelled; in every case all worker goroutines have exited before it
+// returns. The returned error is nil on completion, the sink's error, or
+// ctx.Err().
+func Run(ctx context.Context, g Grid, cfg Config, sink func(Point) error) (Stats, error) {
 	if sink == nil {
 		return Stats{}, errNilSink
 	}
-	return runGrid(ctx, g, cfg, nil, sink)
-}
-
-// RunChunks is Run with the chunk as the unit of delivery: sink receives
-// each finished chunk whole, its points' Params unresolved. Stats count
-// every point of each chunk handed to sink.
-func RunChunks(ctx context.Context, g Grid, cfg Config, sink ChunkSink) (Stats, error) {
-	if sink == nil {
-		return Stats{}, errNilSink
-	}
-	return runGrid(ctx, g, cfg, sink, nil)
-}
-
-// runGrid sweeps the whole grid, then refines it, through sink, or
-// through pts when it is set.
-func runGrid(ctx context.Context, g Grid, cfg Config, sink ChunkSink, pts Sink) (Stats, error) {
-	if err := g.Validate(); err != nil {
-		return Stats{}, err
-	}
-	e := newEngine(g, cfg)
-	if pts != nil {
-		sink = e.points(pts)
-	}
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	stats, err := e.runRange(ctx, cancel, cfg, 0, g.Total(), sink)
-	if err != nil {
-		return stats, err
-	}
-	if cfg.RefineDepth > 0 {
-		workers := stats.Workers
-		if workers < 1 {
-			workers = 1
-		}
-		if err := e.refine(ctx, cancel, cfg, workers, sink, &stats); err != nil {
-			return stats, err
-		}
-	}
-	return stats, nil
-}
-
-// points adapts a Sink to the chunk stream: each point gets its resolved
-// Params — resolve reproduces the value the scalar path resolves, and a
-// resolution failure leaves it zero — and goes to sink by value.
-func (e *engine) points(sink Sink) ChunkSink {
-	return func(c *Chunk) error {
-		for i := range c.Points {
-			pt := c.Points[i]
-			if e.resolve(&pt.Params, pt.Values) != nil {
-				pt.Params = ssn.Params{}
-			}
+	return RunChunks(ctx, g, cfg, func(c *Chunk) error {
+		for _, pt := range c.Points {
 			if err := sink(pt); err != nil {
 				return err
 			}
 		}
 		return nil
+	})
+}
+
+// RunChunks sweeps the whole grid, then refines it when cfg.RefineDepth
+// is set, handing each finished chunk to sink whole. Stats count every
+// point of each chunk handed to sink.
+func RunChunks(ctx context.Context, g Grid, cfg Config, sink ChunkSink) (Stats, error) {
+	return runGrid(ctx, g, cfg, 0, g.Total(), sink)
+}
+
+// runGrid checks the grid and the row-major index range [lo, hi), sweeps
+// the range through sink and, when refinement is on, refines the grid.
+// Only RunChunks refines, and it runs the whole grid.
+func runGrid(ctx context.Context, g Grid, cfg Config, lo, hi int, sink ChunkSink) (Stats, error) {
+	if sink == nil {
+		return Stats{}, errNilSink
 	}
+	if err := g.Validate(); err != nil {
+		return Stats{}, err
+	}
+	if total := g.Total(); lo < 0 || hi > total || lo > hi {
+		return Stats{}, fmt.Errorf("sweep: range [%d, %d) outside grid of %d points", lo, hi, total)
+	}
+	e := newEngine(g, cfg)
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+
+	stats, err := e.runRange(ctx, cancel, cfg, lo, hi, sink)
+	if err != nil || cfg.RefineDepth == 0 {
+		return stats, err
+	}
+	// refine updates stats, so it runs before stats is read for return.
+	err = e.refine(ctx, cancel, cfg, max(stats.Workers, 1), sink, &stats)
+	return stats, err
 }
 
 // chunkSize is the configured chunk size, 1024 by default.

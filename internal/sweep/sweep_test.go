@@ -69,8 +69,19 @@ func TestGridValidation(t *testing.T) {
 		{"tr and slope", Grid{Base: base, Axes: []Axis{
 			{Name: AxisRise, From: 1e-10, To: 1e-9, Points: 2},
 			{Name: AxisSlope, From: 1e9, To: 2e9, Points: 2}}}},
+		// 1000003 x 1000033 x 1000037 x 19 points wraps Total to
+		// 554642953479517981: without the check the engine would run a
+		// different grid under this spec.
+		{"point count overflows int", Grid{Base: base, Axes: []Axis{
+			{Name: AxisN, From: 1, To: 64, Points: 1000003},
+			{Name: AxisL, From: 1e-9, To: 2e-9, Points: 1000033},
+			{Name: AxisC, From: 1e-12, To: 2e-12, Points: 1000037},
+			{Name: AxisSlope, From: 1e9, To: 2e9, Points: 19}}}},
 	}
 	for _, tc := range cases {
+		if err := tc.grid.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted the grid", tc.name)
+		}
 		if _, err := Run(context.Background(), tc.grid, Config{}, discard); err == nil {
 			t.Errorf("%s: expected error", tc.name)
 		}
@@ -137,8 +148,8 @@ func TestBruteForceCrossCheck(t *testing.T) {
 					t.Fatalf("point %d: engine (%g, %v) != brute force (%g, %v)",
 						i, pt.VMax, pt.Case, wantV, wantC)
 				}
-				if pt.Params.N != p.N {
-					t.Fatalf("point %d: N rounded to %d, want %d", i, pt.Params.N, p.N)
+				if q, err := g.Params(pt.Values, nil); err != nil || q.N != p.N {
+					t.Fatalf("point %d: N rounded to %d (%v), want %d", i, q.N, err, p.N)
 				}
 				i++
 			}
@@ -436,10 +447,11 @@ func TestRefinementIntegerNAxis(t *testing.T) {
 		if pt.Err != nil {
 			t.Fatalf("unexpected point error: %v", pt.Err)
 		}
-		if pt.Depth > 0 && seen[pt.Params.N] {
-			t.Errorf("refinement re-evaluated N = %d", pt.Params.N)
+		n := DriverCount(pt.Values[0])
+		if pt.Depth > 0 && seen[n] {
+			t.Errorf("refinement re-evaluated N = %d", n)
 		}
-		seen[pt.Params.N] = true
+		seen[n] = true
 		return nil
 	})
 	if err != nil {
